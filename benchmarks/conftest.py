@@ -4,11 +4,15 @@ Every benchmark regenerates one table or figure of the paper on its smoke
 grid (the full paper grid is available through the CLI: ``python -m repro
 <figure> [--workers N]``), times it with pytest-benchmark, writes the
 resulting rows to ``benchmarks/output/`` and prints them so the series can be
-compared with the paper's.
+compared with the paper's.  The timing harnesses (``test_bench_engine`` and
+friends) write their JSON reports to the git-ignored ``benchmarks/out/``
+through :func:`emit_report` instead, so running the suite leaves every
+tracked file untouched.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ import pytest
 from repro.experiments.io import format_table, write_csv
 
 OUTPUT_DIR = Path(__file__).parent / "output"
+REPORT_DIR = Path(__file__).parent / "out"
 
 
 @pytest.fixture
@@ -28,6 +33,21 @@ def emit_rows():
         print()
         print(format_table(rows, title=title or name))
         return rows
+
+    return _emit
+
+
+@pytest.fixture
+def emit_report():
+    """Return a callable that writes ``benchmarks/out/<name>.json`` and prints it."""
+
+    def _emit(report: dict, name: str) -> dict:
+        REPORT_DIR.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(report, indent=2)
+        (REPORT_DIR / f"{name}.json").write_text(text + "\n")
+        print()
+        print(text)
+        return report
 
     return _emit
 

@@ -1,6 +1,6 @@
 """Timing harness for the sweep daemon's content-addressed cache.
 
-Writes ``BENCH_daemon.json`` at the repository root.
+Writes ``BENCH_daemon.json`` under ``benchmarks/out/``.
 
 The scenario is the daemon's reason to exist: a grid submitted twice.
 The first submission is **cold** — every cell executes on the engine; the
@@ -22,10 +22,8 @@ The acceptance figures:
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
-from pathlib import Path
 
 from repro.experiments.runner import RunSpec
 from repro.service.client import SweepClient
@@ -33,8 +31,6 @@ from repro.service.daemon import DaemonConfig, ServiceDaemon
 from repro.service.jobs import run_spec_description
 from repro.service.tasks import strip_timing_fields
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_daemon.json"
 
 #: Large enough that cold execution dominates every fixed overhead the
 #: warm leg also pays (HTTP round-trips, dispatch poll, status polling).
@@ -94,11 +90,9 @@ def _run_benchmark() -> dict:
     }
 
 
-def test_bench_daemon(benchmark):
+def test_bench_daemon(benchmark, emit_report):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    emit_report(report, "BENCH_daemon")
     # The repeated grid is pure cache: zero engine work, every cell a hit.
     assert report["warm_executed"] == 0
     assert report["warm_from_cache"] == report["unique_tasks"]

@@ -1,6 +1,6 @@
 """Compiled kernel backends vs the numpy reference, bit-identity asserted.
 
-Writes ``BENCH_kernels.json`` at the repository root with five sections:
+Writes ``BENCH_kernels.json`` under ``benchmarks/out/`` with five sections:
 
 * **bfs** — the batched CSR BFS at ``n = 5000`` (Barabási–Albert, the same
   family as the scaling smoke): numpy level expansion vs the best available
@@ -21,18 +21,16 @@ Writes ``BENCH_kernels.json`` at the repository root with five sections:
   thread configuration* on a local-knowledge instance, trajectories
   asserted identical end to end (final profile, rounds, changes, metrics).
 
-Skips when no compiled backend is available (numba absent *and* no C
-toolchain); the equivalence suites in ``tests/`` still cover the numpy
+Skips when no compiled backend is available (no C toolchain); the
+equivalence suites in ``tests/`` still cover the numpy
 path everywhere.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +43,6 @@ from repro.graphs.traversal import batched_bfs_distances, reduce_bfs_distances
 from repro.kernels import available_backends, get_backend
 from repro.solvers.set_cover import SetCoverInstance, branch_and_bound_set_cover
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_kernels.json"
 
 BFS_N = 5000
 BFS_SOURCES = 1024
@@ -299,10 +295,10 @@ def _bench_dynamics(compiled) -> dict:
     return {"instances": rows, "identical_trajectories": identical}
 
 
-def test_bench_kernels(benchmark):
+def test_bench_kernels(benchmark, emit_report):
     compiled = _compiled_backend()
     if compiled is None:
-        pytest.skip("no compiled kernel backend available (numba absent, no cc)")
+        pytest.skip("no compiled kernel backend available (no C compiler)")
 
     def _run() -> dict:
         return {
@@ -317,9 +313,7 @@ def test_bench_kernels(benchmark):
         }
 
     report = benchmark.pedantic(_run, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    emit_report(report, "BENCH_kernels")
     # Bit-identity is the contract: same distances, same reductions, same
     # selections, same full trajectories — the compiled backends and the
     # threads knob are pure speed knobs.
@@ -333,7 +327,7 @@ def test_bench_kernels(benchmark):
     assert report["bfs"]["speedup"] >= 5.0
     assert report["bfs_reduce"]["speedup"] >= 2.0
     assert report["cover"]["speedup"] >= 2.0
-    # A single-core runner cannot make prange/OpenMP pay; the threaded
+    # A single-core runner cannot make threads pay; the threaded
     # speedup gate only binds where parallel hardware exists.
     if (os.cpu_count() or 1) >= 2:
         assert report["threads"]["speedup"] >= 1.5

@@ -1,6 +1,6 @@
 """Overhead gate for the telemetry layer.
 
-Writes ``BENCH_obs.json`` at the repository root.
+Writes ``BENCH_obs.json`` under ``benchmarks/out/``.
 
 Two properties make ``--telemetry`` safe to leave reachable in production
 code paths, and this harness pins both with numbers:
@@ -20,10 +20,8 @@ code paths, and this harness pins both with numbers:
 
 from __future__ import annotations
 
-import json
 import time
 import timeit
-from pathlib import Path
 
 from repro.experiments.runner import RunSpec, run_spec_on_instance
 from repro.graphs.generators import random_owned_tree
@@ -31,8 +29,6 @@ from repro.obs import NULL_TRACER, Telemetry
 from repro.service.api import ServiceConfig, run_spec_sweep
 from repro.service.tasks import strip_timing_fields
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_obs.json"
 
 OVERHEAD_BUDGET = 0.05
 
@@ -111,11 +107,9 @@ def _run_benchmark() -> dict:
     }
 
 
-def test_bench_obs(benchmark):
+def test_bench_obs(benchmark, emit_report):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    emit_report(report, "BENCH_obs")
     # The traced smoke run really hit the instrumented sites.
     assert report["span_count"] > 0
     # No-op recorder tax: well under the 5% budget on the small engine run.

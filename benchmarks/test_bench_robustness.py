@@ -1,6 +1,6 @@
 """Timing harness for the perturbation & recovery subsystem.
 
-Writes ``BENCH_robustness.json`` at the repository root.
+Writes ``BENCH_robustness.json`` under ``benchmarks/out/``.
 
 The scenario is the robustness suite's inner loop: converge once, then
 repeatedly shock the certified equilibrium through
@@ -28,10 +28,8 @@ instance: warm replay must recover at least 5x faster than a cold restart.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
 
 from repro.core.games import MaxNCG
 from repro.engine.core import DynamicsEngine
@@ -39,8 +37,6 @@ from repro.experiments.extensions.robustness import apply_perturbation
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.trees import random_owned_tree
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_robustness.json"
 
 REPLAYS_PER_OPERATOR = 6
 SHOCK_SEED = 7
@@ -172,11 +168,9 @@ def _run_benchmark() -> dict:
     }
 
 
-def test_bench_robustness(benchmark):
+def test_bench_robustness(benchmark, emit_report):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    emit_report(report, "BENCH_robustness")
     for instance in report["instances"]:
         # Warm replays must be the same recoveries, certified on both paths.
         assert instance["identical_recoveries"]

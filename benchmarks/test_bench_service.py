@@ -1,6 +1,6 @@
 """Timing harness for the sweep orchestration service.
 
-Writes ``BENCH_service.json`` at the repository root.
+Writes ``BENCH_service.json`` under ``benchmarks/out/``.
 
 The scenario is the service's reason to exist: a **multi-task-per-instance
 sweep** — here a robustness study whose five operator chains all start from
@@ -28,7 +28,6 @@ serial ones included).  The acceptance figures:
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from pathlib import Path
@@ -45,8 +44,6 @@ from repro.service.tasks import (
 )
 from repro.service.workers import WorkerRuntime
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_service.json"
 
 WORKERS = 2
 
@@ -139,11 +136,9 @@ def _run_benchmark() -> dict:
     }
 
 
-def test_bench_service(benchmark):
+def test_bench_service(benchmark, emit_report):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    emit_report(report, "BENCH_service")
     # The same tasks must mean the same rows, warm or cold, whole or
     # killed-and-resumed.
     assert report["rows_identical"]

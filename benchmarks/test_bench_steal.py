@@ -1,6 +1,6 @@
 """Timing harness for work-stealing dispatch vs static shards.
 
-Writes ``BENCH_steal.json`` at the repository root.
+Writes ``BENCH_steal.json`` under ``benchmarks/out/``.
 
 The scenario is the weighted planner's documented blind spot: estimated
 group weight is ``instance nodes x task count``, which is blind to
@@ -29,9 +29,7 @@ Acceptance figures:
 from __future__ import annotations
 
 import heapq
-import json
 import time
-from pathlib import Path
 
 from repro.engine.views import ViewStore
 from repro.experiments.config import FULL_KNOWLEDGE_K
@@ -46,8 +44,6 @@ from repro.service.tasks import (
 )
 from repro.service.workers import WorkerRuntime
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_steal.json"
 
 WORKERS = 3
 
@@ -155,11 +151,9 @@ def _run_benchmark() -> dict:
     }
 
 
-def test_bench_steal(benchmark):
+def test_bench_steal(benchmark, emit_report):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    emit_report(report, "BENCH_steal")
     # Same tasks, same rows — serial, static shards, or stealing pool.
     assert report["rows_identical_static"]
     assert report["rows_identical_steal"]

@@ -1,6 +1,6 @@
 """Timing harness for the engine-grade SumNCG best-response path.
 
-Writes ``BENCH_sum.json`` at the repository root.
+Writes ``BENCH_sum.json`` under ``benchmarks/out/``.
 
 Two sections:
 
@@ -21,9 +21,7 @@ Two sections:
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.core.best_response import (
     SUM_EXHAUSTIVE_LIMIT,
@@ -39,8 +37,6 @@ from repro.core.strategies import StrategyProfile
 from repro.core.views import extract_view
 from repro.graphs.generators.trees import random_owned_tree
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_sum.json"
 
 #: Smallest strategy space worth timing (below this both paths are
 #: microseconds and the ratio is noise).
@@ -147,11 +143,9 @@ def _run_benchmark() -> dict:
     }
 
 
-def test_bench_sum(benchmark):
+def test_bench_sum(benchmark, emit_report):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print()
-    print(json.dumps(report, indent=2))
+    emit_report(report, "BENCH_sum")
     # Identical equilibria / replies everywhere: the seed and the pruning
     # are pure accelerations.
     assert report["identical"]

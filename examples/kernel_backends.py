@@ -3,10 +3,10 @@
 
 The two hot loops of every experiment — the batched BFS level expansion
 and the set-cover branch-and-bound search — run on pluggable backends
-(:mod:`repro.kernels`): the always-available ``numpy`` reference, a
-``numba`` JIT backend (``pip install repro[kernels]``) and an opt-in
-``native`` C/ctypes backend compiled with the system compiler.  All of
-them are **bit-identical**; the backend is a speed knob, never a
+(:mod:`repro.kernels`): the ``native`` C/ctypes backend, compiled once
+per host with the system compiler and auto-selected wherever that works,
+and the always-available ``numpy`` reference it falls back to.  Both
+are **bit-identical**; the backend is a speed knob, never a
 semantics knob.  This example
 
 1. lists which backends are registered vs actually available here,
@@ -120,10 +120,11 @@ def main(n: int = 32, alpha: float = 0.5, k: int = 2) -> None:
         print(f"  inside use_backend('numpy'):       {resolve_backend(None).name}")
         print(f"  explicit argument still outranks:  {resolve_backend(names[-1]).name}")
     print(f"  after the scope:                   {resolve_backend(None).name}")
-    # A registered-but-unavailable backend falls back to numpy silently —
-    # optional acceleration never becomes a hard dependency.
-    print(f"  resolve_backend('numba') here:     {resolve_backend('numba').name}")
-    # The threads knob parallelises the compiled kernels over sources;
+    # Without a C compiler native is registered but unavailable, and
+    # resolving it falls back to numpy silently — compiled speed never
+    # becomes a hard dependency.
+    print(f"  resolve_backend('native') here:    {resolve_backend('native').name}")
+    # The threads knob parallelises the native kernels over sources;
     # results stay bit-identical, so it is safe to flip anywhere.
     with use_threads(4):
         threaded = resolve_backend(names[-1])

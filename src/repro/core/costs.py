@@ -37,11 +37,13 @@ reachable.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.cost_models import STRICT, CostModel
 from repro.core.games import GameSpec, UsageKind
 from repro.core.strategies import StrategyProfile
 from repro.graphs.graph import Graph, Node
-from repro.graphs.traversal import bfs_distances
+from repro.graphs.traversal import bfs_distances, reduce_bfs_distances
 
 __all__ = [
     "building_cost",
@@ -107,10 +109,26 @@ def player_cost(
 
 
 def all_player_costs(profile: StrategyProfile, game: GameSpec) -> dict[Node, float]:
-    """Return ``{player: C_u(σ)}`` for every player."""
-    graph = profile.graph()
+    """Return ``{player: C_u(σ)}`` for every player.
+
+    One fused ``bfs_reduce`` sweep over every source yields each player's
+    eccentricity, distance sum and unreached count, and the cost model's
+    vectorised folds price them — the same reduction
+    :func:`~repro.core.metrics.compute_profile_metrics` runs, bit-identical
+    to calling :func:`player_cost` per player.
+    """
+    indptr, indices, order = profile.graph().to_csr_arrays()
+    ecc, sums, unreached, _ = reduce_bfs_distances(
+        indptr, indices, np.arange(len(order), dtype=np.int64)
+    )
+    if game.usage is UsageKind.MAX:
+        usages = game.cost_model.fold_max(ecc, unreached)
+    else:
+        usages = game.cost_model.fold_sum(sums, unreached)
+    usage = dict(zip(order, usages.tolist()))
     return {
-        player: player_cost(profile, player, game, graph=graph) for player in profile
+        player: building_cost(profile, player, game.alpha) + usage[player]
+        for player in profile
     }
 
 

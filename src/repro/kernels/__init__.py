@@ -14,15 +14,11 @@ hosts interchangeable implementations of exactly those kernels:
 ``numpy``
     The reference.  Exactly the chunked-numpy code the repo was built
     on; always available.
-``numba``
-    ``@njit``-compiled loops (optional dependency, ``pip install
-    repro[kernels]``).  Imported lazily; silently falls back to numpy
-    when numba is absent.
 ``native``
-    C sources compiled on demand with the system compiler and bound via
-    :mod:`ctypes` (see :mod:`repro.kernels.native_backend`).  Opt-in by
-    name — never auto-selected — and unavailable (with fallback) when no
-    C compiler is present.
+    C sources compiled once per host with the system compiler and bound
+    via :mod:`ctypes` (see :mod:`repro.kernels.native_backend`).  The
+    auto-detected default wherever a C compiler builds it; unavailable
+    (with a silent numpy fallback) when none is present.
 
 **Bit-identity is the contract.**  Whatever backend runs, distance
 matrices (including ``radius`` truncation and ``UNREACHABLE`` marks),
@@ -33,18 +29,20 @@ equivalence suites in ``tests/graphs/test_kernel_backends.py`` and
 
 Selection mirrors ``ENGINE_DEFAULT_SOLVER``: explicit argument >
 session override (:func:`set_default_backend` / :func:`use_backend`) >
-``REPRO_KERNEL_BACKEND`` environment variable > auto-detect (numba if
-importable, else numpy).  A *registered but unavailable* choice (numba
-not installed, no C compiler) falls back to numpy silently so optional
-speed never becomes a hard dependency; an *unknown* name raises
-:class:`ValueError` so typos fail loudly.
+``REPRO_KERNEL_BACKEND`` environment variable > auto-detect (native if
+it builds, else numpy).  A *registered but unavailable* choice (no C
+compiler, an unusable kernel cache directory) falls back to numpy
+silently so compiled speed never becomes a hard dependency; an
+*unknown* name raises :class:`ValueError` so typos fail loudly.
+``REPRO_KERNEL_BACKEND=numpy`` pins the reference.
 
-**Threads.**  The compiled backends additionally take a ``threads`` knob:
-the numba kernels gain ``@njit(parallel=True)`` / ``prange`` variants and
-the native build carries OpenMP pragmas, both parallelising *over
-sources*.  Each source's output row is written by exactly one
-thread/slab, so determinism is structural — threaded results are
-bit-identical to single-threaded ones, pinned by the parity suites and
+**Threads.**  The native backend additionally takes a ``threads`` knob
+parallelising *over sources*: each call splits its sources into slabs
+run on threads created for that call, so no thread pool survives into a
+forked worker.  Each source's output row is written by exactly one
+thread/slab, so
+determinism is structural — threaded results are bit-identical to
+single-threaded ones, pinned by the parity suites and
 the scaling smoke.  Resolution mirrors the backend chain: explicit
 ``threads`` argument > session override (:func:`set_default_threads` /
 :func:`use_threads`) > ``REPRO_KERNEL_THREADS`` environment variable >
@@ -70,7 +68,7 @@ sum_out, unreached_out, view_size_out)``
     ``(len(sources), n)`` distance matrix is ever materialised.
     Because the outputs are order-independent aggregates of the unique
     BFS distance function, implementations may traverse however they
-    like — the compiled backends run an MS-BFS (64 sources per uint64
+    like — the native backend runs an MS-BFS (64 sources per uint64
     bitmask batch; Then et al., VLDB 2015) — yet stay bit-identical,
     by definition, to folding the rows ``bfs`` would have produced
     (``radius`` truncation counts truncated nodes as unreached,
@@ -95,7 +93,7 @@ reduction driver falls back to materialise-then-fold through its
 
 from __future__ import annotations
 
-import importlib
+import functools
 import inspect
 import os
 from contextlib import contextmanager
@@ -125,9 +123,9 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 #: Environment variable consulted when no explicit thread count is given.
 THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 
-#: Probe order for auto-detection.  ``native`` is deliberately absent:
-#: compiling C at import time is opt-in, never a surprise.
-AUTO_ORDER = ("numba", "numpy")
+#: Probe order for auto-detection: the compiled kernels wherever a C
+#: compiler builds them (once per host, cached), else the reference.
+AUTO_ORDER = ("native", "numpy")
 
 
 class KernelUnavailableError(RuntimeError):
@@ -175,22 +173,6 @@ def _build_numpy(threads: int = 1) -> KernelBackend:
     )
 
 
-def _build_numba(threads: int = 1) -> KernelBackend:
-    try:
-        module = importlib.import_module("repro.kernels.numba_backend")
-    except ImportError as exc:
-        raise KernelUnavailableError(f"numba backend unavailable: {exc}") from exc
-    threads = _normalize_threads(threads)
-    return KernelBackend(
-        name="numba",
-        bfs=module.make_bfs(threads),
-        cover_search=module.cover_search,
-        compiled=True,
-        bfs_reduce=module.make_bfs_reduce(threads),
-        threads=threads,
-    )
-
-
 def _build_native(threads: int = 1) -> KernelBackend:
     from repro.kernels import native_backend
 
@@ -208,7 +190,6 @@ def _build_native(threads: int = 1) -> KernelBackend:
 
 _FACTORIES: dict[str, Callable[..., KernelBackend]] = {
     "numpy": _build_numpy,
-    "numba": _build_numba,
     "native": _build_native,
 }
 
@@ -222,6 +203,7 @@ _default_override: str | None = None
 _default_threads_override: int | None = None
 
 
+@functools.cache
 def _factory_takes_threads(factory: Callable[..., KernelBackend]) -> bool:
     """Whether a registered factory accepts the positional ``threads`` arg."""
     try:

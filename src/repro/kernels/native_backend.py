@@ -1,14 +1,19 @@
-"""Native C kernel backend (the registry's "third backend" slot, filled).
+"""Native C kernel backend — the auto-detected default.
 
-The C sources below are compiled on first use with the platform's C
-compiler (``cc``/``gcc``, ``-O2 -shared -fPIC``) into a shared object
-cached under ``~/.cache/repro-kernels/`` (override with
-``REPRO_KERNEL_CACHE``), keyed by a hash of the source text so edits
-invalidate stale builds, and loaded through :mod:`ctypes` — no build-time
-dependency, no extension-module packaging, works from a plain source
-checkout.  Environments without a working compiler simply report the
-backend as unavailable and the registry falls back (see
-:func:`repro.kernels.resolve_backend`).
+The C sources below are compiled once per host with the platform's C
+compiler (``cc``/``gcc``, ``-O2 -shared -fPIC -pthread``; ``$CC``
+overrides) into a shared object cached under ``~/.cache/repro-kernels/``
+(override with ``REPRO_KERNEL_CACHE``), keyed by a hash of the source text
+and flags so edits invalidate stale builds, and loaded through
+:mod:`ctypes` — no build-time dependency, no extension-module packaging,
+works from a plain source checkout.  A cold first resolve (the compile)
+costs about 0.2 s; every later process on the host only loads the cached
+object.  Processes racing the first build each compile in a private
+temporary directory and publish by atomic rename, so the loser's rename
+is a cache hit.
+Environments without a working compiler, or whose cache directory cannot
+be created or written, report the backend as unavailable and the
+registry falls back to numpy (see :func:`repro.kernels.resolve_backend`).
 
 The ``bfs`` and ``cover_search`` kernels implement *exactly* the
 algorithms of :mod:`repro.kernels.numpy_backend` — same traversal order,
@@ -21,6 +26,11 @@ free to traverse in a different *order* — it is an MS-BFS, advancing 64
 sources per uint64-bitmask batch through one level-synchronous sweep —
 because its outputs are order-independent aggregates of the unique BFS
 distance function; the same parity suites pin its bit-identity.
+
+The ``threads`` knob splits the sources into contiguous slabs run on
+threads created for each call and joined before it returns.  No thread
+pool outlives a call, so the fork-based worker pools of the sweep
+service stay safe to start after a threaded kernel has run.
 
 This module doubles as the template for binding further compiled
 backends (Cython, Rust over cffi): implement ``bfs`` / ``cover_search``
@@ -50,8 +60,61 @@ __all__ = [
 ]
 
 _SOURCE = r"""
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+
+/* Runs slab(args, t) for t = 0 .. num_threads - 1: slab 0 on the
+ * calling thread, the others on threads created for this call and
+ * joined before it returns.  No thread outlives a call, so a process
+ * forked between calls (the sweep service's worker pools) inherits no
+ * thread pool — a forked child of an OpenMP program deadlocks at its
+ * next parallel region.  A slab whose thread cannot be created runs on
+ * the calling thread instead, so the result never depends on it.
+ */
+typedef void (*slab_fn)(const void *args, int64_t t);
+
+typedef struct {
+    slab_fn fn;
+    const void *args;
+    int64_t t;
+} slab_call;
+
+static void *slab_thread(void *call) {
+    const slab_call *c = (const slab_call *)call;
+    c->fn(c->args, c->t);
+    return NULL;
+}
+
+static void run_slabs(slab_fn fn, const void *args, int64_t num_threads) {
+    pthread_t *threads = NULL;
+    slab_call *calls = NULL;
+    unsigned char *started = NULL;
+    if (num_threads > 1) {
+        threads = malloc((size_t)num_threads * sizeof(pthread_t));
+        calls = malloc((size_t)num_threads * sizeof(slab_call));
+        started = calloc((size_t)num_threads, 1);
+    }
+    for (int64_t t = 1; t < num_threads; ++t) {
+        if (threads && calls && started) {
+            calls[t].fn = fn;
+            calls[t].args = args;
+            calls[t].t = t;
+            started[t] = pthread_create(&threads[t], NULL, slab_thread,
+                                        &calls[t]) == 0;
+        }
+        if (!(started && started[t]))
+            fn(args, t);
+    }
+    fn(args, 0);
+    for (int64_t t = 1; t < num_threads; ++t)
+        if (started && started[t])
+            pthread_join(threads[t], NULL);
+    free(threads);
+    free(calls);
+    free(started);
+}
 
 /* Per-source queue BFS over a CSR adjacency layout, threaded over
  * contiguous source slabs.
@@ -61,9 +124,7 @@ _SOURCE = r"""
  * buffer, one queue per slab.  radius < 0 means unbounded.  Each
  * source's row is written by exactly one slab, so the matrix is
  * bit-identical to the serial traversal (and to the numpy level
- * expansion — BFS distances are unique) no matter how the OpenMP
- * runtime schedules slabs.  Without -fopenmp the pragma is ignored and
- * the slab loop runs serially, still correct.
+ * expansion — BFS distances are unique) however the slabs interleave.
  */
 static void bfs_source_range(const int64_t *indptr, const int64_t *indices,
                              int64_t n, const int64_t *sources,
@@ -93,22 +154,32 @@ static void bfs_source_range(const int64_t *indptr, const int64_t *indices,
     }
 }
 
+typedef struct {
+    const int64_t *indptr, *indices, *sources;
+    int64_t n, num_sources, slab, radius;
+    int32_t unreachable;
+    int32_t *dist, *queues;
+} bfs_args;
+
+static void bfs_slab(const void *args, int64_t t) {
+    const bfs_args *a = (const bfs_args *)args;
+    int64_t start = t * a->slab;
+    int64_t stop = start + a->slab < a->num_sources ? start + a->slab : a->num_sources;
+    if (start < stop)
+        bfs_source_range(a->indptr, a->indices, a->n, a->sources, start, stop,
+                         a->radius, a->unreachable, a->dist, a->queues + t * a->n);
+}
+
 void repro_bfs_batch(const int64_t *indptr, const int64_t *indices,
                      int64_t n, const int64_t *sources, int64_t num_sources,
                      int64_t radius, int32_t unreachable,
                      int32_t *dist, int32_t *queues, int64_t num_threads) {
     if (num_threads < 1)
         num_threads = 1;
-    int64_t slab = (num_sources + num_threads - 1) / num_threads;
-    int nt = (int)num_threads;
-    #pragma omp parallel for num_threads(nt) schedule(static, 1)
-    for (int64_t t = 0; t < num_threads; ++t) {
-        int64_t start = t * slab;
-        int64_t stop = start + slab < num_sources ? start + slab : num_sources;
-        if (start < stop)
-            bfs_source_range(indptr, indices, n, sources, start, stop,
-                             radius, unreachable, dist, queues + t * n);
-    }
+    bfs_args args = {indptr, indices, sources, n, num_sources,
+                     (num_sources + num_threads - 1) / num_threads, radius,
+                     unreachable, dist, queues};
+    run_slabs(bfs_slab, &args, num_threads);
 }
 
 /* Fused multi-source BFS + statistics fold: eccentricity,
@@ -199,6 +270,25 @@ static void bfs_reduce_range(const int64_t *indptr, const int64_t *indices,
     }
 }
 
+typedef struct {
+    const int64_t *indptr, *indices, *sources;
+    int64_t n, num_sources, slab, radius, view_radius;
+    int64_t *ecc_out, *sum_out, *unreached_out, *view_size_out;
+    uint64_t *scratch;
+} bfs_reduce_args;
+
+static void bfs_reduce_slab(const void *args, int64_t t) {
+    const bfs_reduce_args *a = (const bfs_reduce_args *)args;
+    int64_t start = t * a->slab;
+    int64_t stop = start + a->slab < a->num_sources ? start + a->slab : a->num_sources;
+    uint64_t *section = a->scratch + t * 3 * a->n;
+    if (start < stop)
+        bfs_reduce_range(a->indptr, a->indices, a->n, a->sources, start, stop,
+                         a->radius, a->view_radius, a->ecc_out, a->sum_out,
+                         a->unreached_out, a->view_size_out,
+                         section, section + a->n, section + 2 * a->n);
+}
+
 void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
                       int64_t n, const int64_t *sources, int64_t num_sources,
                       int64_t radius, int64_t view_radius, int32_t unreachable,
@@ -212,20 +302,11 @@ void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
      * straddles two threads. */
     int64_t num_batches = (num_sources + 63) / 64;
     int64_t batches_per_thread = (num_batches + num_threads - 1) / num_threads;
-    int64_t slab = batches_per_thread * 64;
-    int nt = (int)num_threads;
-    #pragma omp parallel for num_threads(nt) schedule(static, 1)
-    for (int64_t t = 0; t < num_threads; ++t) {
-        int64_t start = t * slab;
-        int64_t stop = start + slab < num_sources ? start + slab : num_sources;
-        if (start < stop)
-            bfs_reduce_range(indptr, indices, n, sources, start, stop,
-                             radius, view_radius,
-                             ecc_out, sum_out, unreached_out, view_size_out,
-                             scratch + t * 3 * n,
-                             scratch + t * 3 * n + n,
-                             scratch + t * 3 * n + 2 * n);
-    }
+    bfs_reduce_args args = {indptr, indices, sources, n, num_sources,
+                            batches_per_thread * 64, radius, view_radius,
+                            ecc_out, sum_out, unreached_out, view_size_out,
+                            scratch};
+    run_slabs(bfs_reduce_slab, &args, num_threads);
 }
 
 /* Branch-and-bound set-cover recursion, mirroring the numpy reference
@@ -339,6 +420,9 @@ _I32 = ctypes.POINTER(ctypes.c_int32)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 _U64 = ctypes.POINTER(ctypes.c_uint64)
 
+#: Compiler flags of the one build; ``-pthread`` links the slab threads.
+_FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
+
 _library: ctypes.CDLL | None = None
 
 
@@ -349,46 +433,44 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-kernels"
 
 
-def _compile(cache_dir: Path, target: Path, extra_flags: tuple[str, ...]) -> None:
+def _compile(cache_dir: Path, target: Path) -> None:
     from repro.kernels import KernelUnavailableError
 
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=cache_dir) as workdir:
-        source = Path(workdir) / "kernels.c"
-        source.write_text(_SOURCE)
-        built = Path(workdir) / target.name
-        compiler = os.environ.get("CC", "cc")
-        command = [compiler, "-O2", "-shared", "-fPIC", *extra_flags]
-        command += ["-o", str(built), str(source)]
-        try:
-            result = subprocess.run(command, capture_output=True, text=True, timeout=120)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise KernelUnavailableError(
-                f"native kernel backend: C compiler {compiler!r} unusable: {exc}"
-            ) from exc
-        if result.returncode != 0:
-            raise KernelUnavailableError(
-                f"native kernel backend: compilation failed:\n{result.stderr}"
-            )
-        # Atomic publish: another process racing the build lands on the same
-        # content-addressed name, so a rename collision is a cache hit.
-        try:
+    compiler = os.environ.get("CC", "cc")
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=cache_dir) as workdir:
+            source = Path(workdir) / "kernels.c"
+            source.write_text(_SOURCE)
+            built = Path(workdir) / target.name
+            command = [compiler, *_FLAGS]
+            command += ["-o", str(built), str(source)]
+            try:
+                result = subprocess.run(
+                    command, capture_output=True, text=True, timeout=120
+                )
+            except (OSError, subprocess.TimeoutExpired) as exc:
+                raise KernelUnavailableError(
+                    f"native kernel backend: C compiler {compiler!r} unusable: {exc}"
+                ) from exc
+            if result.returncode != 0:
+                raise KernelUnavailableError(
+                    f"native kernel backend: compilation failed:\n{result.stderr}"
+                )
+            # Atomic publish: another process racing the build lands on the
+            # same content-addressed name, so a rename collision is a cache hit.
             built.replace(target)
-        except OSError as exc:  # pragma: no cover - exotic filesystems
-            raise KernelUnavailableError(
-                f"native kernel backend: cannot install {target}: {exc}"
-            ) from exc
+    except OSError as exc:
+        raise KernelUnavailableError(
+            f"native kernel backend: kernel cache {cache_dir} unusable: {exc}"
+        ) from exc
 
 
 def load_library() -> ctypes.CDLL:
     """Compile (once, content-addressed) and load the kernel library.
 
-    The build is attempted with ``-fopenmp`` first (threaded slab loops);
-    when the compiler rejects the flag or the produced object cannot be
-    loaded (no OpenMP runtime), the same source is rebuilt without it —
-    the pragmas are then ignored and the kernels run serially, still
-    bit-identical.  The cache name hashes source *and* flags, so the two
-    variants never collide.
+    The cache name hashes the source *and* the compiler flags, so editing
+    either builds a fresh object instead of loading a stale one.
     """
     global _library
     if _library is not None:
@@ -396,27 +478,17 @@ def load_library() -> ctypes.CDLL:
     from repro.kernels import KernelUnavailableError
 
     cache_dir = _cache_dir()
-    last_error: KernelUnavailableError | None = None
-    for extra_flags in (("-fopenmp",), ()):
-        tag = _SOURCE + "\x00" + " ".join(extra_flags)
-        digest = hashlib.sha256(tag.encode()).hexdigest()[:16]
-        target = cache_dir / f"repro-kernels-{digest}.so"
-        if not target.exists():
-            try:
-                _compile(cache_dir, target, extra_flags)
-            except KernelUnavailableError as exc:
-                last_error = exc
-                continue
-        try:
-            library = ctypes.CDLL(str(target))
-        except OSError as exc:
-            last_error = KernelUnavailableError(
-                f"native kernel backend: cannot load {target}: {exc}"
-            )
-            continue
-        break
-    else:
-        raise last_error  # type: ignore[misc]  # loop ran at least once
+    tag = _SOURCE + "\x00" + " ".join(_FLAGS)
+    digest = hashlib.sha256(tag.encode()).hexdigest()[:16]
+    target = cache_dir / f"repro-kernels-{digest}.so"
+    if not target.exists():
+        _compile(cache_dir, target)
+    try:
+        library = ctypes.CDLL(str(target))
+    except OSError as exc:
+        raise KernelUnavailableError(
+            f"native kernel backend: cannot load {target}: {exc}"
+        ) from exc
     library.repro_bfs_batch.argtypes = [
         _I64, _I64, ctypes.c_int64, _I64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int32, _I32, _I32, ctypes.c_int64,

@@ -92,17 +92,12 @@ class SetCoverInstance:
         ``uncovered_elements`` an index array of elements not covered by any
         forced candidate.
         """
+        if not self.forced:
+            return np.arange(self.num_candidates), np.arange(self.num_elements)
         forced_mask = np.zeros(self.num_candidates, dtype=bool)
-        if self.forced:
-            forced_mask[list(self.forced)] = True
-        covered = (
-            self.coverage[forced_mask].any(axis=0)
-            if forced_mask.any()
-            else np.zeros(self.num_elements, dtype=bool)
-        )
-        free_candidates = np.flatnonzero(~forced_mask)
-        uncovered_elements = np.flatnonzero(~covered)
-        return free_candidates, uncovered_elements
+        forced_mask[list(self.forced)] = True
+        covered = self.coverage[forced_mask].any(axis=0)
+        return np.flatnonzero(~forced_mask), np.flatnonzero(~covered)
 
     def is_feasible_selection(self, selected: set[int]) -> bool:
         """Check that forced + selected candidates cover every element."""
@@ -140,26 +135,51 @@ def _infeasible(solver: str) -> SetCoverResult:
     return SetCoverResult(selected=(), objective=0, optimal=True, feasible=False, solver=solver)
 
 
-def _trivial_or_none(instance: SetCoverInstance, solver: str) -> SetCoverResult | None:
-    """Handle the no-element / uncoverable-element corner cases."""
+def _residual_or_result(
+    instance: SetCoverInstance, solver: str
+) -> tuple[np.ndarray, np.ndarray] | SetCoverResult:
+    """The residual instance after forced sets, or the trivial result.
+
+    Returns ``(free, coverage)`` — the index array of non-forced candidates
+    and the ``(len(free), #uncovered)`` boolean coverage of the elements no
+    forced candidate covers — or a finished :class:`SetCoverResult` for the
+    no-element / no-candidate / uncoverable-element corner cases.  Every
+    solver builds its residual here exactly once per solve.
+    """
     free, uncovered = instance.residual()
     if uncovered.size == 0:
         return SetCoverResult((), 0, True, True, solver)
     if free.size == 0:
         return _infeasible(solver)
+    coverage = instance.coverage[np.ix_(free, uncovered)]
     # An element covered by no candidate at all makes the instance infeasible.
-    coverable = instance.coverage[free][:, uncovered].any(axis=0)
-    if not bool(coverable.all()):
+    if not bool(coverage.any(axis=0).all()):
         return _infeasible(solver)
-    return None
+    return free, coverage
+
+
+def _greedy_positions(coverage: np.ndarray) -> list[int]:
+    """Greedy picks over a coverable residual matrix, as row positions.
+
+    Repeatedly takes the row covering the most still-uncovered columns;
+    ties go to the first such row (``argmax``).  Gains are one
+    matrix-vector product per pick; float32 counts are exact below 2**24
+    columns, so the picks equal the boolean ``(coverage & remaining).sum``.
+    """
+    weights = coverage.astype(np.float32)
+    remaining = np.ones(coverage.shape[1], dtype=np.float32)
+    picks: list[int] = []
+    while remaining.any():
+        best = int((weights @ remaining).argmax())
+        picks.append(best)
+        remaining[coverage[best]] = 0.0
+    return picks
 
 
 def _warm_positions(
-    instance: SetCoverInstance,
-    free: np.ndarray,
-    warm_start: Sequence[int],
+    free: np.ndarray, coverage: np.ndarray, warm_start: Sequence[int]
 ) -> list[int] | None:
-    """Map a warm-start selection to positions in ``free``, or ``None``.
+    """Map a warm-start selection to row positions of the residual, or ``None``.
 
     A warm start is a set of *original* (non-forced) candidate indices that
     formed a feasible cover of an easier instance — typically the previous
@@ -167,15 +187,25 @@ def _warm_positions(
     coverage grows monotonically so the old cover stays feasible.  Anything
     that fails validation (out-of-range/forced index, or no longer a cover)
     is silently ignored: a warm start is an optimisation hint, never a
-    correctness input.
+    correctness input.  Forced sets cover exactly the elements missing from
+    the residual, so covering every residual column is the same test as
+    :meth:`SetCoverInstance.is_feasible_selection`.
     """
-    selection = {int(idx) for idx in warm_start}
-    position_of = {int(original): pos for pos, original in enumerate(free)}
-    if not selection or not selection.issubset(position_of):
+    selection = sorted({int(idx) for idx in warm_start})
+    if not selection or selection[0] < int(free[0]) or selection[-1] > int(free[-1]):
         return None
-    if not instance.is_feasible_selection(selection):
+    positions = np.searchsorted(free, selection)
+    if not np.array_equal(free[positions], selection):
         return None
-    return [position_of[idx] for idx in sorted(selection)]
+    if not bool(coverage[positions].any(axis=0).all()):
+        return None
+    return positions.tolist()
+
+
+def _selection_result(free: np.ndarray, positions: list[int]) -> SetCoverResult:
+    """The optimal branch-and-bound result for residual row ``positions``."""
+    selected = tuple(int(free[pos]) for pos in positions)
+    return SetCoverResult(selected, len(selected), True, True, "branch_and_bound")
 
 
 def greedy_set_cover(
@@ -191,21 +221,12 @@ def greedy_set_cover(
     and ignored: greedy rebuilds its cover from scratch deterministically.
     ``backend`` likewise: greedy has no kernel to accelerate.
     """
-    trivial = _trivial_or_none(instance, "greedy")
-    if trivial is not None:
-        return trivial
-    free, uncovered = instance.residual()
-    coverage = instance.coverage[free][:, uncovered]
-    remaining = np.ones(coverage.shape[1], dtype=bool)
-    selected: list[int] = []
-    while remaining.any():
-        gains = (coverage & remaining).sum(axis=1)
-        best = int(np.argmax(gains))
-        if gains[best] == 0:  # pragma: no cover - guarded by _trivial_or_none
-            return _infeasible("greedy")
-        selected.append(int(free[best]))
-        remaining &= ~coverage[best]
-    return SetCoverResult(tuple(selected), len(selected), False, True, "greedy")
+    residual = _residual_or_result(instance, "greedy")
+    if isinstance(residual, SetCoverResult):
+        return residual
+    free, coverage = residual
+    selected = tuple(int(free[pos]) for pos in _greedy_positions(coverage))
+    return SetCoverResult(selected, len(selected), False, True, "greedy")
 
 
 def branch_and_bound_set_cover(
@@ -229,6 +250,12 @@ def branch_and_bound_set_cover(
     monotonically growing coverage (the best-response ``h`` loop) keep
     returning the same selection until a strictly smaller cover appears.
 
+    The root lower bound also settles whole solves before any work: a cap
+    below it is infeasible without running greedy, a valid warm start of
+    exactly that size is returned as the optimum, and the search is skipped
+    once the incumbent meets it.  Each shortcut returns the selection the
+    full greedy + search path would return.
+
     The recursion itself runs on the selected kernel backend
     (:mod:`repro.kernels`); incumbent seeding, candidate ordering and the
     residual-instance setup stay here, so every backend searches the same
@@ -238,39 +265,44 @@ def branch_and_bound_set_cover(
     most a few hundred vertices); cross-checked against the MILP solver in
     the test suite.
     """
-    trivial = _trivial_or_none(instance, "branch_and_bound")
-    if trivial is not None:
-        return trivial
-    free, uncovered = instance.residual()
-    coverage = instance.coverage[free][:, uncovered]
-    num_free = coverage.shape[0]
+    residual = _residual_or_result(instance, "branch_and_bound")
+    if isinstance(residual, SetCoverResult):
+        return residual
+    free, coverage = residual
+    kernel = resolve_backend(backend)
 
-    greedy = greedy_set_cover(instance)
-    best_size = greedy.objective if greedy.feasible else num_free + 1
+    # Root lower bound: no cover is smaller than this.  Every residual
+    # column is coverable, so the largest row is non-empty.
+    cover_sizes = coverage.sum(axis=1)
+    lower = -(-coverage.shape[1] // int(cover_sizes.max()))
+    if upper_bound is not None and lower > upper_bound:
+        # Greedy, a warm start and the search all exceed the cap.
+        return _infeasible("branch_and_bound")
+    warm = None if warm_start is None else _warm_positions(free, coverage, warm_start)
+    if warm is not None and len(warm) == lower:
+        # A warm start at the lower bound is optimal and wins every tie
+        # with greedy (which cannot be smaller), so greedy and the search
+        # would both hand it back unchanged.
+        return _selection_result(free, warm)
+
+    greedy = _greedy_positions(coverage)
+    best_size = len(greedy)
     if upper_bound is not None:
         best_size = min(best_size, upper_bound)
-    best_selection: list[int] | None = (
-        [int(np.flatnonzero(free == idx)[0]) for idx in greedy.selected]
-        if greedy.feasible and greedy.objective <= best_size
-        else None
-    )
-    if warm_start is not None:
-        warm = _warm_positions(instance, free, warm_start)
-        if warm is not None and len(warm) <= best_size:
-            best_size = len(warm)
-            best_selection = warm
+    best_selection: list[int] | None = greedy if len(greedy) <= best_size else None
+    if warm is not None and len(warm) <= best_size:
+        best_size = len(warm)
+        best_selection = warm
 
-    cover_sizes = coverage.sum(axis=1)
-    order_by_size = np.argsort(-cover_sizes)
-
-    kernel = resolve_backend(backend)
-    best_size, best_selection = kernel.cover_search(
-        coverage, order_by_size, best_size, best_selection
-    )
+    if lower < best_size:
+        # The search only returns covers strictly smaller than best_size,
+        # which the lower bound rules out otherwise.
+        best_size, best_selection = kernel.cover_search(
+            coverage, np.argsort(-cover_sizes), best_size, best_selection
+        )
     if best_selection is None:
         return _infeasible("branch_and_bound")
-    selected = tuple(int(free[idx]) for idx in best_selection)
-    return SetCoverResult(selected, len(selected), True, True, "branch_and_bound")
+    return _selection_result(free, best_selection)
 
 
 def milp_set_cover(
@@ -291,13 +323,12 @@ def milp_set_cover(
     forwarded to the branch-and-bound fallback taken on a HiGHS failure;
     use ``method="branch_and_bound"`` to actually exploit warm starts.
     """
-    trivial = _trivial_or_none(instance, "milp")
-    if trivial is not None:
-        return trivial
+    residual = _residual_or_result(instance, "milp")
+    if isinstance(residual, SetCoverResult):
+        return residual
     from scipy import optimize, sparse
 
-    free, uncovered = instance.residual()
-    coverage = instance.coverage[free][:, uncovered]
+    free, coverage = residual
     num_free, num_elements = coverage.shape
     constraint_matrix = sparse.csr_matrix(coverage.T.astype(float))
     constraints = optimize.LinearConstraint(constraint_matrix, lb=np.ones(num_elements))

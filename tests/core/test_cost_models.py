@@ -30,7 +30,12 @@ from repro.core.cost_models import (
     cost_model_to_payload,
     resolve_cost_model,
 )
-from repro.core.costs import all_player_costs, social_cost, usage_from_distances
+from repro.core.costs import (
+    all_player_costs,
+    player_cost,
+    social_cost,
+    usage_from_distances,
+)
 from repro.core.deviations import COST_EPS, view_cost
 from repro.core.games import FULL_KNOWLEDGE, GameSpec, MaxNCG, SumNCG, UsageKind
 from repro.core.metrics import compute_profile_metrics
@@ -168,6 +173,24 @@ class TestConnectedAgreement:
         tol = TolerantCosts(beta=4.0)
         assert usage_from_distances(distances, 5, UsageKind.MAX, cost_model=tol) == 4.0
         assert usage_from_distances(distances, 5, UsageKind.SUM, cost_model=tol) == 11.0
+
+
+class TestFusedPlayerCosts:
+    """``all_player_costs`` prices every player from one fused kernel sweep;
+    it must equal the per-player Python BFS path exactly, connected or not."""
+
+    @given(random_profiles, alphas, betas)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_player_costs(self, profile, alpha, beta):
+        for model in (STRICT, TolerantCosts(beta=beta)):
+            for factory in (MaxNCG, SumNCG):
+                game = factory(alpha, cost_model=model)
+                expected = {
+                    player: player_cost(profile, player, game) for player in profile
+                }
+                costs = all_player_costs(profile, game)
+                assert list(costs) == list(expected)
+                assert costs == expected
 
 
 class TestDisconnectedPricing:

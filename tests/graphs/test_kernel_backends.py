@@ -11,8 +11,11 @@ backends falling back to numpy silently.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import shutil
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as kernels
+from repro.experiments.runner import RunSpec
 from repro.graphs.generators.erdos_renyi import gnp_random_graph
 from repro.graphs.generators.smallworld import owned_barabasi_albert
 from repro.graphs.graph import Graph
@@ -37,6 +41,7 @@ from repro.kernels import (
     KernelUnavailableError,
     available_backends,
     get_backend,
+    native_backend,
     register_backend,
     registered_backends,
     resolve_backend,
@@ -45,6 +50,8 @@ from repro.kernels import (
     use_backend,
     use_threads,
 )
+from repro.service.api import ServiceConfig, orchestrate
+from repro.service.tasks import compile_run_specs, strip_timing_fields
 
 BACKENDS = available_backends()
 
@@ -173,7 +180,7 @@ class TestRegistry:
 
     def test_registered_superset_of_available(self):
         assert set(BACKENDS) <= set(registered_backends())
-        assert {"numpy", "numba", "native"} <= set(registered_backends())
+        assert {"numpy", "native"} <= set(registered_backends())
 
     def test_unknown_name_raises_everywhere(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -245,24 +252,76 @@ class TestRegistry:
         assert resolve_backend("custom").name == "custom"
 
 
-class TestNumbaAbsence:
-    def test_graceful_import_error(self, clean_registry, monkeypatch):
-        """With numba unimportable the backend reports unavailable, resolve
-        falls back to numpy, and nothing raises ImportError to callers."""
-        monkeypatch.setitem(sys.modules, "numba", None)  # import numba → ImportError
-        monkeypatch.delitem(
-            sys.modules, "repro.kernels.numba_backend", raising=False
-        )
-        for key in [key for key in kernels._BUILT if key[0] == "numba"]:
-            kernels._BUILT.pop(key)
-        assert "numba" not in available_backends()
+@pytest.fixture
+def cold_native(clean_registry, monkeypatch, tmp_path):
+    """A process that has never built the native backend: no env var, no
+    override, an empty kernel cache, and no loaded library."""
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernel-cache"))
+    monkeypatch.setattr(native_backend, "_library", None)
+    set_default_backend(None)
+    for key in [key for key in kernels._BUILT if key[0] == "native"]:
+        kernels._BUILT.pop(key)
+    return tmp_path / "kernel-cache"
+
+
+class TestDefaultResolution:
+    """Auto-detect picks native wherever a C compiler builds it, and falls
+    back to the numpy reference silently everywhere else."""
+
+    def test_auto_order_prefers_native(self):
+        assert kernels.AUTO_ORDER == ("native", "numpy")
+
+    def test_no_compiler_falls_back_to_numpy_quietly(
+        self, cold_native, monkeypatch, capfd
+    ):
+        monkeypatch.setenv("CC", "/nonexistent")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_backend(None).name == "numpy"
+        assert capfd.readouterr() == ("", "")
+        assert "native" not in available_backends()
         with pytest.raises(KernelUnavailableError):
-            get_backend("numba")
-        assert resolve_backend("numba").name == "numpy"
-        # Auto-detect (no env var, no override) skips it without noise.
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        set_default_backend(None)
+            get_backend("native")
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_compiler_present_selects_native(self, cold_native):
+        backend = resolve_backend(None)
+        assert backend.name == "native" and backend.compiled
+        assert list(cold_native.glob("repro-kernels-*.so"))
+
+    def test_unusable_cache_dir_falls_back(self, cold_native, monkeypatch, tmp_path):
+        """A cache path below a regular file cannot be created (even by
+        root): resolution falls back instead of raising the OSError."""
+        regular = tmp_path / "not-a-directory"
+        regular.write_text("")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(regular / "cache"))
         assert resolve_backend(None).name == "numpy"
+        with pytest.raises(KernelUnavailableError):
+            get_backend("native")
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_cold_cache_pool_matches_numpy_rows(self, cold_native, monkeypatch):
+        """Two pool workers race the first build from an empty cache; the
+        rows equal the numpy reference's."""
+        tasks = compile_run_specs(
+            [
+                RunSpec(family="tree", n=12, alpha=alpha, k=k, seed=seed)
+                for alpha in (0.5, 2.0)
+                for k in (2, 3)
+                for seed in range(2)
+            ]
+        )
+        pooled = orchestrate(tasks, ServiceConfig(workers=2))
+        # The parent never built the library: the workers did.
+        assert native_backend._library is None
+        assert list(cold_native.glob("repro-kernels-*.so"))
+        monkeypatch.setenv(ENV_VAR, "numpy")
+        reference = orchestrate(tasks, ServiceConfig(workers=1))
+        assert strip_timing_fields(
+            [result.as_row() for result in pooled]
+        ) == strip_timing_fields([result.as_row() for result in reference])
+
 
 # ----------------------------------------------------------------------
 # Fused bfs_reduce parity
@@ -405,6 +464,36 @@ def test_threaded_backends_agree_on_larger_instance():
             reduce_bfs_distances(indptr, indices, sources, view_radius=2, backend=threaded),
         ):
             assert np.array_equal(serial_vec, threaded_vec)
+
+
+def _threaded_bfs_in_child(indptr, indices, sources, expected_sum):
+    backend = resolve_backend("native", threads=2)
+    dist = batched_bfs_distances(indptr, indices, sources, backend=backend)
+    sys.exit(0 if int(dist.sum()) == expected_sum else 1)
+
+
+@pytest.mark.skipif("native" not in BACKENDS, reason="no C compiler")
+def test_threaded_kernels_survive_fork():
+    """A process forked after a threaded kernel ran — how the sweep
+    service starts its worker pools — runs threaded kernels itself
+    instead of deadlocking on a thread pool it inherited."""
+    owned = owned_barabasi_albert(300, 2, seed=1)
+    indptr, indices, _ = owned.graph.to_csr_arrays()
+    sources = np.arange(300, dtype=np.int64)
+    threaded = resolve_backend("native", threads=2)
+    expected = int(batched_bfs_distances(indptr, indices, sources, backend=threaded).sum())
+    child = multiprocessing.get_context("fork").Process(
+        target=_threaded_bfs_in_child, args=(indptr, indices, sources, expected)
+    )
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert not child.is_alive(), "forked child deadlocked in a threaded kernel"
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
 
 
 class TestThreadsResolution:

@@ -1,5 +1,7 @@
 """Tests for the set-cover solvers (greedy, branch-and-bound, MILP)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,3 +367,146 @@ class TestKernelBackendParity:
         backend = get_backend(self.BACKENDS[-1])
         result = solve_set_cover(instance, "branch_and_bound", backend=backend)
         assert result.feasible and result.objective == 2
+
+
+# ----------------------------------------------------------------------
+# Selection pinning against the original wrapper logic
+# ----------------------------------------------------------------------
+def _reference_greedy(instance):
+    """The original greedy wrapper: trivial checks, residual, greedy loop."""
+    free, uncovered = instance.residual()
+    if uncovered.size == 0:
+        return (), True
+    if free.size == 0:
+        return (), False
+    coverage = instance.coverage[free][:, uncovered]
+    if not bool(coverage.any(axis=0).all()):
+        return (), False
+    remaining = np.ones(coverage.shape[1], dtype=bool)
+    selected = []
+    while remaining.any():
+        gains = (coverage & remaining).sum(axis=1)
+        best = int(np.argmax(gains))
+        selected.append(int(free[best]))
+        remaining &= ~coverage[best]
+    return tuple(selected), True
+
+
+def _reference_branch_and_bound(instance, upper_bound=None, warm_start=None):
+    """The original branch-and-bound wrapper (residual -> greedy incumbent ->
+    warm start -> numpy ``cover_search``), kept verbatim in spirit as the
+    reference for tie-breaks."""
+    from repro.kernels import numpy_backend
+
+    greedy, feasible = _reference_greedy(instance)
+    if not feasible or not greedy:
+        return greedy, feasible
+    free, uncovered = instance.residual()
+    coverage = instance.coverage[free][:, uncovered]
+    best_size = min(len(greedy), upper_bound) if upper_bound is not None else len(greedy)
+    best_selection = (
+        [int(np.flatnonzero(free == idx)[0]) for idx in greedy]
+        if len(greedy) <= best_size
+        else None
+    )
+    if warm_start is not None:
+        selection = {int(idx) for idx in warm_start}
+        position_of = {int(original): pos for pos, original in enumerate(free)}
+        if (
+            selection
+            and selection.issubset(position_of)
+            and instance.is_feasible_selection(selection)
+            and len(selection) <= best_size
+        ):
+            best_size = len(selection)
+            best_selection = [position_of[idx] for idx in sorted(selection)]
+    order_by_size = np.argsort(-coverage.sum(axis=1))
+    best_size, best_selection = numpy_backend.cover_search(
+        coverage, order_by_size, best_size, best_selection
+    )
+    if best_selection is None:
+        return (), False
+    return tuple(int(free[idx]) for idx in best_selection), True
+
+
+def _minimum_covers(instance, free):
+    """Every minimum-size feasible selection of free candidates (brute force)."""
+    for size in range(1, len(free) + 1):
+        covers = [
+            combo
+            for combo in itertools.combinations(free, size)
+            if instance.is_feasible_selection(set(combo))
+        ]
+        if covers:
+            return covers
+    return []
+
+
+@st.composite
+def hinted_instances(draw):
+    """(instance, warm_start, upper_bound) spanning forced sets, valid /
+    optimal / forced / out-of-range / arbitrary warm starts and caps below,
+    at and above the greedy size."""
+    num_candidates = draw(st.integers(min_value=1, max_value=8))
+    num_elements = draw(st.integers(min_value=0, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    rng = np.random.default_rng(seed)
+    coverage = rng.random((num_candidates, num_elements)) < density
+    forced = tuple(
+        sorted(draw(st.sets(st.integers(0, num_candidates - 1), max_size=2)))
+    )
+    instance = SetCoverInstance(coverage=coverage, forced=forced)
+    greedy, feasible = _reference_greedy(instance)
+    free = [c for c in range(num_candidates) if c not in forced]
+    extra = draw(st.sets(st.sampled_from(free), max_size=3)) if free else set()
+    valid = set(greedy) | extra if feasible else extra
+    kind = draw(
+        st.sampled_from(
+            ["none", "valid", "optimal", "forced", "out_of_range", "arbitrary"]
+        )
+    )
+    optimal = _minimum_covers(instance, free)
+    warm_start = {
+        "none": None,
+        "valid": tuple(sorted(valid)),
+        "optimal": draw(st.sampled_from(optimal)) if optimal else None,
+        "forced": tuple(sorted(valid | {forced[0] if forced else 0})),
+        "out_of_range": tuple(sorted(valid | {num_candidates + seed % 3})),
+        "arbitrary": tuple(
+            draw(st.lists(st.integers(-1, num_candidates), max_size=4))
+        ),
+    }[kind]
+    shift = draw(st.sampled_from([None, -2, -1, 0, 1]))
+    upper_bound = None if shift is None else max(len(greedy) + shift, 0)
+    return instance, warm_start, upper_bound
+
+
+class TestSelectionPinning:
+    """Selections — not just costs — equal the original wrapper's on every
+    hint combination, so a changed tie-break cannot slip through."""
+
+    @given(hinted_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_branch_and_bound_selection_matches_reference(self, case):
+        instance, warm_start, upper_bound = case
+        expected, feasible = _reference_branch_and_bound(
+            instance, upper_bound=upper_bound, warm_start=warm_start
+        )
+        for name in available_backends():
+            result = branch_and_bound_set_cover(
+                instance, upper_bound=upper_bound, warm_start=warm_start, backend=name
+            )
+            assert result.feasible == feasible
+            assert result.selected == expected
+
+    @given(hinted_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_greedy_selection_matches_reference(self, case):
+        instance, warm_start, upper_bound = case
+        expected, feasible = _reference_greedy(instance)
+        result = greedy_set_cover(
+            instance, upper_bound=upper_bound, warm_start=warm_start
+        )
+        assert result.feasible == feasible
+        assert result.selected == expected
