@@ -8,10 +8,7 @@ Builds a Barabási–Albert instance at ``n`` players, runs the blocked
 :func:`repro.core.metrics.compute_profile_metrics` sweep under
 ``tracemalloc`` and fails loudly if the peak allocation comes anywhere near
 the ``4 n^2`` bytes a dense ``(n, n)`` int32 distance matrix would cost —
-the regression this job exists to catch.  With ``--threads`` the sweep is
-additionally re-run on a threaded kernel build and every metric is asserted
-*exactly* equal to the single-threaded result — the bit-identity contract
-of :mod:`repro.kernels`.  Prints a one-line JSON report.
+the regression this job exists to catch.  Prints a one-line JSON report.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ def run_smoke(
     alpha: float,
     k: int,
     backend: str | None = None,
-    threads: int | None = None,
 ) -> dict:
     profile = StrategyProfile.from_owned_graph(owned_barabasi_albert(n, 2, seed=0))
     game = MaxNCG(alpha, k=k)
@@ -60,22 +56,6 @@ def run_smoke(
         "social_cost": metrics.social_cost,
         "ok": peak < dense_bytes / 2,
     }
-    if threads is not None:
-        threaded_kernel = resolve_backend(backend, threads=threads)
-        start = time.perf_counter()
-        threaded_metrics = compute_profile_metrics(
-            profile, game, block_size=block_size, backend=threaded_kernel
-        )
-        threaded_elapsed = time.perf_counter() - start
-        identical = threaded_metrics == metrics
-        report.update(
-            {
-                "threads": threaded_kernel.threads,
-                "threaded_seconds": round(threaded_elapsed, 2),
-                "threaded_identical": identical,
-                "ok": report["ok"] and identical,
-            }
-        )
     return report
 
 
@@ -91,37 +71,15 @@ def main(argv: list[str] | None = None) -> int:
         help="kernel backend for the BFS sweep (see repro.kernels); "
         "default follows the REPRO_KERNEL_BACKEND/auto-detect chain",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="re-run the sweep on a kernel build with this many threads "
-        "(0 = all cores) and assert every metric equals the "
-        "single-threaded result exactly",
-    )
     args = parser.parse_args(argv)
-    report = run_smoke(
-        args.n,
-        args.block_size,
-        args.alpha,
-        args.k,
-        backend=args.backend,
-        threads=args.threads,
-    )
+    report = run_smoke(args.n, args.block_size, args.alpha, args.k, backend=args.backend)
     print(json.dumps(report))
     if not report["ok"]:
-        if not report.get("threaded_identical", True):
-            print(
-                f"FAIL: threaded sweep (threads={report['threads']}) diverged "
-                "from the single-threaded metrics",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"FAIL: peak {report['peak_mb']} MB is not clearly below the "
-                f"dense (n, n) matrix ({report['dense_matrix_mb']} MB)",
-                file=sys.stderr,
-            )
+        print(
+            f"FAIL: peak {report['peak_mb']} MB is not clearly below the "
+            f"dense (n, n) matrix ({report['dense_matrix_mb']} MB)",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

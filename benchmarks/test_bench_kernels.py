@@ -1,6 +1,6 @@
 """Compiled kernel backends vs the numpy reference, bit-identity asserted.
 
-Writes ``BENCH_kernels.json`` under ``benchmarks/out/`` with five sections:
+Writes ``BENCH_kernels.json`` under ``benchmarks/out/`` with four sections:
 
 * **bfs** — the batched CSR BFS at ``n = 5000`` (Barabási–Albert, the same
   family as the scaling smoke): numpy level expansion vs the best available
@@ -8,18 +8,14 @@ Writes ``BENCH_kernels.json`` under ``benchmarks/out/`` with five sections:
   (unbounded and radius-truncated), compiled speedup asserted ≥ 5×.
 * **bfs_reduce** — the fused metrics sweep at ``n = 5000``: per-source
   eccentricity / distance-sum / unreached / view-size vectors straight from
-  the kernel vs materialise-then-fold on the *same* compiled backend,
-  fused speedup asserted ≥ 2×; all four vectors asserted equal to the
-  numpy reference's fused output.
-* **threads** — the source-parallel kernel builds: threaded vs
-  single-threaded wall time on the same sweep, results asserted
-  bit-identical always; the ≥ 1.5× speedup gate only applies on
-  multi-core runners (a single-core box cannot speed up).
+  the kernel vs materialising the distance rows with the *same* compiled
+  ``bfs`` kernel and folding them in numpy, fused speedup asserted ≥ 2×;
+  all four vectors asserted equal to the numpy reference's fused output.
 * **cover** — solver-bound branch-and-bound set-cover instances: identical
   selections asserted, compiled speedup ≥ 2×.
-* **dynamics** — one full best-response dynamics run per backend *and per
-  thread configuration* on a local-knowledge instance, trajectories
-  asserted identical end to end (final profile, rounds, changes, metrics).
+* **dynamics** — one full best-response dynamics run per backend on a
+  local-knowledge instance, trajectories asserted identical end to end
+  (final profile, rounds, changes, metrics).
 
 Skips when no compiled backend is available (no C toolchain); the
 equivalence suites in ``tests/`` still cover the numpy
@@ -28,8 +24,6 @@ path everywhere.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import time
 
 import numpy as np
@@ -39,7 +33,11 @@ from repro.core.dynamics import best_response_dynamics
 from repro.core.games import MaxNCG
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.smallworld import owned_barabasi_albert
-from repro.graphs.traversal import batched_bfs_distances, reduce_bfs_distances
+from repro.graphs.traversal import (
+    UNREACHABLE,
+    batched_bfs_distances,
+    reduce_bfs_distances,
+)
 from repro.kernels import available_backends, get_backend
 from repro.solvers.set_cover import SetCoverInstance, branch_and_bound_set_cover
 
@@ -48,7 +46,6 @@ BFS_N = 5000
 BFS_SOURCES = 1024
 BFS_RADII = (None, 3)
 REDUCE_VIEW_RADIUS = 3
-BENCH_THREADS = 4
 
 COVER_INSTANCES = 12
 COVER_CANDIDATES = 22
@@ -119,23 +116,30 @@ def _bench_bfs(compiled) -> dict:
     }
 
 
+def _materialise_then_fold(indptr, indices, sources, view_radius, backend):
+    """The pre-fused architecture: distance rows from ``backend``'s ``bfs``
+    kernel, folded in numpy into the four ``bfs_reduce`` vectors."""
+    dist = batched_bfs_distances(indptr, indices, sources, backend=backend)
+    reachable = dist != UNREACHABLE
+    finite = np.where(reachable, dist, 0)
+    return (
+        finite.max(axis=1, initial=0).astype(np.int64),
+        finite.sum(axis=1, dtype=np.int64),
+        (~reachable).sum(axis=1).astype(np.int64),
+        (dist <= view_radius).sum(axis=1).astype(np.int64),
+    )
+
+
 def _bench_bfs_reduce(compiled) -> dict:
     """Fused metrics sweep vs materialise-then-fold on the same backend."""
     owned = owned_barabasi_albert(BFS_N, 2, seed=0)
     indptr, indices, _ = owned.graph.to_csr_arrays()
     sources = np.arange(BFS_SOURCES, dtype=np.int64)
     view_radius = REDUCE_VIEW_RADIUS
-    # Stripping bfs_reduce forces reduce_bfs_distances down the fallback
-    # path: materialise distance blocks with the *same* compiled bfs kernel,
-    # then fold them in numpy — the pre-fused architecture, backend held
-    # constant so the measurement isolates the fusion itself.
-    folded_backend = dataclasses.replace(compiled, bfs_reduce=None)
-    # Warm JIT / .so load outside the timed window.
+    # Warm the .so load outside the timed window.
     warm = sources[:2]
     reduce_bfs_distances(indptr, indices, warm, view_radius=view_radius, backend=compiled)
-    reduce_bfs_distances(
-        indptr, indices, warm, view_radius=view_radius, backend=folded_backend
-    )
+    _materialise_then_fold(indptr, indices, warm, view_radius, compiled)
 
     start = time.perf_counter()
     fused = reduce_bfs_distances(
@@ -143,9 +147,8 @@ def _bench_bfs_reduce(compiled) -> dict:
     )
     fused_s = time.perf_counter() - start
     start = time.perf_counter()
-    folded = reduce_bfs_distances(
-        indptr, indices, sources, view_radius=view_radius, backend=folded_backend
-    )
+    # Backend held constant, so the measurement isolates the fusion itself.
+    folded = _materialise_then_fold(indptr, indices, sources, view_radius, compiled)
     folded_s = time.perf_counter() - start
     reference = reduce_bfs_distances(
         indptr, indices, sources, view_radius=view_radius, backend="numpy"
@@ -162,48 +165,6 @@ def _bench_bfs_reduce(compiled) -> dict:
         "speedup": round(folded_s / fused_s, 2),
         "identical_to_fold": identical_fold,
         "identical_to_numpy_reference": identical_reference,
-    }
-
-
-def _bench_threads(compiled) -> dict:
-    """Threaded kernel builds vs single-threaded, bit-identity asserted."""
-    owned = owned_barabasi_albert(BFS_N, 2, seed=0)
-    indptr, indices, _ = owned.graph.to_csr_arrays()
-    sources = np.arange(BFS_SOURCES, dtype=np.int64)
-    serial = get_backend(compiled.name, threads=1)
-    threaded = get_backend(compiled.name, threads=BENCH_THREADS)
-    warm = sources[:2]
-    for backend in (serial, threaded):
-        batched_bfs_distances(indptr, indices, warm, backend=backend)
-        reduce_bfs_distances(
-            indptr, indices, warm, view_radius=REDUCE_VIEW_RADIUS, backend=backend
-        )
-
-    start = time.perf_counter()
-    serial_dist = batched_bfs_distances(indptr, indices, sources, backend=serial)
-    serial_reduce = reduce_bfs_distances(
-        indptr, indices, sources, view_radius=REDUCE_VIEW_RADIUS, backend=serial
-    )
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    threaded_dist = batched_bfs_distances(indptr, indices, sources, backend=threaded)
-    threaded_reduce = reduce_bfs_distances(
-        indptr, indices, sources, view_radius=REDUCE_VIEW_RADIUS, backend=threaded
-    )
-    threaded_s = time.perf_counter() - start
-    identical = bool(np.array_equal(serial_dist, threaded_dist)) and all(
-        np.array_equal(s, t) for s, t in zip(serial_reduce, threaded_reduce)
-    )
-    return {
-        "family": "barabasi-albert(m=2)",
-        "n": BFS_N,
-        "sources": BFS_SOURCES,
-        "threads": threaded.threads,
-        "cpu_count": os.cpu_count(),
-        "serial_s": round(serial_s, 4),
-        "threaded_s": round(threaded_s, 4),
-        "speedup": round(serial_s / threaded_s, 2),
-        "identical_results": identical,
     }
 
 
@@ -265,31 +226,21 @@ def _trajectory_fingerprint(result) -> dict:
 def _bench_dynamics(compiled) -> dict:
     rows = []
     identical = True
-    configurations = [
-        ("compiled", compiled.name, 1),
-        (f"compiled-threads{BENCH_THREADS}", compiled.name, BENCH_THREADS),
-    ]
     for label, make_owned, game in DYNAMICS_SPECS:
         fingerprint = _trajectory_fingerprint(
             best_response_dynamics(make_owned(), game, kernel_backend="numpy")
         )
-        matches = {}
-        for config_label, backend_name, threads in configurations:
-            candidate = best_response_dynamics(
-                make_owned(),
-                game,
-                kernel_backend=backend_name,
-                kernel_threads=threads,
-            )
-            same = _trajectory_fingerprint(candidate) == fingerprint
-            matches[config_label] = same
-            identical = identical and same
+        candidate = best_response_dynamics(
+            make_owned(), game, kernel_backend=compiled.name
+        )
+        same = _trajectory_fingerprint(candidate) == fingerprint
+        identical = identical and same
         rows.append(
             {
                 "instance": label,
                 "rounds": fingerprint["rounds"],
                 "total_changes": fingerprint["total_changes"],
-                "identical_trajectories": matches,
+                "identical_trajectories": same,
             }
         )
     return {"instances": rows, "identical_trajectories": identical}
@@ -307,7 +258,6 @@ def test_bench_kernels(benchmark, emit_report):
             "available_backends": list(available_backends()),
             "bfs": _bench_bfs(compiled),
             "bfs_reduce": _bench_bfs_reduce(compiled),
-            "threads": _bench_threads(compiled),
             "cover": _bench_cover(compiled),
             "dynamics": _bench_dynamics(compiled),
         }
@@ -315,19 +265,14 @@ def test_bench_kernels(benchmark, emit_report):
     report = benchmark.pedantic(_run, rounds=1, iterations=1)
     emit_report(report, "BENCH_kernels")
     # Bit-identity is the contract: same distances, same reductions, same
-    # selections, same full trajectories — the compiled backends and the
-    # threads knob are pure speed knobs.
+    # selections, same full trajectories — the compiled backends are pure
+    # speed knobs.
     assert report["bfs"]["identical_distances"]
     assert report["bfs_reduce"]["identical_to_fold"]
     assert report["bfs_reduce"]["identical_to_numpy_reference"]
-    assert report["threads"]["identical_results"]
     assert report["cover"]["identical_selections"]
     assert report["dynamics"]["identical_trajectories"]
     # The acceptance gates.
     assert report["bfs"]["speedup"] >= 5.0
     assert report["bfs_reduce"]["speedup"] >= 2.0
     assert report["cover"]["speedup"] >= 2.0
-    # A single-core runner cannot make threads pay; the threaded
-    # speedup gate only binds where parallel hardware exists.
-    if (os.cpu_count() or 1) >= 2:
-        assert report["threads"]["speedup"] >= 1.5

@@ -18,9 +18,7 @@ semantics knob.  This example
    materialise-then-fold, identical vectors asserted,
 5. shows the selection chain: explicit argument > ``use_backend`` scope
    > ``REPRO_KERNEL_BACKEND`` > auto-detect, with silent numpy fallback
-   for unavailable backends — and the ``threads`` knob
-   (``use_threads`` / ``REPRO_KERNEL_THREADS``), whose results are
-   bit-identical to single-threaded.
+   for unavailable backends.
 
 Run with::
 
@@ -42,7 +40,6 @@ from repro.kernels import (
     registered_backends,
     resolve_backend,
     use_backend,
-    use_threads,
 )
 
 
@@ -124,17 +121,6 @@ def main(n: int = 32, alpha: float = 0.5, k: int = 2) -> None:
     # resolving it falls back to numpy silently — compiled speed never
     # becomes a hard dependency.
     print(f"  resolve_backend('native') here:    {resolve_backend('native').name}")
-    # The threads knob parallelises the native kernels over sources;
-    # results stay bit-identical, so it is safe to flip anywhere.
-    with use_threads(4):
-        threaded = resolve_backend(names[-1])
-        print(f"  inside use_threads(4):             {threaded.name} "
-              f"(threads={threaded.threads})")
-        four = reduce_bfs_distances(
-            indptr, indices, sources, view_radius=k, backend=threaded
-        )
-        assert all(np.array_equal(a, b) for a, b in zip(reductions[names[-1]], four))
-        print("  -> threaded reduction identical to single-threaded")
 
 
 if __name__ == "__main__":

@@ -289,18 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(deterministic test/debug mode; results are identical)",
     )
     serve.add_argument(
-        "--kernel-backend",
-        default=None,
-        help="kernel backend the workers install as their process default",
-    )
-    serve.add_argument(
-        "--kernel-threads",
-        type=int,
-        default=None,
-        help="thread count the workers install for the compiled kernels' "
-        "source-parallel loops (0 = all cores; results are bit-identical)",
-    )
-    serve.add_argument(
         "--no-steal",
         action="store_true",
         help="pin each job's tasks to their static affinity shards instead "
@@ -493,8 +481,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
             port=args.port,
             queue_size=args.queue_size,
             in_process=args.in_process,
-            kernel_backend=args.kernel_backend,
-            kernel_threads=args.kernel_threads,
             steal=not args.no_steal,
             telemetry=args.telemetry,
         )

@@ -122,7 +122,6 @@ def best_response_dynamics(
     sum_exhaustive_limit: int | None = None,
     sum_restarts: int = 1,
     kernel_backend: str | None = None,
-    kernel_threads: int | None = None,
     view_store: "ViewStore | None" = None,
     telemetry=None,
 ) -> DynamicsResult:
@@ -172,11 +171,6 @@ def best_response_dynamics(
         :mod:`repro.kernels`); ``None`` follows the
         ``REPRO_KERNEL_BACKEND``/auto-detect chain.  Backends are
         bit-identical, so trajectories never depend on this.
-    kernel_threads:
-        Thread count for the compiled kernels' source-parallel loops
-        (``None`` follows the ``REPRO_KERNEL_THREADS`` chain, ``0`` means
-        all cores); a pure speed knob — threaded trajectories are
-        bit-identical to single-threaded ones.
     telemetry:
         Optional :class:`repro.obs.Telemetry` handle for the engine's
         metrics and trace spans (``None`` uses the process-wide handle,
@@ -206,7 +200,6 @@ def best_response_dynamics(
         ),
         sum_restarts=sum_restarts,
         kernel_backend=kernel_backend,
-        kernel_threads=kernel_threads,
         view_store=view_store,
         telemetry=telemetry,
     )

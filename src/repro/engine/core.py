@@ -95,7 +95,6 @@ class DynamicsEngine:
         sum_exhaustive_limit: int = SUM_EXHAUSTIVE_LIMIT,
         sum_restarts: int = 1,
         kernel_backend: str | KernelBackend | None = None,
-        kernel_threads: int | None = None,
         view_store: ViewStore | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
@@ -106,11 +105,8 @@ class DynamicsEngine:
         #: :mod:`repro.kernels`).  Resolved once here, so the whole run —
         #: views, cover contexts, solver calls, metric sweeps — uses one
         #: backend even if the process-wide default changes mid-run.
-        #: Backends are bit-identical, so trajectories never depend on it;
-        #: ``kernel_threads`` (``None`` = the ``REPRO_KERNEL_THREADS``
-        #: chain, ``0`` = all cores) is a pure speed knob for the compiled
-        #: backends — threaded results are bit-identical too.
-        self.kernel_backend = resolve_backend(kernel_backend, threads=kernel_threads)
+        #: Backends are bit-identical, so trajectories never depend on it.
+        self.kernel_backend = resolve_backend(kernel_backend)
         #: SumNCG exact/heuristic dispatch threshold (strategy-space size up
         #: to which best responses are solved exactly; see
         #: :data:`repro.core.best_response.SUM_EXHAUSTIVE_LIMIT`).  Ignored

@@ -52,6 +52,10 @@ class RunSpec:
     latter.  ``k`` uses the paper's convention: values ``>= FULL_KNOWLEDGE_K``
     are mapped to genuine full knowledge.  ``ordering`` names any scheduler
     registered in :data:`repro.engine.schedulers.SCHEDULERS`.
+
+    Every field changes the result, so the spec's content hash identifies
+    the work.  The kernel backend is not a field: it is process state
+    (:mod:`repro.kernels`), and backends are bit-identical.
     """
 
     family: str
@@ -70,16 +74,6 @@ class RunSpec:
     #: (``None`` defaults to ``2n``, above any realisable distance).
     cost_model: str = "strict"
     penalty_beta: float | None = None
-    #: Kernel backend for the run's BFS / cover-search hot loops (see
-    #: :mod:`repro.kernels`); ``None`` follows the env-var/auto-detect
-    #: chain.  Backends are bit-identical, so results never depend on it —
-    #: it is a speed knob that sweep workers inherit with the spec.
-    kernel_backend: str | None = None
-    #: Thread count for the compiled kernels' source-parallel loops
-    #: (``None`` follows the ``REPRO_KERNEL_THREADS`` chain, ``0`` = all
-    #: cores).  Like the backend, a pure speed knob: threaded results are
-    #: bit-identical to single-threaded ones.
-    kernel_threads: int | None = None
 
     def game(self) -> GameSpec:
         k_value = FULL_KNOWLEDGE if self.k >= FULL_KNOWLEDGE_K else self.k
@@ -184,8 +178,6 @@ def run_spec_on_instance(
         collect_round_metrics=collect_round_metrics,
         ordering=spec.ordering,
         seed=spec.seed,
-        kernel_backend=spec.kernel_backend,
-        kernel_threads=spec.kernel_threads,
         view_store=view_store,
         telemetry=telemetry,
     )

@@ -260,7 +260,6 @@ def batched_bfs_distances(
         with tracer.span(
             "kernels.bfs",
             backend=kernel.name,
-            threads=kernel.threads,
             sources=int(num_sources),
             n=int(n),
             radius=-1 if radius is None else int(radius),
@@ -378,14 +377,11 @@ def reduce_bfs_distances(
         otherwise).  ``radius`` truncation counts truncated nodes as
         unreached, exactly like folding truncated distance rows.
 
-    Bit-identical, for every backend, block size and thread count, to
-    folding the rows of :func:`batched_bfs_distances` — the hypothesis
-    suite in ``tests/graphs/test_kernel_backends.py`` pins this.  Backends
-    registered without a ``bfs_reduce`` kernel fall back to exactly that
-    materialise-then-fold path through their ``bfs``, so the API is safe
-    on any backend.  Peak memory on a fused backend is ``O(n)`` scratch
-    per thread (compiled) or one boolean ``(block, n)`` visited matrix
-    (numpy reference) — never an int32 distance block.
+    Bit-identical, for every backend and block size, to folding the rows
+    of :func:`batched_bfs_distances` — the hypothesis suite in
+    ``tests/graphs/test_kernel_backends.py`` pins this.  Peak memory is
+    ``O(n)`` scratch (compiled) or one boolean ``(block, n)`` visited
+    matrix (numpy reference) — never an int32 distance block.
     """
     if block_size is None:
         block_size = DEFAULT_BLOCK_SIZE
@@ -403,53 +399,35 @@ def reduce_bfs_distances(
     if num_sources == 0 or n == 0:
         return ecc, sums, unreached, view_sizes
     kernel = resolve_backend(backend)
-    fused = kernel.bfs_reduce
     calls, srcs = _kernel_metrics()
     tracer = get_telemetry().tracer
     sweep_span = (
         tracer.span(
             "kernels.bfs_reduce",
             backend=kernel.name,
-            threads=kernel.threads,
             sources=int(num_sources),
             n=int(n),
-            fused=fused is not None,
         )
         if tracer.enabled
         else None
     )
     for start in range(0, num_sources, block_size):
         stop = min(start + block_size, num_sources)
-        block = source_array[start:stop]
-        if fused is not None:
-            calls.labels(kernel="bfs_reduce", backend=kernel.name).inc()
-            srcs.labels(kernel="bfs_reduce", backend=kernel.name).inc(stop - start)
-            # Sliced views of the output vectors are contiguous, so the
-            # kernel fills the final arrays in place, block by block.
-            fused(
-                indptr,
-                indices,
-                block,
-                radius,
-                view_radius,
-                ecc[start:stop],
-                sums[start:stop],
-                unreached[start:stop],
-                view_sizes[start:stop],
-            )
-            continue
-        # Fallback for backends without a fused kernel: materialise the
-        # block's distance rows through their ``bfs`` and fold here.
-        dist = batched_bfs_distances(
-            indptr, indices, block, radius=radius, backend=kernel
+        calls.labels(kernel="bfs_reduce", backend=kernel.name).inc()
+        srcs.labels(kernel="bfs_reduce", backend=kernel.name).inc(stop - start)
+        # Sliced views of the output vectors are contiguous, so the
+        # kernel fills the final arrays in place, block by block.
+        kernel.bfs_reduce(
+            indptr,
+            indices,
+            source_array[start:stop],
+            radius,
+            view_radius,
+            ecc[start:stop],
+            sums[start:stop],
+            unreached[start:stop],
+            view_sizes[start:stop],
         )
-        reachable = dist != UNREACHABLE
-        finite = np.where(reachable, dist, 0)
-        ecc[start:stop] = finite.max(axis=1, initial=0)
-        sums[start:stop] = finite.sum(axis=1, dtype=np.int64)
-        unreached[start:stop] = (~reachable).sum(axis=1)
-        if view_radius is not None:
-            view_sizes[start:stop] = (dist <= view_radius).sum(axis=1)
     if sweep_span is not None:
         sweep_span.finish()
     return ecc, sums, unreached, view_sizes

@@ -34,21 +34,10 @@ it builds, else numpy).  A *registered but unavailable* choice (no C
 compiler, an unusable kernel cache directory) falls back to numpy
 silently so compiled speed never becomes a hard dependency; an
 *unknown* name raises :class:`ValueError` so typos fail loudly.
-``REPRO_KERNEL_BACKEND=numpy`` pins the reference.
-
-**Threads.**  The native backend additionally takes a ``threads`` knob
-parallelising *over sources*: each call splits its sources into slabs
-run on threads created for that call, so no thread pool survives into a
-forked worker.  Each source's output row is written by exactly one
-thread/slab, so
-determinism is structural — threaded results are bit-identical to
-single-threaded ones, pinned by the parity suites and
-the scaling smoke.  Resolution mirrors the backend chain: explicit
-``threads`` argument > session override (:func:`set_default_threads` /
-:func:`use_threads`) > ``REPRO_KERNEL_THREADS`` environment variable >
-1.  ``0`` (or any non-positive value) means "all cores".  The numpy
-reference ignores the knob and always reports ``threads == 1``; the
-resolved count rides on :attr:`KernelBackend.threads`.
+``REPRO_KERNEL_BACKEND=numpy`` pins the reference.  Outside explicit
+arguments the backend is process state: no sweep spec or service config
+carries it, and forked sweep workers inherit the parent's choice.  Every
+kernel runs on the calling thread.
 
 Kernel contracts (wrappers own validation, allocation and trivial
 cases; kernels assume validated inputs):
@@ -82,19 +71,13 @@ sum_out, unreached_out, view_size_out)``
 To add another backend (Cython, Rust over cffi, …): implement the
 functions above with bit-identical semantics, raise
 :class:`KernelUnavailableError` from the factory when the toolchain is
-missing, and :func:`register_backend` it —
-:mod:`repro.kernels.native_backend` is the worked example.  A factory
-may accept one positional ``threads`` argument to build thread-aware
-kernels; zero-argument factories register single-threaded backends.  A
-backend whose ``bfs_reduce`` is ``None`` still works everywhere — the
-reduction driver falls back to materialise-then-fold through its
-``bfs``.
+missing, and :func:`register_backend` a zero-argument factory for it —
+:mod:`repro.kernels.native_backend` is the worked example.  All three
+kernels are required.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -102,7 +85,6 @@ from typing import Callable, Iterator
 
 __all__ = [
     "ENV_VAR",
-    "THREADS_ENV_VAR",
     "KernelBackend",
     "KernelUnavailableError",
     "available_backends",
@@ -110,18 +92,12 @@ __all__ = [
     "register_backend",
     "registered_backends",
     "resolve_backend",
-    "resolve_threads",
     "set_default_backend",
-    "set_default_threads",
     "use_backend",
-    "use_threads",
 ]
 
 #: Environment variable consulted when no explicit backend is given.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Environment variable consulted when no explicit thread count is given.
-THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 
 #: Probe order for auto-detection: the compiled kernels wherever a C
 #: compiler builds them (once per host, cached), else the reference.
@@ -136,100 +112,66 @@ class KernelUnavailableError(RuntimeError):
 class KernelBackend:
     """A bound set of kernels plus identification metadata.
 
-    ``bfs_reduce`` is optional (``None``): backends without it still work
-    everywhere because :func:`repro.graphs.traversal.reduce_bfs_distances`
-    falls back to materialise-then-fold through ``bfs``.  ``threads`` is
-    the resolved thread count the kernels were built for (always 1 for
-    the numpy reference).
+    ``threads`` is always 1: every kernel runs on the calling thread.  It
+    stays in the record because benchmark host fingerprints report it.
     """
 
     name: str
     bfs: Callable = field(repr=False)
+    bfs_reduce: Callable = field(repr=False)
     cover_search: Callable = field(repr=False)
     compiled: bool = False
-    bfs_reduce: Callable | None = field(default=None, repr=False)
     threads: int = 1
 
 
-def _normalize_threads(threads: int) -> int:
-    """Map the ``threads`` knob to a concrete positive count (0 => all cores)."""
-    if threads <= 0:
-        return os.cpu_count() or 1
-    return threads
-
-
-def _build_numpy(threads: int = 1) -> KernelBackend:
+def _build_numpy() -> KernelBackend:
     from repro.kernels import numpy_backend
 
-    # The reference is single-threaded by construction; the knob is
-    # accepted (so the build cache stays uniform) but always reports 1.
     return KernelBackend(
         name="numpy",
         bfs=numpy_backend.bfs,
+        bfs_reduce=numpy_backend.bfs_reduce,
         cover_search=numpy_backend.cover_search,
         compiled=False,
-        bfs_reduce=numpy_backend.bfs_reduce,
-        threads=1,
     )
 
 
-def _build_native(threads: int = 1) -> KernelBackend:
+def _build_native() -> KernelBackend:
     from repro.kernels import native_backend
 
     native_backend.load_library()  # raises KernelUnavailableError without a compiler
-    threads = _normalize_threads(threads)
     return KernelBackend(
         name="native",
-        bfs=native_backend.make_bfs(threads),
+        bfs=native_backend.bfs,
+        bfs_reduce=native_backend.bfs_reduce,
         cover_search=native_backend.cover_search,
         compiled=True,
-        bfs_reduce=native_backend.make_bfs_reduce(threads),
-        threads=threads,
     )
 
 
-_FACTORIES: dict[str, Callable[..., KernelBackend]] = {
+_FACTORIES: dict[str, Callable[[], KernelBackend]] = {
     "numpy": _build_numpy,
     "native": _build_native,
 }
 
-#: Build results keyed by ``(name, threads)``, including failures
-#: (``None``) so a missing toolchain is probed once per process, not once
-#: per call.
-_BUILT: dict[tuple[str, int], KernelBackend | None] = {}
+#: Build results keyed by name, including failures (``None``) so a
+#: missing toolchain is probed once per process, not once per call.
+_BUILT: dict[str, KernelBackend | None] = {}
 
 _default_override: str | None = None
 
-_default_threads_override: int | None = None
+
+def _check_registered(name: str) -> None:
+    if name not in _FACTORIES:
+        raise ValueError(
+            f"unknown kernel backend {name!r}; registered: {sorted(_FACTORIES)}"
+        )
 
 
-@functools.cache
-def _factory_takes_threads(factory: Callable[..., KernelBackend]) -> bool:
-    """Whether a registered factory accepts the positional ``threads`` arg."""
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins etc.: assume modern shape
-        return True
-    for parameter in signature.parameters.values():
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.VAR_POSITIONAL,
-        ):
-            return True
-    return False
-
-
-def register_backend(name: str, factory: Callable[..., KernelBackend]) -> None:
-    """Register (or replace) a backend factory under ``name``.
-
-    The factory may accept one positional ``threads`` argument to build
-    thread-aware kernels; zero-argument factories register backends that
-    are built identically for every requested thread count.
-    """
+def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
+    """Register (or replace) a zero-argument backend factory under ``name``."""
     _FACTORIES[name] = factory
-    for key in [key for key in _BUILT if key[0] == name]:
-        del _BUILT[key]
+    _BUILT.pop(name, None)
 
 
 def registered_backends() -> tuple[str, ...]:
@@ -237,49 +179,21 @@ def registered_backends() -> tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Resolve the thread knob: argument > session override > env var > 1.
-
-    Returns the *knob* value (``0`` meaning "all cores" is preserved);
-    backend builders normalise it to a concrete count.
-    """
-    if threads is not None:
-        return threads
-    if _default_threads_override is not None:
-        return _default_threads_override
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from exc
-    return 1
-
-
-def _try_build(name: str, threads: int = 1) -> KernelBackend | None:
-    factory = _FACTORIES[name]
-    if not _factory_takes_threads(factory):
-        threads = 1
-    key = (name, threads)
-    if key in _BUILT:
-        return _BUILT[key]
+def _try_build(name: str) -> KernelBackend | None:
+    if name in _BUILT:
+        return _BUILT[name]
     try:
-        backend = factory(threads) if _factory_takes_threads(factory) else factory()
+        backend = _FACTORIES[name]()
     except KernelUnavailableError:
         backend = None
-    _BUILT[key] = backend
+    _BUILT[name] = backend
     return backend
 
 
-def get_backend(name: str, threads: int | None = None) -> KernelBackend:
+def get_backend(name: str) -> KernelBackend:
     """Build ``name`` strictly: unknown names and unavailable backends raise."""
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; registered: {sorted(_FACTORIES)}"
-        )
-    backend = _try_build(name, resolve_threads(threads))
+    _check_registered(name)
+    backend = _try_build(name)
     if backend is None:
         raise KernelUnavailableError(
             f"kernel backend {name!r} is registered but unavailable here"
@@ -292,65 +206,41 @@ def available_backends() -> tuple[str, ...]:
     return tuple(name for name in _FACTORIES if _try_build(name) is not None)
 
 
-def resolve_backend(
-    choice: str | KernelBackend | None = None, threads: int | None = None
-) -> KernelBackend:
+def resolve_backend(choice: str | KernelBackend | None = None) -> KernelBackend:
     """Resolve a backend: argument > session override > env var > auto.
 
     ``choice`` may be a :class:`KernelBackend` (returned as-is), a
     registered name, or ``None``.  Names that are registered but cannot
     be built here fall back to the numpy reference silently — optional
     acceleration must never turn into a hard dependency — while unknown
-    names raise :class:`ValueError` at every resolution tier.  ``threads``
-    follows its own chain (:func:`resolve_threads`) and selects the
-    thread count the compiled kernels are built for.
+    names raise :class:`ValueError` at every resolution tier.
     """
     if isinstance(choice, KernelBackend):
         return choice
-    thread_knob = resolve_threads(threads)
     name = choice if choice is not None else _default_override
     if name is None:
         name = os.environ.get(ENV_VAR) or None
     if name is not None:
-        if name not in _FACTORIES:
-            raise ValueError(
-                f"unknown kernel backend {name!r}; registered: {sorted(_FACTORIES)}"
-            )
-        backend = _try_build(name, thread_knob)
-        if backend is not None:
-            return backend
-        return get_backend("numpy", thread_knob)
+        _check_registered(name)
+        return _try_build(name) or get_backend("numpy")
     for candidate in AUTO_ORDER:
-        backend = _try_build(candidate, thread_knob)
+        backend = _try_build(candidate)
         if backend is not None:
             return backend
-    return get_backend("numpy", thread_knob)  # pragma: no cover - numpy always builds
+    return get_backend("numpy")  # pragma: no cover - numpy always builds
 
 
 def set_default_backend(name: str | None) -> None:
     """Set (or clear, with ``None``) the process-wide backend override.
 
     The override outranks ``REPRO_KERNEL_BACKEND`` but not explicit
-    per-call arguments.  Sweep workers call this with the orchestrator's
-    configured backend so shards inherit it.
+    per-call arguments.  Forked sweep workers inherit it, like the
+    environment variable.
     """
     global _default_override
-    if name is not None and name not in _FACTORIES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; registered: {sorted(_FACTORIES)}"
-        )
+    if name is not None:
+        _check_registered(name)
     _default_override = name
-
-
-def set_default_threads(threads: int | None) -> None:
-    """Set (or clear, with ``None``) the process-wide thread-count override.
-
-    Outranks ``REPRO_KERNEL_THREADS`` but not explicit per-call
-    arguments; ``0`` means "all cores".  Sweep workers call this with the
-    orchestrator's configured count so shards inherit it.
-    """
-    global _default_threads_override
-    _default_threads_override = threads
 
 
 @contextmanager
@@ -366,18 +256,3 @@ def use_backend(name: str | None) -> Iterator[None]:
         yield
     finally:
         _default_override = previous
-
-
-@contextmanager
-def use_threads(threads: int | None) -> Iterator[None]:
-    """Scoped :func:`set_default_threads`; ``None`` is a no-op scope."""
-    global _default_threads_override
-    if threads is None:
-        yield
-        return
-    previous = _default_threads_override
-    set_default_threads(threads)
-    try:
-        yield
-    finally:
-        _default_threads_override = previous

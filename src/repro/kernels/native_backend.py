@@ -1,7 +1,7 @@
 """Native C kernel backend — the auto-detected default.
 
 The C sources below are compiled once per host with the platform's C
-compiler (``cc``/``gcc``, ``-O2 -shared -fPIC -pthread``; ``$CC``
+compiler (``cc``/``gcc``, ``-O2 -shared -fPIC``; ``$CC``
 overrides) into a shared object cached under ``~/.cache/repro-kernels/``
 (override with ``REPRO_KERNEL_CACHE``), keyed by a hash of the source text
 and flags so edits invalidate stale builds, and loaded through
@@ -27,14 +27,13 @@ sources per uint64-bitmask batch through one level-synchronous sweep —
 because its outputs are order-independent aggregates of the unique BFS
 distance function; the same parity suites pin its bit-identity.
 
-The ``threads`` knob splits the sources into contiguous slabs run on
-threads created for each call and joined before it returns.  No thread
-pool outlives a call, so the fork-based worker pools of the sweep
-service stay safe to start after a threaded kernel has run.
+The kernels run on the calling thread and start no threads, so the
+fork-based worker pools of the sweep service stay safe to start after a
+kernel has run.
 
 This module doubles as the template for binding further compiled
-backends (Cython, Rust over cffi): implement ``bfs`` / ``cover_search``
-with the contracts documented in :mod:`repro.kernels`, raise
+backends (Cython, Rust over cffi): implement ``bfs`` / ``bfs_reduce`` /
+``cover_search`` with the contracts documented in :mod:`repro.kernels`, raise
 :class:`~repro.kernels.KernelUnavailableError` from the factory when the
 toolchain is missing, and register the factory.
 """
@@ -55,83 +54,24 @@ __all__ = [
     "bfs",
     "bfs_reduce",
     "cover_search",
-    "make_bfs",
-    "make_bfs_reduce",
 ]
 
 _SOURCE = r"""
-#include <pthread.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
-/* Runs slab(args, t) for t = 0 .. num_threads - 1: slab 0 on the
- * calling thread, the others on threads created for this call and
- * joined before it returns.  No thread outlives a call, so a process
- * forked between calls (the sweep service's worker pools) inherits no
- * thread pool — a forked child of an OpenMP program deadlocks at its
- * next parallel region.  A slab whose thread cannot be created runs on
- * the calling thread instead, so the result never depends on it.
- */
-typedef void (*slab_fn)(const void *args, int64_t t);
-
-typedef struct {
-    slab_fn fn;
-    const void *args;
-    int64_t t;
-} slab_call;
-
-static void *slab_thread(void *call) {
-    const slab_call *c = (const slab_call *)call;
-    c->fn(c->args, c->t);
-    return NULL;
-}
-
-static void run_slabs(slab_fn fn, const void *args, int64_t num_threads) {
-    pthread_t *threads = NULL;
-    slab_call *calls = NULL;
-    unsigned char *started = NULL;
-    if (num_threads > 1) {
-        threads = malloc((size_t)num_threads * sizeof(pthread_t));
-        calls = malloc((size_t)num_threads * sizeof(slab_call));
-        started = calloc((size_t)num_threads, 1);
-    }
-    for (int64_t t = 1; t < num_threads; ++t) {
-        if (threads && calls && started) {
-            calls[t].fn = fn;
-            calls[t].args = args;
-            calls[t].t = t;
-            started[t] = pthread_create(&threads[t], NULL, slab_thread,
-                                        &calls[t]) == 0;
-        }
-        if (!(started && started[t]))
-            fn(args, t);
-    }
-    fn(args, 0);
-    for (int64_t t = 1; t < num_threads; ++t)
-        if (started && started[t])
-            pthread_join(threads[t], NULL);
-    free(threads);
-    free(calls);
-    free(started);
-}
-
-/* Per-source queue BFS over a CSR adjacency layout, threaded over
- * contiguous source slabs.
+/* Per-source queue BFS over a CSR adjacency layout.
  *
  * dist is a (num_sources, n) row-major int32 matrix pre-filled with the
- * unreachable sentinel; queues is a (num_threads, n) int32 scratch
- * buffer, one queue per slab.  radius < 0 means unbounded.  Each
- * source's row is written by exactly one slab, so the matrix is
- * bit-identical to the serial traversal (and to the numpy level
- * expansion — BFS distances are unique) however the slabs interleave.
+ * unreachable sentinel; queue is an n-entry int32 scratch buffer.
+ * radius < 0 means unbounded.  BFS distances are unique, so the matrix
+ * is bit-identical to the numpy level expansion.
  */
-static void bfs_source_range(const int64_t *indptr, const int64_t *indices,
-                             int64_t n, const int64_t *sources,
-                             int64_t start, int64_t stop, int64_t radius,
-                             int32_t unreachable, int32_t *dist,
-                             int32_t *queue) {
-    for (int64_t s = start; s < stop; ++s) {
+void repro_bfs_batch(const int64_t *indptr, const int64_t *indices,
+                     int64_t n, const int64_t *sources, int64_t num_sources,
+                     int64_t radius, int32_t unreachable,
+                     int32_t *dist, int32_t *queue) {
+    for (int64_t s = 0; s < num_sources; ++s) {
         int32_t *row = dist + s * n;
         int64_t head = 0, tail = 0;
         int64_t src = sources[s];
@@ -154,34 +94,6 @@ static void bfs_source_range(const int64_t *indptr, const int64_t *indices,
     }
 }
 
-typedef struct {
-    const int64_t *indptr, *indices, *sources;
-    int64_t n, num_sources, slab, radius;
-    int32_t unreachable;
-    int32_t *dist, *queues;
-} bfs_args;
-
-static void bfs_slab(const void *args, int64_t t) {
-    const bfs_args *a = (const bfs_args *)args;
-    int64_t start = t * a->slab;
-    int64_t stop = start + a->slab < a->num_sources ? start + a->slab : a->num_sources;
-    if (start < stop)
-        bfs_source_range(a->indptr, a->indices, a->n, a->sources, start, stop,
-                         a->radius, a->unreachable, a->dist, a->queues + t * a->n);
-}
-
-void repro_bfs_batch(const int64_t *indptr, const int64_t *indices,
-                     int64_t n, const int64_t *sources, int64_t num_sources,
-                     int64_t radius, int32_t unreachable,
-                     int32_t *dist, int32_t *queues, int64_t num_threads) {
-    if (num_threads < 1)
-        num_threads = 1;
-    bfs_args args = {indptr, indices, sources, n, num_sources,
-                     (num_sources + num_threads - 1) / num_threads, radius,
-                     unreachable, dist, queues};
-    run_slabs(bfs_slab, &args, num_threads);
-}
-
 /* Fused multi-source BFS + statistics fold: eccentricity,
  * finite-distance sum, unreached count and radius-view_radius view
  * size, emitted straight from the traversal — no distance matrix.
@@ -196,21 +108,20 @@ void repro_bfs_batch(const int64_t *indptr, const int64_t *indices,
  * BFS distance function, so they stay bit-identical to the numpy
  * reference — pinned by the parity suites.
  *
- * scratch is a (num_threads, 3 * n) uint64 buffer; each slab uses its
- * three n-word sections as the current frontier, next frontier and
- * visited bitmasks.  radius < 0 means unbounded (nodes beyond a
+ * scratch is a 3 * n uint64 buffer: the current frontier, next frontier
+ * and visited bitmasks.  radius < 0 means unbounded (nodes beyond a
  * non-negative radius count as unreached); view_radius < 0 means "no
  * view counting" (view sizes report 0).
  */
-static void bfs_reduce_range(const int64_t *indptr, const int64_t *indices,
-                             int64_t n, const int64_t *sources,
-                             int64_t start, int64_t stop, int64_t radius,
-                             int64_t view_radius,
-                             int64_t *ecc_out, int64_t *sum_out,
-                             int64_t *unreached_out, int64_t *view_size_out,
-                             uint64_t *cur, uint64_t *next, uint64_t *visited) {
-    for (int64_t b = start; b < stop; b += 64) {
-        int64_t batch = stop - b < 64 ? stop - b : 64;
+void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
+                      int64_t n, const int64_t *sources, int64_t num_sources,
+                      int64_t radius, int64_t view_radius,
+                      int64_t *ecc_out, int64_t *sum_out,
+                      int64_t *unreached_out, int64_t *view_size_out,
+                      uint64_t *scratch) {
+    uint64_t *cur = scratch, *next = scratch + n, *visited = scratch + 2 * n;
+    for (int64_t b = 0; b < num_sources; b += 64) {
+        int64_t batch = num_sources - b < 64 ? num_sources - b : 64;
         memset(cur, 0, (size_t)n * sizeof(uint64_t));
         memset(visited, 0, (size_t)n * sizeof(uint64_t));
         int64_t ecc[64], total[64], in_view[64], reached[64];
@@ -268,45 +179,6 @@ static void bfs_reduce_range(const int64_t *indptr, const int64_t *indices,
             view_size_out[b + i] = in_view[i];
         }
     }
-}
-
-typedef struct {
-    const int64_t *indptr, *indices, *sources;
-    int64_t n, num_sources, slab, radius, view_radius;
-    int64_t *ecc_out, *sum_out, *unreached_out, *view_size_out;
-    uint64_t *scratch;
-} bfs_reduce_args;
-
-static void bfs_reduce_slab(const void *args, int64_t t) {
-    const bfs_reduce_args *a = (const bfs_reduce_args *)args;
-    int64_t start = t * a->slab;
-    int64_t stop = start + a->slab < a->num_sources ? start + a->slab : a->num_sources;
-    uint64_t *section = a->scratch + t * 3 * a->n;
-    if (start < stop)
-        bfs_reduce_range(a->indptr, a->indices, a->n, a->sources, start, stop,
-                         a->radius, a->view_radius, a->ecc_out, a->sum_out,
-                         a->unreached_out, a->view_size_out,
-                         section, section + a->n, section + 2 * a->n);
-}
-
-void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
-                      int64_t n, const int64_t *sources, int64_t num_sources,
-                      int64_t radius, int64_t view_radius, int32_t unreachable,
-                      int64_t *ecc_out, int64_t *sum_out,
-                      int64_t *unreached_out, int64_t *view_size_out,
-                      uint64_t *scratch, int64_t num_threads) {
-    (void)unreachable;  /* kept in the ABI for contract symmetry with bfs */
-    if (num_threads < 1)
-        num_threads = 1;
-    /* Slab boundaries aligned to the 64-source batch width so no batch
-     * straddles two threads. */
-    int64_t num_batches = (num_sources + 63) / 64;
-    int64_t batches_per_thread = (num_batches + num_threads - 1) / num_threads;
-    bfs_reduce_args args = {indptr, indices, sources, n, num_sources,
-                            batches_per_thread * 64, radius, view_radius,
-                            ecc_out, sum_out, unreached_out, view_size_out,
-                            scratch};
-    run_slabs(bfs_reduce_slab, &args, num_threads);
 }
 
 /* Branch-and-bound set-cover recursion, mirroring the numpy reference
@@ -420,8 +292,8 @@ _I32 = ctypes.POINTER(ctypes.c_int32)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 _U64 = ctypes.POINTER(ctypes.c_uint64)
 
-#: Compiler flags of the one build; ``-pthread`` links the slab threads.
-_FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
+#: Compiler flags of the one build.
+_FLAGS = ("-O2", "-shared", "-fPIC")
 
 _library: ctypes.CDLL | None = None
 
@@ -491,13 +363,13 @@ def load_library() -> ctypes.CDLL:
         ) from exc
     library.repro_bfs_batch.argtypes = [
         _I64, _I64, ctypes.c_int64, _I64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int32, _I32, _I32, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int32, _I32, _I32,
     ]
     library.repro_bfs_batch.restype = None
     library.repro_bfs_reduce.argtypes = [
         _I64, _I64, ctypes.c_int64, _I64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
-        _I64, _I64, _I64, _I64, _U64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64,
+        _I64, _I64, _I64, _I64, _U64,
     ]
     library.repro_bfs_reduce.restype = None
     library.repro_cover_search.argtypes = [
@@ -513,23 +385,22 @@ def _as_ptr(array: np.ndarray, pointer_type):
     return array.ctypes.data_as(pointer_type)
 
 
-def _bfs_threaded(
+def bfs(
     indptr: np.ndarray,
     indices: np.ndarray,
     sources: np.ndarray,
     radius: int | None,
     dist: np.ndarray,
-    threads: int,
 ) -> np.ndarray:
+    """Per-source queue BFS in C; same contract as the numpy backend."""
     from repro.kernels.common import UNREACHABLE
 
     library = load_library()
     n = len(indptr) - 1
-    threads = max(1, min(int(threads), max(int(sources.size), 1)))
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     sources = np.ascontiguousarray(sources, dtype=np.int64)
-    queues = np.empty(threads * max(n, 1), dtype=np.int32)
+    queue = np.empty(max(n, 1), dtype=np.int32)
     library.repro_bfs_batch(
         _as_ptr(indptr, _I64),
         _as_ptr(indices, _I64),
@@ -539,60 +410,9 @@ def _bfs_threaded(
         -1 if radius is None else int(radius),
         UNREACHABLE,
         _as_ptr(dist, _I32),
-        _as_ptr(queues, _I32),
-        threads,
+        _as_ptr(queue, _I32),
     )
     return dist
-
-
-def _bfs_reduce_threaded(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: np.ndarray,
-    radius: int | None,
-    view_radius: int | None,
-    ecc_out: np.ndarray,
-    sum_out: np.ndarray,
-    unreached_out: np.ndarray,
-    view_size_out: np.ndarray,
-    threads: int,
-) -> None:
-    from repro.kernels.common import UNREACHABLE
-
-    library = load_library()
-    n = len(indptr) - 1
-    threads = max(1, min(int(threads), max(int(sources.size), 1)))
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    sources = np.ascontiguousarray(sources, dtype=np.int64)
-    scratch = np.empty(threads * 3 * max(n, 1), dtype=np.uint64)
-    library.repro_bfs_reduce(
-        _as_ptr(indptr, _I64),
-        _as_ptr(indices, _I64),
-        n,
-        _as_ptr(sources, _I64),
-        sources.size,
-        -1 if radius is None else int(radius),
-        -1 if view_radius is None else int(view_radius),
-        UNREACHABLE,
-        _as_ptr(ecc_out, _I64),
-        _as_ptr(sum_out, _I64),
-        _as_ptr(unreached_out, _I64),
-        _as_ptr(view_size_out, _I64),
-        _as_ptr(scratch, _U64),
-        threads,
-    )
-
-
-def bfs(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: np.ndarray,
-    radius: int | None,
-    dist: np.ndarray,
-) -> np.ndarray:
-    """Per-source queue BFS in C; same contract as the numpy backend."""
-    return _bfs_threaded(indptr, indices, sources, radius, dist, 1)
 
 
 def bfs_reduce(
@@ -607,45 +427,26 @@ def bfs_reduce(
     view_size_out: np.ndarray,
 ) -> None:
     """Fused BFS + fold in C; same contract as the numpy backend."""
-    _bfs_reduce_threaded(
-        indptr, indices, sources, radius, view_radius,
-        ecc_out, sum_out, unreached_out, view_size_out, 1,
+    library = load_library()
+    n = len(indptr) - 1
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    sources = np.ascontiguousarray(sources, dtype=np.int64)
+    scratch = np.empty(3 * max(n, 1), dtype=np.uint64)
+    library.repro_bfs_reduce(
+        _as_ptr(indptr, _I64),
+        _as_ptr(indices, _I64),
+        n,
+        _as_ptr(sources, _I64),
+        sources.size,
+        -1 if radius is None else int(radius),
+        -1 if view_radius is None else int(view_radius),
+        _as_ptr(ecc_out, _I64),
+        _as_ptr(sum_out, _I64),
+        _as_ptr(unreached_out, _I64),
+        _as_ptr(view_size_out, _I64),
+        _as_ptr(scratch, _U64),
     )
-
-
-def make_bfs(threads: int):
-    """Build the ``bfs`` kernel for ``threads`` (1 => the serial slab loop)."""
-    if threads <= 1:
-        return bfs
-
-    def threaded_bfs(indptr, indices, sources, radius, dist):
-        return _bfs_threaded(indptr, indices, sources, radius, dist, threads)
-
-    return threaded_bfs
-
-
-def make_bfs_reduce(threads: int):
-    """Build the ``bfs_reduce`` kernel for ``threads`` (1 => the serial slab loop)."""
-    if threads <= 1:
-        return bfs_reduce
-
-    def threaded_bfs_reduce(
-        indptr,
-        indices,
-        sources,
-        radius,
-        view_radius,
-        ecc_out,
-        sum_out,
-        unreached_out,
-        view_size_out,
-    ):
-        _bfs_reduce_threaded(
-            indptr, indices, sources, radius, view_radius,
-            ecc_out, sum_out, unreached_out, view_size_out, threads,
-        )
-
-    return threaded_bfs_reduce
 
 
 def cover_search(

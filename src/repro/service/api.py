@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.kernels import use_backend, use_threads
 from repro.obs import Telemetry
 from repro.parallel.pool import resolve_workers
 from repro.service.journal import SweepJournal
@@ -70,15 +69,10 @@ class ServiceConfig:
     (and ``workers=1`` journaled runs) use; ``shard_seed`` deterministically
     shuffles the group→shard assignment to prove shard-order invariance.
 
-    ``kernel_backend`` names the kernel backend every worker installs as
-    its process default (see :func:`repro.kernels.set_default_backend`)
-    before executing its shard; tasks carrying an explicit per-spec
-    backend still outrank it.  ``None`` leaves workers on their own
-    env-var/auto-detect chain.  Backends are bit-identical, so journals
-    and results never depend on this.  ``kernel_threads`` is the matching
-    thread-count default (:func:`repro.kernels.set_default_threads`;
-    ``0`` = all cores) for the compiled kernels' source-parallel loops —
-    like the backend, a pure speed knob with bit-identical results.
+    The kernel backend is not configured here: forked workers inherit
+    the orchestrator's (:mod:`repro.kernels` — ``REPRO_KERNEL_BACKEND``
+    or :func:`~repro.kernels.set_default_backend`), and backends are
+    bit-identical, so journals and results never depend on it.
 
     ``steal=True`` (the default) lets idle workers steal whole pending
     instance-groups from stragglers through the
@@ -104,8 +98,6 @@ class ServiceConfig:
     session_cache_size: int = SESSION_CACHE_SIZE
     in_process: bool = False
     shard_seed: int | None = None
-    kernel_backend: str | None = None
-    kernel_threads: int | None = None
     steal: bool = True
     telemetry: bool = False
 
@@ -193,29 +185,20 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
                     workers if config.in_process else 1,
                     order_seed=config.shard_seed,
                 )
-                # Scoped default mirrors what the pool workers install
-                # process-wide: per-spec backends still outrank it.
-                with use_backend(config.kernel_backend), use_threads(
-                    config.kernel_threads
-                ):
-                    for shard in shards:
-                        # One fresh runtime per shard mirrors one worker per
-                        # shard: the same cache boundaries, deterministically.
-                        runtime = WorkerRuntime(
-                            session_cache_size=config.session_cache_size,
-                            telemetry=(
-                                Telemetry(tracing=True)
-                                if config.telemetry
-                                else None
-                            ),
-                        )
-                        for task in shard:
-                            payload, summary = runtime.execute_traced(task)
-                            on_result(
-                                task.index, task.spec_hash, task.kind, payload
-                            )
-                            if summary is not None:
-                                on_telemetry(summary)
+                for shard in shards:
+                    # One fresh runtime per shard mirrors one worker per
+                    # shard: the same cache boundaries, deterministically.
+                    runtime = WorkerRuntime(
+                        session_cache_size=config.session_cache_size,
+                        telemetry=(
+                            Telemetry(tracing=True) if config.telemetry else None
+                        ),
+                    )
+                    for task in shard:
+                        payload, summary = runtime.execute_traced(task)
+                        on_result(task.index, task.spec_hash, task.kind, payload)
+                        if summary is not None:
+                            on_telemetry(summary)
             else:
                 shared = _export_shared_instances(pending, config.min_shared_nodes)
                 try:
@@ -224,8 +207,6 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
                         workers=workers,
                         shared_refs=shared.refs,
                         session_cache_size=config.session_cache_size,
-                        kernel_backend=config.kernel_backend,
-                        kernel_threads=config.kernel_threads,
                         steal=config.steal,
                         order_seed=config.shard_seed,
                         telemetry=config.telemetry,

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.kernels import use_backend, use_threads
 from repro.obs import Telemetry
 from repro.obs.metrics import default_registry, render_prometheus
 from repro.service.jobs import (
@@ -75,6 +74,8 @@ class DaemonConfig:
     ``telemetry=True`` traces every executed task and journals one
     additive telemetry summary record per result (``python -m repro
     trace`` renders them); rows stay bit-identical.
+    The kernel backend is not configured here: the daemon and its forked
+    workers follow ``REPRO_KERNEL_BACKEND`` (see :mod:`repro.kernels`).
     """
 
     store_dir: str | Path
@@ -84,8 +85,6 @@ class DaemonConfig:
     queue_size: int = 16
     in_process: bool = False
     session_cache_size: int = SESSION_CACHE_SIZE
-    kernel_backend: str | None = None
-    kernel_threads: int | None = None
     steal: bool = True
     telemetry: bool = False
 
@@ -101,29 +100,24 @@ class InProcessExecutor:
     def __init__(
         self,
         session_cache_size: int = SESSION_CACHE_SIZE,
-        kernel_backend: str | None = None,
-        kernel_threads: int | None = None,
         telemetry: bool = False,
     ) -> None:
         self.runtime = WorkerRuntime(
             session_cache_size=session_cache_size,
             telemetry=Telemetry(tracing=True) if telemetry else None,
         )
-        self.kernel_backend = kernel_backend
-        self.kernel_threads = kernel_threads
 
     def start(self) -> None:
         pass
 
     def run_tasks(self, tasks, on_result, should_abort=None, on_telemetry=None) -> None:
-        with use_backend(self.kernel_backend), use_threads(self.kernel_threads):
-            for task in tasks:
-                if should_abort is not None and should_abort():
-                    return
-                payload, summary = self.runtime.execute_traced(task)
-                on_result(task.index, task.spec_hash, task.kind, payload)
-                if summary is not None and on_telemetry is not None:
-                    on_telemetry(summary)
+        for task in tasks:
+            if should_abort is not None and should_abort():
+                return
+            payload, summary = self.runtime.execute_traced(task)
+            on_result(task.index, task.spec_hash, task.kind, payload)
+            if summary is not None and on_telemetry is not None:
+                on_telemetry(summary)
 
     def stop(self) -> None:
         pass
@@ -150,16 +144,12 @@ class ServiceDaemon:
         if config.in_process:
             self.executor = InProcessExecutor(
                 session_cache_size=config.session_cache_size,
-                kernel_backend=config.kernel_backend,
-                kernel_threads=config.kernel_threads,
                 telemetry=config.telemetry,
             )
         else:
             self.executor = PersistentWorkerPool(
                 workers=config.workers,
                 session_cache_size=config.session_cache_size,
-                kernel_backend=config.kernel_backend,
-                kernel_threads=config.kernel_threads,
                 steal=config.steal,
                 telemetry=config.telemetry,
             )

@@ -419,8 +419,6 @@ class WorkerPool:
         workers: int | None = 1,
         shared_refs: dict[str, SharedInstanceRef] | None = None,
         session_cache_size: int = SESSION_CACHE_SIZE,
-        kernel_backend: str | None = None,
-        kernel_threads: int | None = None,
         steal: bool = True,
         order_seed: int | None = None,
         telemetry: bool = False,
@@ -429,8 +427,6 @@ class WorkerPool:
         self.workers = workers
         self.shared_refs = dict(shared_refs or {})
         self.session_cache_size = session_cache_size
-        self.kernel_backend = kernel_backend
-        self.kernel_threads = kernel_threads
         self.steal = steal
         self.order_seed = order_seed
         self.telemetry = telemetry
@@ -446,8 +442,6 @@ class WorkerPool:
         pool = PersistentWorkerPool(
             workers=self.workers,
             session_cache_size=self.session_cache_size,
-            kernel_backend=self.kernel_backend,
-            kernel_threads=self.kernel_threads,
             shared_refs=self.shared_refs,
             steal=self.steal,
             telemetry=self.telemetry,
@@ -473,8 +467,6 @@ def _service_worker_main(
     outbox,
     orchestrator_pid: int,
     session_cache_size: int,
-    kernel_backend: str | None,
-    kernel_threads: int | None,
     shared_refs: dict[str, SharedInstanceRef] | None = None,
     telemetry: bool = False,
 ) -> None:
@@ -490,14 +482,6 @@ def _service_worker_main(
     what ``--resume`` exists for) would otherwise leave workers burning CPU
     on results nobody collects, concurrently with the resumed run.
     """
-    if kernel_backend is not None:
-        from repro.kernels import set_default_backend
-
-        set_default_backend(kernel_backend)
-    if kernel_threads is not None:
-        from repro.kernels import set_default_threads
-
-        set_default_threads(kernel_threads)
     runtime = WorkerRuntime(
         shared_refs,
         session_cache_size,
@@ -550,8 +534,6 @@ class PersistentWorkerPool:
         self,
         workers: int | None = 1,
         session_cache_size: int = SESSION_CACHE_SIZE,
-        kernel_backend: str | None = None,
-        kernel_threads: int | None = None,
         shared_refs: dict[str, SharedInstanceRef] | None = None,
         steal: bool = True,
         telemetry: bool = False,
@@ -560,8 +542,6 @@ class PersistentWorkerPool:
 
         self.workers = resolve_workers(workers)
         self.session_cache_size = session_cache_size
-        self.kernel_backend = kernel_backend
-        self.kernel_threads = kernel_threads
         self.shared_refs = dict(shared_refs or {})
         #: Work-stealing toggle: ``False`` pins dispatch to the static
         #: affinity shards (the pre-stealing behaviour, and the CLI's
@@ -598,8 +578,6 @@ class PersistentWorkerPool:
                 self._outbox,
                 os.getpid(),  # captured pre-fork: the orphan baseline
                 self.session_cache_size,
-                self.kernel_backend,
-                self.kernel_threads,
                 self.shared_refs,
                 self.telemetry,
             ),
@@ -655,9 +633,9 @@ class PersistentWorkerPool:
         ``should_abort()`` is polled after every completion: once it
         returns True no further task is dispatched, in-flight results are
         still collected (and journaled by the caller — finished work is
-        never discarded).  A task error aborts dispatch the same way and is
-        re-raised after the in-flight tasks drain; the pool itself survives
-        for the next job.
+        never discarded).  A task error or a worker death aborts dispatch
+        the same way and is raised after the in-flight tasks drain; the
+        pool itself survives (dead slots respawn) for the next job.
 
         ``on_telemetry(summary)`` (optional) fires with each worker-side
         telemetry summary when the pool runs with ``telemetry=True``.
@@ -701,32 +679,35 @@ class PersistentWorkerPool:
                     for slot, process in enumerate(self._processes)
                     if busy[slot] and not process.is_alive()
                 ]
-                if dead:
-                    # The dying worker may have flushed its final result
-                    # between our timeout and the liveness check.
-                    try:
-                        message = self._outbox.get_nowait()
-                    except Empty:
-                        raise RuntimeError(
-                            f"sweep worker {dead[0]} died without reporting "
-                            "a result"
-                        ) from None
-                else:
+                if not dead:
                     continue
+                # The dying worker may have flushed its final result
+                # between our timeout and the liveness check.
+                try:
+                    message = self._outbox.get_nowait()
+                except Empty:
+                    # A dead slot's task fails like a task error: dispatch
+                    # stops and its siblings still drain, so none of their
+                    # results can leak into the next run_tasks call.
+                    message = (dead[0], "died", None, None, None, None, None)
             worker_id, status, index, spec_hash, kind, payload, summary = message
             outstanding -= 1
             busy[worker_id] = False
             span = inflight_spans.pop(worker_id, None)
             if span is not None:
                 span.finish(status=status)
-            if status == "error":
-                if error is None:
-                    error = f"sweep task {index} failed in a worker:\n{payload}"
-                aborted = True
-            else:
+            if status == "ok":
                 on_result(index, spec_hash, kind, payload)
                 if summary is not None and on_telemetry is not None:
                     on_telemetry(summary)
+            else:
+                if error is None:
+                    error = (
+                        f"sweep worker {worker_id} died without reporting a result"
+                        if status == "died"
+                        else f"sweep task {index} failed in a worker:\n{payload}"
+                    )
+                aborted = True
             if not aborted and should_abort is not None and should_abort():
                 aborted = True
             if not aborted:

@@ -36,7 +36,6 @@ from repro.graphs.traversal import (
 )
 from repro.kernels import (
     ENV_VAR,
-    THREADS_ENV_VAR,
     KernelBackend,
     KernelUnavailableError,
     available_backends,
@@ -45,10 +44,8 @@ from repro.kernels import (
     register_backend,
     registered_backends,
     resolve_backend,
-    resolve_threads,
     set_default_backend,
     use_backend,
-    use_threads,
 )
 from repro.service.api import ServiceConfig, orchestrate
 from repro.service.tasks import compile_run_specs, strip_timing_fields
@@ -181,6 +178,8 @@ class TestRegistry:
     def test_registered_superset_of_available(self):
         assert set(BACKENDS) <= set(registered_backends())
         assert {"numpy", "native"} <= set(registered_backends())
+        # Every kernel runs on the calling thread.
+        assert all(get_backend(name).threads == 1 for name in BACKENDS)
 
     def test_unknown_name_raises_everywhere(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -237,7 +236,7 @@ class TestRegistry:
         with pytest.raises(KernelUnavailableError):
             get_backend("always-missing")
         # The failed probe is cached, not retried per call.
-        assert kernels._BUILT[("always-missing", 1)] is None
+        assert kernels._BUILT["always-missing"] is None
 
     def test_register_backend_replaces_and_reprobes(self, clean_registry):
         reference = get_backend("numpy")
@@ -246,6 +245,7 @@ class TestRegistry:
             lambda: KernelBackend(
                 name="custom",
                 bfs=reference.bfs,
+                bfs_reduce=reference.bfs_reduce,
                 cover_search=reference.cover_search,
             ),
         )
@@ -260,8 +260,7 @@ def cold_native(clean_registry, monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernel-cache"))
     monkeypatch.setattr(native_backend, "_library", None)
     set_default_backend(None)
-    for key in [key for key in kernels._BUILT if key[0] == "native"]:
-        kernels._BUILT.pop(key)
+    kernels._BUILT.pop("native", None)
     return tmp_path / "kernel-cache"
 
 
@@ -326,12 +325,6 @@ class TestDefaultResolution:
 # ----------------------------------------------------------------------
 # Fused bfs_reduce parity
 # ----------------------------------------------------------------------
-#: Thread counts exercised against every backend: the serial build, a
-#: 2-thread build and an "all cores" build.  Bit-identity must hold for
-#: all of them — threads are a speed knob, never a semantics knob.
-THREAD_COUNTS = (1, 2, 0)
-
-
 def _fold_reference(dist: np.ndarray, view_radius: int | None):
     """Fold materialised distance rows into the four bfs_reduce vectors."""
     reachable = dist != UNREACHABLE
@@ -361,13 +354,12 @@ def reduce_workloads(draw, max_nodes: int = 14):
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-@pytest.mark.parametrize("threads", THREAD_COUNTS)
 class TestBfsReduceParity:
     @given(workload=reduce_workloads())
     @settings(max_examples=30, deadline=None)
-    def test_matches_materialised_fold(self, backend_name, threads, workload):
+    def test_matches_materialised_fold(self, backend_name, workload):
         """Fused reductions equal folds over materialised
-        batched_bfs_distances rows, per backend and thread count."""
+        batched_bfs_distances rows, per backend."""
         graph, sources, radius, view_radius = workload
         indptr, indices, _ = graph.to_csr_arrays()
         expected = _fold_reference(
@@ -376,7 +368,7 @@ class TestBfsReduceParity:
             ),
             view_radius,
         )
-        backend = resolve_backend(backend_name, threads=threads)
+        backend = resolve_backend(backend_name)
         got = reduce_bfs_distances(
             indptr,
             indices,
@@ -390,10 +382,10 @@ class TestBfsReduceParity:
 
     @given(workload=reduce_workloads(), block_size=st.integers(1, 8))
     @settings(max_examples=20, deadline=None)
-    def test_block_size_invariance(self, backend_name, threads, workload, block_size):
+    def test_block_size_invariance(self, backend_name, workload, block_size):
         graph, sources, radius, view_radius = workload
         indptr, indices, _ = graph.to_csr_arrays()
-        backend = resolve_backend(backend_name, threads=threads)
+        backend = resolve_backend(backend_name)
         blocked = reduce_bfs_distances(
             indptr,
             indices,
@@ -414,8 +406,8 @@ class TestBfsReduceParity:
         for blocked_vec, unblocked_vec in zip(blocked, unblocked):
             assert np.array_equal(blocked_vec, unblocked_vec)
 
-    def test_empty_sources_and_empty_graph(self, backend_name, threads):
-        backend = resolve_backend(backend_name, threads=threads)
+    def test_empty_sources_and_empty_graph(self, backend_name):
+        backend = resolve_backend(backend_name)
         indptr = np.zeros(6, dtype=np.int64)
         vectors = reduce_bfs_distances(
             indptr, np.zeros(0, dtype=np.int64), [], backend=backend
@@ -423,142 +415,29 @@ class TestBfsReduceParity:
         assert all(vec.shape == (0,) for vec in vectors)
 
 
-def test_bfs_reduce_fallback_without_fused_kernel():
-    """A backend registered without bfs_reduce still serves the reduction
-    API bit-identically via materialise-then-fold through its bfs."""
-    reference = get_backend("numpy")
-    stripped = KernelBackend(
-        name="stripped", bfs=reference.bfs, cover_search=reference.cover_search
-    )
-    assert stripped.bfs_reduce is None
-    graph = gnp_random_graph(12, 0.3, random.Random(7))
-    indptr, indices, _ = graph.to_csr_arrays()
-    sources = list(range(12))
-    fused = reduce_bfs_distances(
-        indptr, indices, sources, view_radius=2, backend=reference
-    )
-    folded = reduce_bfs_distances(
-        indptr, indices, sources, view_radius=2, backend=stripped
-    )
-    for fused_vec, folded_vec in zip(fused, folded):
-        assert np.array_equal(fused_vec, folded_vec)
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="only the numpy backend is available")
-def test_threaded_backends_agree_on_larger_instance():
-    """Single-threaded vs threaded builds of every compiled backend produce
-    byte-identical distance matrices and reductions at a scale where the
-    slab split is non-trivial."""
-    owned = owned_barabasi_albert(300, 2, seed=1)
-    indptr, indices, _ = owned.graph.to_csr_arrays()
-    sources = np.arange(300, dtype=np.int64)
-    for name in BACKENDS:
-        serial = resolve_backend(name, threads=1)
-        threaded = resolve_backend(name, threads=4)
-        assert np.array_equal(
-            batched_bfs_distances(indptr, indices, sources, backend=serial),
-            batched_bfs_distances(indptr, indices, sources, backend=threaded),
-        )
-        for serial_vec, threaded_vec in zip(
-            reduce_bfs_distances(indptr, indices, sources, view_radius=2, backend=serial),
-            reduce_bfs_distances(indptr, indices, sources, view_radius=2, backend=threaded),
-        ):
-            assert np.array_equal(serial_vec, threaded_vec)
-
-
-def _threaded_bfs_in_child(indptr, indices, sources, expected_sum):
-    backend = resolve_backend("native", threads=2)
-    dist = batched_bfs_distances(indptr, indices, sources, backend=backend)
+def _bfs_in_child(indptr, indices, sources, expected_sum):
+    dist = batched_bfs_distances(indptr, indices, sources, backend="native")
     sys.exit(0 if int(dist.sum()) == expected_sum else 1)
 
 
 @pytest.mark.skipif("native" not in BACKENDS, reason="no C compiler")
-def test_threaded_kernels_survive_fork():
-    """A process forked after a threaded kernel ran — how the sweep
-    service starts its worker pools — runs threaded kernels itself
-    instead of deadlocking on a thread pool it inherited."""
+def test_native_kernels_survive_fork():
+    """A process forked after a native kernel ran — how the sweep service
+    starts its worker pools — runs the kernels itself instead of hanging
+    on state it inherited."""
     owned = owned_barabasi_albert(300, 2, seed=1)
     indptr, indices, _ = owned.graph.to_csr_arrays()
     sources = np.arange(300, dtype=np.int64)
-    threaded = resolve_backend("native", threads=2)
-    expected = int(batched_bfs_distances(indptr, indices, sources, backend=threaded).sum())
+    expected = int(batched_bfs_distances(indptr, indices, sources, backend="native").sum())
     child = multiprocessing.get_context("fork").Process(
-        target=_threaded_bfs_in_child, args=(indptr, indices, sources, expected)
+        target=_bfs_in_child, args=(indptr, indices, sources, expected)
     )
     child.start()
     try:
         child.join(timeout=60)
-        assert not child.is_alive(), "forked child deadlocked in a threaded kernel"
+        assert not child.is_alive(), "forked child hung in a native kernel"
         assert child.exitcode == 0
     finally:
         if child.is_alive():
             child.kill()
             child.join()
-
-
-class TestThreadsResolution:
-    def test_default_is_single_threaded(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert resolve_threads() == 1
-
-    def test_explicit_outranks_override_and_env(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "8")
-        with use_threads(2):
-            assert resolve_threads(4) == 4
-
-    def test_override_outranks_env(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "8")
-        with use_threads(2):
-            assert resolve_threads() == 2
-        assert resolve_threads() == 8
-
-    def test_env_var_parsed_and_validated(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert resolve_threads() == 3
-        monkeypatch.setenv(THREADS_ENV_VAR, "not-a-number")
-        with pytest.raises(ValueError, match=THREADS_ENV_VAR):
-            resolve_threads()
-
-    def test_use_threads_restores_previous(self):
-        with use_threads(2):
-            assert resolve_threads() == 2
-            with use_threads(3):
-                assert resolve_threads() == 3
-            assert resolve_threads() == 2
-
-    def test_numpy_reference_always_reports_one_thread(self):
-        assert resolve_backend("numpy", threads=4).threads == 1
-
-    def test_compiled_builds_are_cached_per_thread_count(self):
-        for name in BACKENDS:
-            one = resolve_backend(name, threads=1)
-            again = resolve_backend(name, threads=1)
-            assert one is again
-            if name != "numpy":
-                four = resolve_backend(name, threads=4)
-                assert four.threads == 4
-                assert four is not one
-
-    def test_zero_means_all_cores(self):
-        import os as _os
-
-        for name in BACKENDS:
-            if name == "numpy":
-                continue
-            backend = resolve_backend(name, threads=0)
-            assert backend.threads == (_os.cpu_count() or 1)
-
-    def test_zero_arg_factory_still_works(self, clean_registry):
-        reference = get_backend("numpy")
-        register_backend(
-            "legacy",
-            lambda: KernelBackend(
-                name="legacy",
-                bfs=reference.bfs,
-                cover_search=reference.cover_search,
-            ),
-        )
-        backend = resolve_backend("legacy", threads=4)
-        assert backend.name == "legacy"
-        assert backend.threads == 1
-        assert backend.bfs_reduce is None

@@ -9,6 +9,8 @@ two *serial* runs just the same.
 """
 
 import dataclasses
+import os
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +34,7 @@ from repro.service.tasks import (
     sweep_hash,
 )
 from repro.service.workers import (
+    PersistentWorkerPool,
     SharedInstanceStore,
     WorkerRuntime,
     attach_shared_profile,
@@ -182,6 +185,43 @@ class TestOrchestratedEquivalence:
         bad = [RunSpec(family="gnp", n=10, alpha=1.0, k=2, seed=0, p=None)]
         with pytest.raises((RuntimeError, ValueError)):
             run_spec_sweep(bad * 2, ServiceConfig(workers=2))
+
+
+class TestPersistentPoolFailures:
+    def test_worker_death_drains_siblings_before_the_next_batch(self, monkeypatch):
+        # Two tasks on two instances, one per worker: the first kills its
+        # worker, the second is still running when the death is noticed.
+        specs = _specs()
+        doomed, slow = compile_run_specs([specs[0], specs[1]])
+        second = compile_run_specs([specs[2], specs[3]])
+        original = WorkerRuntime.execute
+
+        def execute(self, task):
+            if task.spec_hash == doomed.spec_hash:
+                os._exit(1)
+            if task.spec_hash == slow.spec_hash:
+                time.sleep(2.5)
+            return original(self, task)
+
+        monkeypatch.setattr(WorkerRuntime, "execute", execute)  # forked workers inherit it
+        pool = PersistentWorkerPool(workers=2)
+        pool.start()
+        try:
+            first_seen = []
+            with pytest.raises(RuntimeError, match="died"):
+                pool.run_tasks(
+                    [doomed, slow],
+                    lambda index, spec_hash, kind, payload: first_seen.append(spec_hash),
+                )
+            assert first_seen == [slow.spec_hash]
+            seen = set()
+            pool.run_tasks(
+                second,
+                lambda index, spec_hash, kind, payload: seen.add((index, spec_hash)),
+            )
+        finally:
+            pool.stop()
+        assert seen == {(task.index, task.spec_hash) for task in second}
 
 
 class TestWarmSessions:
