@@ -98,7 +98,7 @@ from repro.experiments.store import ExperimentStore
 from repro.graphs.algorithms import betweenness_centrality, bridges
 from repro.graphs.graph import Node
 from repro.graphs.traversal import bfs_distances_within, connected_components
-from repro.parallel.pool import parallel_map, resolve_workers
+from repro.parallel.pool import resolve_workers
 
 __all__ = [
     "ShockRecord",
@@ -806,9 +806,9 @@ def _operator_rows(
 def _instance_rows(task: tuple) -> tuple[list[dict], DynamicsResult | None]:
     """One instance's shock/recovery rows plus its certified base run.
 
-    Picklable sweep work item of the legacy ``parallel_map`` path (the
-    sweep service decomposes the same work into per-operator tasks over a
-    shared :class:`_BaseSession` instead).  The second element is the
+    Work item of the serial path (the sweep service decomposes the same
+    work into per-operator tasks over a shared :class:`_BaseSession`
+    instead).  The second element is the
     pre-shock converged :class:`DynamicsResult` (``None`` when the base
     dynamics failed to certify) so the caller can checkpoint a base
     equilibrium without re-running the dynamics it already paid for.
@@ -907,7 +907,7 @@ def generate_robustness_study(
         )
         for family, alpha, k, seed, game in _instance_cells(cfg)
     ]
-    nested = parallel_map(_instance_rows, tasks, workers=workers)
+    nested = [_instance_rows(task) for task in tasks]
     rows = [row for instance_rows, _ in nested for row in instance_rows]
     if store is not None:
         if not isinstance(store, ExperimentStore):

@@ -37,7 +37,7 @@ from repro.core.dynamics import best_response_dynamics
 from repro.core.games import FULL_KNOWLEDGE, SumNCG
 from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.graphs.generators.trees import random_owned_tree
-from repro.parallel.pool import parallel_map, resolve_workers
+from repro.parallel.pool import resolve_workers
 
 __all__ = ["SumDynamicsConfig", "run_sum_task", "generate_sum_dynamics"]
 
@@ -138,7 +138,7 @@ def generate_sum_dynamics(
             for k in cfg.ks
             for seed in range(cfg.settings.num_seeds)
         ]
-        raw = parallel_map(_run_one, tasks, workers=workers)
+        raw = [_run_one(task) for task in tasks]
 
     groups: dict[tuple, list[dict]] = {}
     for row in raw:

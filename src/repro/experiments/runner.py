@@ -31,7 +31,7 @@ from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.graphs.generators.base import OwnedGraph
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.trees import random_owned_tree
-from repro.parallel.pool import parallel_map, resolve_workers
+from repro.parallel.pool import resolve_workers
 
 __all__ = [
     "RunSpec",
@@ -213,9 +213,8 @@ def run_sweep(
     submitted through the orchestration service (:mod:`repro.service`):
     persistent workers with instance-affine sharding, shared-memory
     instances above the size threshold, and a crash-safe journal enabling
-    ``resume``.  Results are bit-identical to the ``workers=1``
-    ``parallel_map`` path, which remains the zero-overhead default for
-    serial sweeps.
+    ``resume``.  Results are bit-identical to the ``workers=1`` serial
+    loop, which remains the zero-overhead default for serial sweeps.
 
     ``telemetry=True`` routes through the service regardless of worker
     count and traces every task; with a ``journal`` the per-task span
@@ -237,7 +236,7 @@ def run_sweep(
                 telemetry=telemetry,
             ),
         )
-    return parallel_map(run_single, specs, workers=workers)
+    return [run_single(spec) for spec in specs]
 
 
 def profile_run(spec: RunSpec, top: int = 25) -> str:

@@ -47,7 +47,6 @@ from repro.service.tasks import (
 from repro.service.workers import (
     PersistentWorkerPool,
     SharedInstanceStore,
-    WorkerPool,
     WorkerRuntime,
     attach_shared_profile,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "strip_timing_fields",
     "sweep_hash",
     "SharedInstanceStore",
-    "WorkerPool",
     "PersistentWorkerPool",
     "WorkerRuntime",
     "attach_shared_profile",

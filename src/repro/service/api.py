@@ -39,10 +39,9 @@ from repro.service.tasks import (
     sweep_hash,
 )
 from repro.service.workers import (
-    SESSION_CACHE_SIZE,
     SHARED_INSTANCE_MIN_NODES,
+    PersistentWorkerPool,
     SharedInstanceStore,
-    WorkerPool,
     WorkerRuntime,
 )
 
@@ -63,11 +62,13 @@ class ServiceConfig:
     root; the journal lives in its ``<experiment>/`` subdirectory next to
     where the final rows land, and ``resume=True`` skips every journaled
     task of the *same* sweep (a different sweep in the same journal is an
-    error).  ``in_process=True`` executes the shards sequentially in the
-    calling process with one fresh :class:`WorkerRuntime` per shard — the
+    error).  Multi-worker sweeps run on a :class:`~repro.service.workers.
+    PersistentWorkerPool` started for the sweep; ``in_process=True`` (and
+    ``workers=1``) runs the shards one after another in the calling
+    process, each on a fresh serial :class:`WorkerRuntime` — the
     deterministic stand-in for separate workers that the equivalence tests
-    (and ``workers=1`` journaled runs) use; ``shard_seed`` deterministically
-    shuffles the group→shard assignment to prove shard-order invariance.
+    use; ``shard_seed`` deterministically shuffles the group→shard
+    assignment to prove shard-order invariance.
 
     The kernel backend is not configured here: forked workers inherit
     the orchestrator's (:mod:`repro.kernels` — ``REPRO_KERNEL_BACKEND``
@@ -95,7 +96,6 @@ class ServiceConfig:
     experiment: str = "sweep"
     resume: bool = False
     min_shared_nodes: int = SHARED_INSTANCE_MIN_NODES
-    session_cache_size: int = SESSION_CACHE_SIZE
     in_process: bool = False
     shard_seed: int | None = None
     steal: bool = True
@@ -172,12 +172,7 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
                 for member in by_hash[spec_hash]:
                     decoded[member.index] = decode_result(kind, payload)
 
-            def on_telemetry(summary: dict) -> None:
-                if journal is not None:
-                    journal.append_telemetry(
-                        summary["spec_hash"], summary["index"], summary
-                    )
-
+            on_telemetry = journal.append_telemetry if journal is not None else None
             workers = resolve_workers(config.workers)
             if workers == 1 or len(pending) == 1 or config.in_process:
                 shards = shard_tasks(
@@ -188,30 +183,27 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
                 for shard in shards:
                     # One fresh runtime per shard mirrors one worker per
                     # shard: the same cache boundaries, deterministically.
-                    runtime = WorkerRuntime(
-                        session_cache_size=config.session_cache_size,
-                        telemetry=(
-                            Telemetry(tracing=True) if config.telemetry else None
-                        ),
-                    )
-                    for task in shard:
-                        payload, summary = runtime.execute_traced(task)
-                        on_result(task.index, task.spec_hash, task.kind, payload)
-                        if summary is not None:
-                            on_telemetry(summary)
+                    WorkerRuntime(
+                        telemetry=Telemetry(tracing=True) if config.telemetry else None
+                    ).run_tasks(shard, on_result, on_telemetry=on_telemetry)
             else:
                 shared = _export_shared_instances(pending, config.min_shared_nodes)
+                pool = PersistentWorkerPool(
+                    workers=workers,
+                    shared_refs=shared.refs,
+                    steal=config.steal,
+                    telemetry=config.telemetry,
+                )
                 try:
-                    WorkerPool(
+                    pool.start()
+                    pool.run_tasks(
                         pending,
-                        workers=workers,
-                        shared_refs=shared.refs,
-                        session_cache_size=config.session_cache_size,
-                        steal=config.steal,
+                        on_result,
                         order_seed=config.shard_seed,
-                        telemetry=config.telemetry,
-                    ).run(on_result, on_telemetry=on_telemetry)
+                        on_telemetry=on_telemetry,
+                    )
                 finally:
+                    pool.stop()
                     shared.release()
     finally:
         if journal is not None:

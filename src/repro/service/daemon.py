@@ -49,13 +49,9 @@ from repro.service.jobs import (
     JobQueueFull,
     UnknownJob,
 )
-from repro.service.workers import (
-    SESSION_CACHE_SIZE,
-    PersistentWorkerPool,
-    WorkerRuntime,
-)
+from repro.service.workers import PersistentWorkerPool, WorkerRuntime
 
-__all__ = ["DaemonConfig", "InProcessExecutor", "ServiceDaemon", "run_daemon"]
+__all__ = ["DaemonConfig", "ServiceDaemon", "run_daemon"]
 
 
 @dataclass(frozen=True)
@@ -66,9 +62,12 @@ class DaemonConfig:
     ``listening`` line and available as ``ServiceDaemon.port``).
     ``queue_size`` bounds the number of *waiting* jobs — submissions beyond
     it are refused with HTTP 429, the backpressure contract.
-    ``in_process=True`` replaces the forked worker pool with a single warm
-    in-process :class:`WorkerRuntime` — the deterministic executor the
-    tests use; results are bit-identical either way.
+    The daemon's executor lives as long as the daemon: by default a
+    :class:`PersistentWorkerPool` of ``workers`` forked processes;
+    ``in_process=True`` replaces it with one serial
+    :class:`WorkerRuntime` whose caches stay warm across jobs too — the
+    deterministic executor most tests use.  Results are bit-identical
+    either way.
     ``steal=False`` pins the pool's dispatch to static affinity shards
     (rows are bit-identical either way; only the makespan moves).
     ``telemetry=True`` traces every executed task and journals one
@@ -84,43 +83,8 @@ class DaemonConfig:
     port: int = 0
     queue_size: int = 16
     in_process: bool = False
-    session_cache_size: int = SESSION_CACHE_SIZE
     steal: bool = True
     telemetry: bool = False
-
-
-class InProcessExecutor:
-    """Serial stand-in for the persistent pool (tests, ``--in-process``).
-
-    One :class:`WorkerRuntime` lives for the daemon's whole lifetime, so
-    cross-job session warmth — the property the persistent pool exists
-    for — holds here too, just without processes.
-    """
-
-    def __init__(
-        self,
-        session_cache_size: int = SESSION_CACHE_SIZE,
-        telemetry: bool = False,
-    ) -> None:
-        self.runtime = WorkerRuntime(
-            session_cache_size=session_cache_size,
-            telemetry=Telemetry(tracing=True) if telemetry else None,
-        )
-
-    def start(self) -> None:
-        pass
-
-    def run_tasks(self, tasks, on_result, should_abort=None, on_telemetry=None) -> None:
-        for task in tasks:
-            if should_abort is not None and should_abort():
-                return
-            payload, summary = self.runtime.execute_traced(task)
-            on_result(task.index, task.spec_hash, task.kind, payload)
-            if summary is not None and on_telemetry is not None:
-                on_telemetry(summary)
-
-    def stop(self) -> None:
-        pass
 
 
 def _json_bytes(payload: Any) -> bytes:
@@ -142,14 +106,12 @@ class ServiceDaemon:
         self.config = config
         self.manager = JobManager(config.store_dir, queue_size=config.queue_size)
         if config.in_process:
-            self.executor = InProcessExecutor(
-                session_cache_size=config.session_cache_size,
-                telemetry=config.telemetry,
+            self.executor = WorkerRuntime(
+                telemetry=Telemetry(tracing=True) if config.telemetry else None
             )
         else:
             self.executor = PersistentWorkerPool(
                 workers=config.workers,
-                session_cache_size=config.session_cache_size,
                 steal=config.steal,
                 telemetry=config.telemetry,
             )

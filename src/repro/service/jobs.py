@@ -545,16 +545,11 @@ class JobManager:
                     self._m_engine_executions.inc()
                     self._task_event(job, by_hash[spec_hash], "engine")
 
-                def on_telemetry(summary: dict) -> None:
-                    journal.append_telemetry(
-                        summary["spec_hash"], summary["index"], summary
-                    )
-
                 executor.run_tasks(
                     pending,
                     on_result,
                     should_abort=lambda: job.cancel_requested or not self.running,
-                    on_telemetry=on_telemetry,
+                    on_telemetry=journal.append_telemetry,
                 )
             finally:
                 journal.close()

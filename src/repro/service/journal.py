@@ -220,9 +220,11 @@ class SweepJournal:
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def append_telemetry(self, spec_hash: str, index: int, summary: Any) -> None:
+    def append_telemetry(self, summary: dict) -> None:
         """Record one task's telemetry summary (additive record type).
 
+        The record is keyed by the summary's own ``spec_hash`` and
+        ``index``, so executors pass this method as ``on_telemetry``.
         Telemetry records are advisory: they share the log's durability
         but are invisible to :meth:`_load_completed`, so they never count
         as (or overwrite) a completed result on ``--resume``.
@@ -230,8 +232,8 @@ class SweepJournal:
         if self._handle is None:
             raise RuntimeError("journal is not open")
         record = {
-            "spec_hash": spec_hash,
-            "index": index,
+            "spec_hash": summary["spec_hash"],
+            "index": summary["index"],
             "kind": TELEMETRY_KIND,
             "payload": summary,
         }

@@ -23,8 +23,13 @@ alive.  This module is the stateful replacement:
   soft instance affinity keeps the warm caches hot, idle workers steal
   whole instance-groups from stragglers, and every result streams back as
   ``(index, spec_hash, encoded payload)`` the moment it lands — the
-  property that makes a SIGKILL resumable.  :class:`WorkerPool` is the
-  one-shot lifecycle adapter a single orchestrated sweep uses.
+  property that makes a SIGKILL resumable.
+
+Both are *executors* with one protocol — ``start()``, ``run_tasks(tasks,
+on_result, should_abort=None, on_telemetry=None)``, ``stop()`` — so the
+orchestrator and the daemon pick one and never care which: a
+:class:`WorkerRuntime` runs its tasks serially in the calling process
+(its ``start``/``stop`` do nothing), the pool runs them in its processes.
 
 Execution through a runtime is bit-identical to the serial paths: tasks
 are self-contained, warm engine reuse is the same ``restore_profile`` +
@@ -63,7 +68,6 @@ __all__ = [
     "SharedInstanceRef",
     "SharedInstanceStore",
     "WorkerRuntime",
-    "WorkerPool",
     "PersistentWorkerPool",
 ]
 
@@ -181,19 +185,21 @@ def attach_shared_profile(ref: SharedInstanceRef) -> StrategyProfile:
 # Warm task execution
 # ----------------------------------------------------------------------
 class WorkerRuntime:
-    """Executes sweep tasks with warm instance and engine-session caches."""
+    """Executes sweep tasks with warm instance and engine-session caches.
+
+    Also the serial executor: :meth:`run_tasks` runs tasks in order in the
+    calling process, keeping the caches warm across calls.
+    """
 
     def __init__(
         self,
         shared_refs: dict[str, SharedInstanceRef] | None = None,
-        session_cache_size: int = SESSION_CACHE_SIZE,
         view_store: ViewStore | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self._shared_refs = dict(shared_refs or {})
         self._instances: OrderedDict[str, object] = OrderedDict()
         self._sessions: OrderedDict[str, object] = OrderedDict()
-        self._session_cache_size = max(1, session_cache_size)
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         #: Cross-session view store shared by every engine this runtime
         #: builds: an α-grid's sessions over one instance adopt each other's
@@ -269,7 +275,7 @@ class WorkerRuntime:
         session = build()
         self._m_sessions_built.inc()
         self._sessions[key] = session
-        while len(self._sessions) > self._session_cache_size:
+        while len(self._sessions) > SESSION_CACHE_SIZE:
             self._sessions.popitem(last=False)
         return session
 
@@ -399,74 +405,34 @@ class WorkerRuntime:
         }
         return payload, summary
 
+    # -- executor protocol ---------------------------------------------
+    def start(self) -> None:
+        pass
 
-# ----------------------------------------------------------------------
-# One-shot orchestration pool
-# ----------------------------------------------------------------------
-class WorkerPool:
-    """One-shot pool for a single orchestrated sweep.
+    def run_tasks(self, tasks, on_result, should_abort=None, on_telemetry=None) -> None:
+        """Execute ``tasks`` in order; same callbacks as
+        :meth:`PersistentWorkerPool.run_tasks`.  ``should_abort()`` is
+        polled before every task, and a task error propagates as raised."""
+        for task in tasks:
+            if should_abort is not None and should_abort():
+                return
+            payload, summary = self.execute_traced(task)
+            on_result(task.index, task.spec_hash, task.kind, payload)
+            if summary is not None and on_telemetry is not None:
+                on_telemetry(summary)
 
-    A thin lifecycle adapter over :class:`PersistentWorkerPool`: spawn
-    ``workers`` processes, dispatch the task list through the work-stealing
-    affinity queue, tear everything down.  A worker error is re-raised with
-    the worker's traceback after the pool is torn down, mirroring
-    :func:`repro.parallel.pool.parallel_map` semantics.
-    """
-
-    def __init__(
-        self,
-        tasks: list[SweepTask],
-        workers: int | None = 1,
-        shared_refs: dict[str, SharedInstanceRef] | None = None,
-        session_cache_size: int = SESSION_CACHE_SIZE,
-        steal: bool = True,
-        order_seed: int | None = None,
-        telemetry: bool = False,
-    ) -> None:
-        self.tasks = list(tasks)
-        self.workers = workers
-        self.shared_refs = dict(shared_refs or {})
-        self.session_cache_size = session_cache_size
-        self.steal = steal
-        self.order_seed = order_seed
-        self.telemetry = telemetry
-
-    def run(self, on_result, on_telemetry=None) -> None:
-        """Execute every task; ``on_result(index, spec_hash, kind, payload)``
-        fires in completion order (the caller journals and reassembles by
-        index, so completion order carries no meaning).  With
-        ``telemetry=True``, ``on_telemetry(summary)`` fires once per
-        completed task with the worker-side trace summary."""
-        if not self.tasks:
-            return
-        pool = PersistentWorkerPool(
-            workers=self.workers,
-            session_cache_size=self.session_cache_size,
-            shared_refs=self.shared_refs,
-            steal=self.steal,
-            telemetry=self.telemetry,
-        )
-        pool.start()
-        try:
-            pool.run_tasks(
-                self.tasks,
-                on_result,
-                order_seed=self.order_seed,
-                on_telemetry=on_telemetry,
-            )
-        finally:
-            pool.stop()
+    def stop(self) -> None:
+        pass
 
 
 # ----------------------------------------------------------------------
-# The daemon's shared persistent pool
+# The process pool
 # ----------------------------------------------------------------------
 def _service_worker_main(
     worker_id: int,
     inbox,
     outbox,
     orchestrator_pid: int,
-    session_cache_size: int,
     shared_refs: dict[str, SharedInstanceRef] | None = None,
     telemetry: bool = False,
 ) -> None:
@@ -483,9 +449,7 @@ def _service_worker_main(
     on results nobody collects, concurrently with the resumed run.
     """
     runtime = WorkerRuntime(
-        shared_refs,
-        session_cache_size,
-        telemetry=Telemetry(tracing=True) if telemetry else None,
+        shared_refs, telemetry=Telemetry(tracing=True) if telemetry else None
     )
     while True:
         try:
@@ -518,22 +482,23 @@ def _service_worker_main(
 
 
 class PersistentWorkerPool:
-    """A fixed set of long-lived worker processes shared across jobs.
+    """A fixed set of long-lived worker processes: the process executor.
 
-    The sweep daemon owns exactly one of these: every job's cache-missing
-    tasks run here, so consecutive jobs over the same instances hit warm
-    :class:`WorkerRuntime` caches that a per-job :class:`WorkerPool` would
-    rebuild from scratch.  Tasks are fed with a one-task window per worker
-    (a worker only receives its next task after returning the previous
-    one), which keeps cancellation prompt — at most ``workers`` tasks are
-    in flight when a job is aborted — and lets :meth:`run_tasks` preserve
-    the instance-affine shard order within each worker.
+    Same protocol as :class:`WorkerRuntime` (``start`` / ``run_tasks`` /
+    ``stop``).  An orchestrated multi-worker sweep starts one for its
+    pending tasks and stops it afterwards; the sweep daemon owns one for
+    its whole lifetime, so consecutive jobs over the same instances hit
+    warm :class:`WorkerRuntime` caches in its workers.  Tasks are fed with
+    a one-task window per worker (a worker only receives its next task
+    after returning the previous one), which keeps cancellation prompt —
+    at most ``workers`` tasks are in flight when a job is aborted — and
+    lets :meth:`run_tasks` preserve the instance-affine shard order within
+    each worker.
     """
 
     def __init__(
         self,
         workers: int | None = 1,
-        session_cache_size: int = SESSION_CACHE_SIZE,
         shared_refs: dict[str, SharedInstanceRef] | None = None,
         steal: bool = True,
         telemetry: bool = False,
@@ -541,7 +506,6 @@ class PersistentWorkerPool:
         from repro.parallel.pool import resolve_workers
 
         self.workers = resolve_workers(workers)
-        self.session_cache_size = session_cache_size
         self.shared_refs = dict(shared_refs or {})
         #: Work-stealing toggle: ``False`` pins dispatch to the static
         #: affinity shards (the pre-stealing behaviour, and the CLI's
@@ -555,15 +519,13 @@ class PersistentWorkerPool:
         self._outbox = self._context.Queue()
         self._inboxes: list = [None] * self.workers
         self._processes: list = [None] * self.workers
-        self._started = False
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for slot in range(self.workers):
-            self._spawn(slot)
+        """Spawn every worker slot that is not alive (``run_tasks`` too)."""
+        for slot, process in enumerate(self._processes):
+            if process is None or not process.is_alive():
+                self._spawn(slot)
 
     def _spawn(self, slot: int) -> None:
         # A fresh inbox per (re)spawn: a worker that died mid-job may leave
@@ -577,7 +539,6 @@ class PersistentWorkerPool:
                 inbox,
                 self._outbox,
                 os.getpid(),  # captured pre-fork: the orphan baseline
-                self.session_cache_size,
                 self.shared_refs,
                 self.telemetry,
             ),
@@ -587,17 +548,8 @@ class PersistentWorkerPool:
         self._inboxes[slot] = inbox
         self._processes[slot] = process
 
-    def ensure_alive(self) -> None:
-        """Respawn any worker slot whose process has died."""
-        self.start()
-        for slot, process in enumerate(self._processes):
-            if process is None or not process.is_alive():
-                self._spawn(slot)
-
     def stop(self) -> None:
         """Send sentinels and reap every worker (terminate stragglers)."""
-        if not self._started:
-            return
         for inbox, process in zip(self._inboxes, self._processes):
             if process is not None and process.is_alive():
                 inbox.put(None)
@@ -608,7 +560,6 @@ class PersistentWorkerPool:
                     process.terminate()
                     process.join()
         self._processes = [None] * self.workers
-        self._started = False
 
     # -- execution -----------------------------------------------------
     def run_tasks(
@@ -630,12 +581,13 @@ class PersistentWorkerPool:
         keeps cancellation prompt and lets the queue route around
         stragglers at task granularity.
 
-        ``should_abort()`` is polled after every completion: once it
-        returns True no further task is dispatched, in-flight results are
-        still collected (and journaled by the caller — finished work is
-        never discarded).  A task error or a worker death aborts dispatch
-        the same way and is raised after the in-flight tasks drain; the
-        pool itself survives (dead slots respawn) for the next job.
+        ``should_abort()`` is polled before the first dispatch and after
+        every completion: once it returns True no further task is
+        dispatched, in-flight results are still collected (and journaled
+        by the caller — finished work is never discarded).  A task error
+        or a worker death aborts dispatch the same way and is raised after
+        the in-flight tasks drain; the pool itself survives (dead slots
+        respawn) for the next job.
 
         ``on_telemetry(summary)`` (optional) fires with each worker-side
         telemetry summary when the pool runs with ``telemetry=True``.
@@ -644,30 +596,32 @@ class PersistentWorkerPool:
         worker slot) are additionally recorded on that tracer, alongside
         the queue's steal/dispatch counters.
         """
-        if not tasks:
+        if not tasks or (should_abort is not None and should_abort()):
             return
-        self.ensure_alive()
+        self.start()
         queue = AffinityTaskQueue(
             list(tasks), self.workers, steal=self.steal, order_seed=order_seed
         )
         tracer = get_telemetry().tracer
         inflight_spans: dict[int, object] = {}
+        busy = [False] * self.workers
+        outstanding = 0
 
-        def _dispatch(slot: int, task: SweepTask) -> None:
+        def _dispatch_next(slot: int) -> None:
+            nonlocal outstanding
+            task = queue.next_task(slot)
+            if task is None:
+                return
             self._inboxes[slot].put(task)
+            busy[slot] = True
+            outstanding += 1
             if tracer.enabled:
                 inflight_spans[slot] = tracer.begin(
                     "task.dispatch", worker=slot, index=task.index, kind=task.kind
                 )
 
-        busy = [False] * self.workers
-        outstanding = 0
         for slot in range(self.workers):
-            task = queue.next_task(slot)
-            if task is not None:
-                _dispatch(slot, task)
-                busy[slot] = True
-                outstanding += 1
+            _dispatch_next(slot)
         aborted = False
         error: str | None = None
         while outstanding:
@@ -711,10 +665,6 @@ class PersistentWorkerPool:
             if not aborted and should_abort is not None and should_abort():
                 aborted = True
             if not aborted:
-                task = queue.next_task(worker_id)
-                if task is not None:
-                    _dispatch(worker_id, task)
-                    busy[worker_id] = True
-                    outstanding += 1
+                _dispatch_next(worker_id)
         if error is not None:
             raise RuntimeError(error)

@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import SweepSettings
-from repro.experiments.runner import RunSpec, run_sweep
+from repro.experiments.runner import RunSpec, run_single, run_sweep
 from repro.service.client import ServiceError, SweepClient
 from repro.service.daemon import DaemonConfig, ServiceDaemon
 from repro.service.jobs import JobQueueFull, run_spec_description
@@ -190,6 +190,31 @@ class TestDaemonEndToEnd:
         entry = client.cached_result(spec_hash)
         assert entry["spec_hash"] == spec_hash
         assert entry["kind"] == "run_spec"
+
+
+class TestDaemonWorkerPool:
+    def test_forked_workers_execute_then_serve_from_cache(self, tmp_path):
+        """The default executor: a two-process pool behind the daemon."""
+        specs = _specs(alphas=(0.5, 2.0, 3.0))
+        expected = strip_timing_fields([run_single(spec).as_row() for spec in specs])
+        daemon = ServiceDaemon(
+            DaemonConfig(store_dir=tmp_path / "store", workers=2, port=0)
+        )
+        daemon.start()
+        try:
+            client = SweepClient(daemon.base_url)
+            for _ in range(2):
+                job = client.wait(
+                    client.submit(run_spec_description(specs))["id"], timeout=120
+                )
+                assert job["status"] == "done"
+                assert _remote_rows(client, job["id"]) == expected
+            stats = client.stats()
+        finally:
+            daemon.stop()
+        assert stats["engine_executions"] == len(specs)
+        assert stats["cache_hits"] == len(specs)
+        assert stats["workers"] == 2
 
 
 class TestDaemonProtocol:

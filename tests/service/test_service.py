@@ -21,8 +21,20 @@ from repro.experiments.extensions.robustness import (
     RobustnessStudyConfig,
     generate_robustness_study,
 )
+from repro.experiments.extensions.sum_dynamics import (
+    SumDynamicsConfig,
+    generate_sum_dynamics,
+    run_sum_task,
+)
 from repro.experiments.runner import RunSpec, run_single, run_sweep
-from repro.service.api import ServiceConfig, orchestrate, robustness_sweep, run_spec_sweep
+from repro.graphs.generators.trees import random_owned_tree
+from repro.service.api import (
+    ServiceConfig,
+    orchestrate,
+    robustness_sweep,
+    run_spec_sweep,
+    sum_sweep,
+)
 from repro.service.tasks import (
     compile_robustness_tasks,
     compile_run_specs,
@@ -175,6 +187,32 @@ class TestOrchestratedEquivalence:
         assert strip_timing_fields(rows) == strip_timing_fields(serial)
         assert checkpoint is not None and checkpoint["certified"]
 
+    @pytest.mark.parametrize("shard_seed", [0, 7])
+    def test_sum_rows_invariant_under_sharding(self, shard_seed):
+        cfg = SumDynamicsConfig.smoke()
+        max_rounds = cfg.settings.max_rounds
+        serial = [
+            run_sum_task(
+                (n, alpha, k, seed, max_rounds), random_owned_tree(n, seed=seed)
+            )
+            for n in cfg.sizes
+            for alpha in cfg.alphas
+            for k in cfg.ks
+            for seed in range(
+                cfg.settings.base_seed, cfg.settings.base_seed + cfg.settings.num_seeds
+            )
+        ]
+        rows = sum_sweep(
+            cfg, ServiceConfig(workers=3, in_process=True, shard_seed=shard_seed)
+        )
+        assert rows == serial
+
+    def test_journaled_sum_study_matches_serial(self, tmp_path):
+        cfg = SumDynamicsConfig.smoke()
+        assert generate_sum_dynamics(cfg, journal=str(tmp_path)) == (
+            generate_sum_dynamics(cfg)
+        )
+
     def test_real_process_pool_matches_serial(self):
         specs = _specs()
         serial = run_sweep(specs, SweepSettings(num_seeds=2, solver="greedy", workers=1))
@@ -185,6 +223,54 @@ class TestOrchestratedEquivalence:
         bad = [RunSpec(family="gnp", n=10, alpha=1.0, k=2, seed=0, p=None)]
         with pytest.raises((RuntimeError, ValueError)):
             run_spec_sweep(bad * 2, ServiceConfig(workers=2))
+
+
+@pytest.fixture(params=["runtime", "pool"])
+def executor(request):
+    """Each executor of the service, started (and stopped afterwards)."""
+    executor = (
+        WorkerRuntime() if request.param == "runtime" else PersistentWorkerPool(workers=2)
+    )
+    executor.start()
+    try:
+        yield executor
+    finally:
+        executor.stop()
+
+
+class TestExecutorContract:
+    """One test per behaviour, run against the serial and the process executor."""
+
+    def test_delivers_every_encoded_result(self, executor):
+        tasks = compile_run_specs(_specs())
+        delivered = []
+        executor.run_tasks(
+            tasks,
+            lambda index, spec_hash, kind, payload: delivered.append(
+                (index, spec_hash, payload)
+            ),
+        )
+        expected = [
+            (task.index, task.spec_hash, encode_result(task, run_single(task.payload[0])))
+            for task in tasks
+        ]
+        assert sorted(delivered, key=lambda item: item[0]) == expected
+
+    def test_abort_before_the_first_task_delivers_nothing(self, executor):
+        delivered = []
+        executor.run_tasks(
+            compile_run_specs(_specs())[:6],
+            lambda index, spec_hash, kind, payload: delivered.append(index),
+            should_abort=lambda: True,
+        )
+        assert delivered == []
+
+    def test_task_error_raises(self, executor):
+        bad = RunSpec(family="gnp", n=10, alpha=1.0, k=2, seed=0, p=None)
+        with pytest.raises((RuntimeError, ValueError)):
+            executor.run_tasks(
+                compile_run_specs([bad]), lambda index, spec_hash, kind, payload: None
+            )
 
 
 class TestPersistentPoolFailures:
