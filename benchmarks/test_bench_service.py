@@ -11,11 +11,11 @@ the *identical* task list are timed:
   2-worker pool.  Instance-affine sharding sends all five operator tasks
   of an instance to one worker, whose session cache converges the base
   engine once and warm-replays (``restore_profile``) for the rest.
-* **cold per-task pool** — the same tasks through
-  :func:`repro.parallel.pool.parallel_map` with a fresh
-  :class:`~repro.service.workers.WorkerRuntime` per task, i.e. the
-  throwaway-pool world where every task regenerates its instance and
-  re-converges the base dynamics from scratch.
+* **cold per-task pool** — the same tasks through a throwaway
+  :class:`~concurrent.futures.ProcessPoolExecutor` with a fresh
+  :class:`~repro.service.workers.WorkerRuntime` per task, i.e. the world
+  where every task regenerates its instance and re-converges the base
+  dynamics from scratch.
 
 Both paths must produce bit-identical rows up to the documented wall-clock
 fields (``warm_s``/``cold_s``/``warm_speedup`` differ between any two runs,
@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.experiments.config import SweepSettings
 from repro.experiments.extensions.robustness import RobustnessStudyConfig
-from repro.parallel.pool import parallel_map
 from repro.service.api import ServiceConfig, robustness_sweep
 from repro.service.tasks import (
     compile_robustness_tasks,
@@ -90,7 +90,13 @@ def _run_benchmark() -> dict:
 
         # Cold per-task pool over the identical task list.
         start = time.perf_counter()
-        cold_payloads = parallel_map(_cold_task, tasks, workers=WORKERS)
+        # Four chunks per worker: the usual pool-sizing rule of thumb.
+        with ProcessPoolExecutor(max_workers=WORKERS) as pool:
+            cold_payloads = list(
+                pool.map(
+                    _cold_task, tasks, chunksize=max(1, len(tasks) // (4 * WORKERS))
+                )
+            )
         cold_s = time.perf_counter() - start
         cold_rows = [
             row

@@ -15,9 +15,8 @@ Because this container may be single-core, the makespan gate runs in
 *virtual time*: per-task durations are measured serially, then replayed
 through :func:`repro.service.tasks.simulate_dispatch` — the same
 ``AffinityTaskQueue`` the real pool drives, on a deterministic event clock.
-Real forked-pool wall clocks are recorded as context (they only separate on
-multi-core hosts, e.g. CI), and all three execution paths — serial, static
-shards, stealing pool — must produce bit-identical rows.
+The real forked stealing pool's wall clock is recorded as context, and its
+rows must be bit-identical to the serial path's.
 
 Acceptance figures:
 
@@ -113,14 +112,10 @@ def _run_benchmark() -> dict:
     steal_makespan, _ = simulate_dispatch(tasks, WORKERS, durations, steal=True)
     steals = _count_steals(tasks, durations)
 
-    # Leg 3: real forked pools, both policies — rows must match serial
-    # bit-for-bit; wall clocks are informational (they separate only when
-    # the host actually has spare cores).
+    # Leg 3: the real forked (stealing) pool — rows must match serial
+    # bit-for-bit; the wall clock is informational.
     start = time.perf_counter()
-    static_rows = orchestrate(tasks, ServiceConfig(workers=WORKERS, steal=False))
-    static_wall_s = time.perf_counter() - start
-    start = time.perf_counter()
-    steal_rows = orchestrate(tasks, ServiceConfig(workers=WORKERS, steal=True))
+    steal_rows = orchestrate(tasks, ServiceConfig(workers=WORKERS))
     steal_wall_s = time.perf_counter() - start
 
     # Leg 4: α-sweep over one instance through a single runtime — every
@@ -142,9 +137,7 @@ def _run_benchmark() -> dict:
         "steal_makespan_s": round(steal_makespan, 4),
         "steal_speedup": round(static_makespan / steal_makespan, 2),
         "steals": steals,
-        "static_wall_s": round(static_wall_s, 4),
         "steal_wall_s": round(steal_wall_s, 4),
-        "rows_identical_static": static_rows == serial_rows,
         "rows_identical_steal": steal_rows == serial_rows,
         "view_store": runtime.view_store.counters(),
         "view_sweep_rows_identical": sweep_rows == sweep_serial,
@@ -154,8 +147,7 @@ def _run_benchmark() -> dict:
 def test_bench_steal(benchmark, emit_report):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
     emit_report(report, "BENCH_steal")
-    # Same tasks, same rows — serial, static shards, or stealing pool.
-    assert report["rows_identical_static"]
+    # Same tasks, same rows — serial or stealing pool.
     assert report["rows_identical_steal"]
     assert report["view_sweep_rows_identical"]
     # The static planner really did pile the small groups on one worker...

@@ -241,13 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cache with zero engine work",
     )
     sweep.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="pin tasks to their static affinity shards instead of letting "
-        "idle workers steal pending instance-groups from stragglers "
-        "(rows are bit-identical either way; only the makespan moves)",
-    )
-    sweep.add_argument(
         "--telemetry",
         action="store_true",
         help="trace every task (engine rounds, best responses, view "
@@ -271,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         "and per-job journals (restarting on the same store resumes "
         "in-flight jobs)",
     )
-    serve.add_argument("--workers", type=int, default=1, help="persistent worker processes")
+    serve.add_argument(
+        "--workers", type=_worker_count, default=1, help="persistent worker processes"
+    )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8765, help="listen port (0 = ephemeral)"
@@ -287,12 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="execute jobs in the daemon process instead of forked workers "
         "(deterministic test/debug mode; results are identical)",
-    )
-    serve.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="pin each job's tasks to their static affinity shards instead "
-        "of work stealing (rows are bit-identical either way)",
     )
     serve.add_argument(
         "--telemetry",
@@ -322,6 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` value: a non-negative int (``0`` = every core)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_journal_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--journal",
@@ -339,7 +336,9 @@ def _add_journal_options(sub: argparse.ArgumentParser) -> None:
 
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--smoke", action="store_true", help="use the reduced CI grid")
-    sub.add_argument("--workers", type=int, default=1, help="worker processes for the sweep")
+    sub.add_argument(
+        "--workers", type=_worker_count, default=1, help="worker processes for the sweep"
+    )
     _add_output_options(sub)
 
 
@@ -455,7 +454,6 @@ def _run_sweep_command(parser: argparse.ArgumentParser, args: argparse.Namespace
             SweepSettings(num_seeds=seeds, solver=args.solver, workers=args.workers),
             journal=args.journal,
             resume=args.resume,
-            steal=not args.no_steal,
             telemetry=args.telemetry,
         )
     rows = [result.as_row() for result in results]
@@ -481,7 +479,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
             port=args.port,
             queue_size=args.queue_size,
             in_process=args.in_process,
-            steal=not args.no_steal,
             telemetry=args.telemetry,
         )
     )

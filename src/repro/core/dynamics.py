@@ -118,7 +118,6 @@ def best_response_dynamics(
     ordering: str = "fixed",
     seed: int | None = None,
     player_order: list[Node] | None = None,
-    workers: int | None = 1,
     sum_exhaustive_limit: int | None = None,
     sum_restarts: int = 1,
     kernel_backend: str | None = None,
@@ -155,9 +154,6 @@ def best_response_dynamics(
         Seed for the randomised schedulers.
     player_order:
         Explicit fixed order of play; defaults to the profile's player order.
-    workers:
-        Process count for the ``parallel_batch`` scheduler's best-response
-        fan-out (ignored by the sequential schedulers).
     sum_exhaustive_limit:
         SumNCG exact/heuristic dispatch threshold (``None`` keeps
         :data:`repro.core.best_response.SUM_EXHAUSTIVE_LIMIT`); ignored by
@@ -194,7 +190,6 @@ def best_response_dynamics(
         collect_round_metrics=collect_round_metrics,
         seed=seed,
         player_order=player_order,
-        workers=workers,
         sum_exhaustive_limit=(
             SUM_EXHAUSTIVE_LIMIT if sum_exhaustive_limit is None else sum_exhaustive_limit
         ),

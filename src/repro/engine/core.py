@@ -76,8 +76,7 @@ class DynamicsEngine:
     Parameters mirror :func:`repro.core.dynamics.best_response_dynamics`;
     ``scheduler`` accepts either a registry name (see
     :data:`repro.engine.schedulers.SCHEDULERS`) or a ready
-    :class:`Scheduler` instance, and ``workers`` is forwarded to the
-    ``parallel_batch`` scheduler's process-pool fan-out.
+    :class:`Scheduler` instance.
     """
 
     def __init__(
@@ -91,7 +90,6 @@ class DynamicsEngine:
         collect_metrics: bool = True,
         seed: int | None = None,
         player_order: list[Node] | None = None,
-        workers: int | None = 1,
         sum_exhaustive_limit: int = SUM_EXHAUSTIVE_LIMIT,
         sum_restarts: int = 1,
         kernel_backend: str | KernelBackend | None = None,
@@ -184,7 +182,7 @@ class DynamicsEngine:
         self.scheduler = (
             scheduler
             if isinstance(scheduler, Scheduler)
-            else make_scheduler(scheduler, workers=workers)
+            else make_scheduler(scheduler)
         )
         self._responses: dict[Node, tuple[int, frozenset[Node], BestResponse]] = {}
         self._cover_contexts: dict[Node, tuple[int, MaxCoverContext]] = {}
@@ -234,18 +232,6 @@ class DynamicsEngine:
         if memo is not None and memo[0] == token and memo[1] == strategy:
             return memo[2]
         return None
-
-    def store_response(self, player: Node, response: BestResponse) -> None:
-        """Install an externally computed best response into the memo.
-
-        The response must have been evaluated against the player's *current*
-        view content and strategy (the parallel scheduler's worker fan-out
-        snapshots exactly that); the memo entry is keyed by the settled
-        token so later rounds can skip the player while nothing changes.
-        """
-        self.views.get(player)
-        token = self.views.token(player)
-        self._responses[player] = (token, self.state.strategy(player), response)
 
     def _cover_context(self, player: Node, token: int) -> MaxCoverContext | None:
         """Per-(player, view token) cache of the MaxNCG set-cover context.

@@ -10,8 +10,8 @@ The paper studies two activation policies — the deterministic round-robin
 * ``max_improvement`` — always activate the player with the largest
   currently available improvement (greedy steepest-descent dynamics);
 * ``parallel_batch`` — compute best responses for *all* players against the
-  round-start profile (optionally fanning out over a process pool) and
-  apply a maximal set of non-conflicting moves, a synchronous-update model.
+  round-start profile and apply a maximal set of non-conflicting moves, a
+  synchronous-update model.
 
 A scheduler owns the *intra-round* policy only; the engine keeps the
 round loop, cycle detection and bookkeeping, so every mode produces a
@@ -22,14 +22,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.core.best_response import BestResponse, best_response
-from repro.core.games import GameSpec
-from repro.core.strategies import StrategyProfile
+from repro.core.best_response import BestResponse
 from repro.graphs.graph import Node
-from repro.parallel.pool import parallel_map, resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.core import DynamicsEngine
@@ -159,43 +155,34 @@ class MaxImprovementScheduler(Scheduler):
         return changes
 
 
-def _snapshot_best_response(
-    player: Node, profile: StrategyProfile, game: GameSpec, solver: str
-) -> BestResponse:
-    """Module-level worker for the parallel fan-out (must be picklable)."""
-    return best_response(profile, player, game, solver=solver)
-
-
 class ParallelBatchScheduler(Scheduler):
     """Synchronous updates: batch-compute responses, apply non-conflicting ones.
 
-    All best responses are evaluated against the round-start profile —
-    independently, so the computation fans out over
-    :func:`repro.parallel.pool.parallel_map` when ``workers != 1``.  Moves
-    are then applied in decreasing-improvement order, skipping any player
-    whose view region was dirtied by an earlier application in the same
-    batch (her round-start response may be stale).  Skipped players simply
-    retry next round; a round with no applicable move is an equilibrium
-    certificate identical to the sequential case, because every response
-    was computed against the same profile nobody managed to change.
+    All best responses are evaluated against the round-start profile.
+    Moves are then applied in decreasing-improvement order, skipping any
+    player whose view region was dirtied by an earlier application in the
+    same batch (her round-start response may be stale).  Skipped players
+    simply retry next round; a round with no applicable move is an
+    equilibrium certificate identical to the sequential case, because
+    every response was computed against the same profile nobody managed
+    to change.
 
-    With ``dirty_only=True`` (the default) the fan-out is dirty-region
+    With ``dirty_only=True`` (the default) the batch is dirty-region
     aware: a player whose view content token *and* strategy are unchanged
     since her last evaluation still has a valid memoised best response — a
     pure function of exactly that pair — so only invalidated players are
-    shipped to the workers.  In quiet late rounds this shrinks the batch to
-    the handful of players around the previous round's moves, cutting the
-    serial snapshot/pickle fraction along with the solves; trajectories are
+    re-evaluated.  In quiet late rounds this shrinks the batch to the
+    handful of players around the previous round's moves; trajectories are
     identical to the round-start variant (``dirty_only=False``, the
-    pre-scaling behaviour) because the reused responses equal what a worker
-    would have recomputed.  ``evaluated_last_round`` / ``reused_last_round``
-    expose the split for tests and instrumentation.
+    reference the tests compare against) because the reused responses
+    equal what a re-evaluation would have computed.
+    ``evaluated_last_round`` / ``reused_last_round`` expose the split for
+    tests and instrumentation.
     """
 
     name = "parallel_batch"
 
-    def __init__(self, workers: int | None = 1, dirty_only: bool = True) -> None:
-        self.workers = workers
+    def __init__(self, dirty_only: bool = True) -> None:
         self.dirty_only = dirty_only
         #: Players whose best response was recomputed in the latest round.
         self.evaluated_last_round: list[Node] = []
@@ -205,8 +192,7 @@ class ParallelBatchScheduler(Scheduler):
     def run_round(self, engine: "DynamicsEngine", round_index: int) -> int:
         players = engine.base_order
         # Settle every dirty view in one blocked batched BFS up front: the
-        # memo validity test below needs settled tokens, and the workers'
-        # snapshot must reflect the current state anyway.
+        # memo validity test below needs settled tokens.
         engine.views.refresh_dirty()
         responses: dict[Node, BestResponse] = {}
         stale: list[Node] = []
@@ -222,24 +208,8 @@ class ParallelBatchScheduler(Scheduler):
         self.evaluated_last_round = list(stale)
         self.reused_last_round = [p for p in players if p in responses]
         engine._m_responses_reused.inc(len(self.reused_last_round))
-        if stale:
-            if resolve_workers(self.workers) == 1:
-                for player in stale:
-                    responses[player] = engine.peek_response(player)
-            else:
-                worker = partial(
-                    _snapshot_best_response,
-                    profile=engine.state.to_profile(),
-                    game=engine.game,
-                    solver=engine.solver,
-                )
-                for player, response in zip(
-                    stale, parallel_map(worker, stale, workers=self.workers)
-                ):
-                    responses[player] = response
-                    # Feed the memo so the next round's dirty test can skip
-                    # players this batch did not end up disturbing.
-                    engine.store_response(player, response)
+        for player in stale:
+            responses[player] = engine.peek_response(player)
         rank = {player: position for position, player in enumerate(players)}
         moves = [
             (player, responses[player])
@@ -267,7 +237,7 @@ SCHEDULERS: dict[str, type[Scheduler]] = {
 }
 
 
-def make_scheduler(name: str, workers: int | None = 1) -> Scheduler:
+def make_scheduler(name: str) -> Scheduler:
     """Instantiate a scheduler by registry name."""
     try:
         cls = SCHEDULERS[name]
@@ -275,6 +245,4 @@ def make_scheduler(name: str, workers: int | None = 1) -> Scheduler:
         raise ValueError(
             f"unknown scheduler {name!r}; available: {sorted(SCHEDULERS)}"
         ) from exc
-    if cls is ParallelBatchScheduler:
-        return ParallelBatchScheduler(workers=workers)
     return cls()

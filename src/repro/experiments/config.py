@@ -16,6 +16,7 @@ and seed counts, same structure) — selected by the benchmark/CLI layer.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "FULL_KNOWLEDGE_K",
     "SMOKE_NUM_SEEDS",
     "SweepSettings",
+    "resolve_workers",
 ]
 
 #: α grid of Section 5.1.
@@ -60,6 +62,19 @@ PAPER_NUM_SEEDS: int = 20
 SMOKE_NUM_SEEDS: int = 3
 
 
+def resolve_workers(workers: int | None) -> int:
+    """Translate a worker request into a concrete positive process count.
+
+    ``None`` and ``0`` mean "use every available core"; negative values are
+    rejected.  The result is always at least 1.
+    """
+    if workers is None or workers == 0:
+        return max(1, os.cpu_count() or 1)
+    if workers < 0:
+        raise ValueError("workers must be None or a non-negative integer")
+    return max(1, workers)
+
+
 @dataclass(frozen=True)
 class SweepSettings:
     """Execution settings shared by every figure/table harness.
@@ -75,7 +90,8 @@ class SweepSettings:
     max_rounds:
         Round cap of the dynamics (the paper's runs converge within ~8).
     workers:
-        Process count for the sweep (1 = serial).
+        Process count for the sweep (1 = serial; ``0`` = every core, see
+        :func:`resolve_workers`).
     base_seed:
         Offset applied to every per-instance seed so different studies use
         disjoint random streams.

@@ -22,7 +22,6 @@ from repro.core.dynamics import best_response_dynamics
 from repro.core.games import FULL_KNOWLEDGE, MaxNCG
 from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.graphs.generators.trees import random_owned_tree
-from repro.parallel.pool import parallel_map
 
 __all__ = ["AnatomyStudyConfig", "generate_anatomy_study"]
 
@@ -86,6 +85,8 @@ def _run_one(task: tuple[int, float, int, int, str, int]) -> dict:
 
 def generate_anatomy_study(config: AnatomyStudyConfig | None = None) -> list[dict]:
     """One aggregated row per (α, k) cell with the mean structural statistics."""
+    from repro.service.api import map_calls  # deferred: import cycle
+
     cfg = config if config is not None else AnatomyStudyConfig.paper()
     tasks = [
         (cfg.n, alpha, k, cfg.settings.base_seed + seed, cfg.settings.solver, cfg.settings.max_rounds)
@@ -93,7 +94,7 @@ def generate_anatomy_study(config: AnatomyStudyConfig | None = None) -> list[dic
         for k in cfg.ks
         for seed in range(cfg.settings.num_seeds)
     ]
-    raw = parallel_map(_run_one, tasks, workers=cfg.settings.workers)
+    raw = map_calls(_run_one, tasks, cfg.settings.workers)
 
     groups: dict[tuple, list[dict]] = {}
     for row in raw:

@@ -30,7 +30,6 @@ from repro.core.dynamics import best_response_dynamics
 from repro.core.games import FULL_KNOWLEDGE, MaxNCG, SumNCG
 from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.graphs.generators.trees import random_owned_tree
-from repro.parallel.pool import parallel_map
 
 __all__ = ["BeliefStudyConfig", "generate_belief_study", "BELIEF_FACTORIES"]
 
@@ -99,6 +98,8 @@ def _run_one(task: tuple[int, float, int, str, int, str, int, tuple[str, ...]]) 
 
 def generate_belief_study(config: BeliefStudyConfig | None = None) -> list[dict]:
     """One aggregated row per (belief, usage, α, k) cell."""
+    from repro.service.api import map_calls  # deferred: import cycle
+
     cfg = config if config is not None else BeliefStudyConfig.paper()
     unknown = set(cfg.beliefs) - set(BELIEF_FACTORIES)
     if unknown:
@@ -110,7 +111,7 @@ def generate_belief_study(config: BeliefStudyConfig | None = None) -> list[dict]
         for usage in cfg.usages
         for seed in range(cfg.settings.num_seeds)
     ]
-    nested = parallel_map(_run_one, tasks, workers=cfg.settings.workers)
+    nested = map_calls(_run_one, tasks, cfg.settings.workers)
     raw = [row for rows in nested for row in rows]
 
     groups: dict[tuple, list[dict]] = {}

@@ -20,7 +20,6 @@ from repro.core.dynamics import best_response_dynamics
 from repro.core.games import FULL_KNOWLEDGE, MaxNCG
 from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.experiments.extensions.instances import build_extension_instance
-from repro.parallel.pool import parallel_map
 
 __all__ = ["FamilyStudyConfig", "generate_family_study"]
 
@@ -95,6 +94,8 @@ def generate_family_study(config: FamilyStudyConfig | None = None) -> list[dict]
     Mirrors the statistics of Figures 6-10 so the per-family rows are
     directly comparable with the paper's tree / G(n, p) numbers.
     """
+    from repro.service.api import map_calls  # deferred: import cycle
+
     cfg = config if config is not None else FamilyStudyConfig.paper()
     tasks = [
         (family, cfg.n, alpha, k, cfg.settings.base_seed + seed, cfg.settings.solver, cfg.settings.max_rounds)
@@ -103,7 +104,7 @@ def generate_family_study(config: FamilyStudyConfig | None = None) -> list[dict]
         for k in cfg.ks
         for seed in range(cfg.settings.num_seeds)
     ]
-    raw = parallel_map(_run_one, tasks, workers=cfg.settings.workers)
+    raw = map_calls(_run_one, tasks, cfg.settings.workers)
 
     groups: dict[tuple, list[dict]] = {}
     for row in raw:

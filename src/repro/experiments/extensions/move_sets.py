@@ -20,7 +20,6 @@ from repro.core.games import FULL_KNOWLEDGE, MaxNCG
 from repro.core.swap import local_move_dynamics
 from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.graphs.generators.trees import random_owned_tree
-from repro.parallel.pool import parallel_map
 
 __all__ = ["MoveSetStudyConfig", "generate_move_set_study"]
 
@@ -86,6 +85,8 @@ def _run_one(task: tuple[str, int, float, int, int, str, int]) -> dict:
 
 def generate_move_set_study(config: MoveSetStudyConfig | None = None) -> list[dict]:
     """One aggregated row per (move set, α, k) cell."""
+    from repro.service.api import map_calls  # deferred: import cycle
+
     cfg = config if config is not None else MoveSetStudyConfig.paper()
     unknown = set(cfg.move_sets) - set(MOVE_SETS)
     if unknown:
@@ -97,7 +98,7 @@ def generate_move_set_study(config: MoveSetStudyConfig | None = None) -> list[di
         for k in cfg.ks
         for seed in range(cfg.settings.num_seeds)
     ]
-    raw = parallel_map(_run_one, tasks, workers=cfg.settings.workers)
+    raw = map_calls(_run_one, tasks, cfg.settings.workers)
 
     groups: dict[tuple, list[dict]] = {}
     for row in raw:

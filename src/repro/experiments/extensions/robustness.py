@@ -92,13 +92,12 @@ from repro.core.games import FULL_KNOWLEDGE, GameSpec, MaxNCG, SumNCG
 from repro.core.metrics import compute_profile_metrics
 from repro.core.strategies import StrategyProfile
 from repro.engine.core import DynamicsEngine
-from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
+from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings, resolve_workers
 from repro.experiments.extensions.instances import build_extension_instance
 from repro.experiments.store import ExperimentStore
 from repro.graphs.algorithms import betweenness_centrality, bridges
 from repro.graphs.graph import Node
 from repro.graphs.traversal import bfs_distances_within, connected_components
-from repro.parallel.pool import resolve_workers
 
 __all__ = [
     "ShockRecord",

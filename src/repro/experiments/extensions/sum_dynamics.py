@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 from repro.analysis.statistics import summarize
 from repro.core.dynamics import best_response_dynamics
 from repro.core.games import FULL_KNOWLEDGE, SumNCG
-from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
+from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings, resolve_workers
 from repro.graphs.generators.trees import random_owned_tree
-from repro.parallel.pool import resolve_workers
 
 __all__ = ["SumDynamicsConfig", "run_sum_task", "generate_sum_dynamics"]
 

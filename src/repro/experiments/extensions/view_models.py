@@ -27,7 +27,6 @@ from repro.discovery.analysis import view_size_statistics, improving_players_und
 from repro.discovery.models import KNeighborhoodModel, TracerouteModel, UnionOfBallsModel
 from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.graphs.generators.trees import random_owned_tree
-from repro.parallel.pool import parallel_map
 
 __all__ = ["ViewModelStudyConfig", "generate_view_model_study"]
 
@@ -97,6 +96,8 @@ def _run_one(task: tuple[int, float, int, int, str, int]) -> list[dict]:
 
 def generate_view_model_study(config: ViewModelStudyConfig | None = None) -> list[dict]:
     """One aggregated row per (model, α, k) cell."""
+    from repro.service.api import map_calls  # deferred: import cycle
+
     cfg = config if config is not None else ViewModelStudyConfig.paper()
     tasks = [
         (cfg.n, alpha, k, cfg.settings.base_seed + seed, cfg.settings.solver, cfg.settings.max_rounds)
@@ -104,7 +105,7 @@ def generate_view_model_study(config: ViewModelStudyConfig | None = None) -> lis
         for k in cfg.ks
         for seed in range(cfg.settings.num_seeds)
     ]
-    nested = parallel_map(_run_one, tasks, workers=cfg.settings.workers)
+    nested = map_calls(_run_one, tasks, cfg.settings.workers)
     raw = [row for rows in nested for row in rows]
 
     groups: dict[tuple, list[dict]] = {}

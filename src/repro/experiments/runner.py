@@ -3,8 +3,9 @@
 A :class:`RunSpec` fully describes one independent simulation: the instance
 family (random tree or Erdős–Rényi graph), its size/parameter/seed, the game
 parameters (α, k) and the execution options.  Because it is a frozen,
-picklable dataclass, sweeps distribute naturally over a process pool; the
-per-spec seed makes every run reproducible in isolation.
+picklable dataclass, sweeps distribute naturally over the sweep service's
+worker processes (:mod:`repro.service`); the per-spec seed makes every run
+reproducible in isolation.
 
 Every run executes on the incremental :class:`repro.engine.DynamicsEngine`
 (via :func:`repro.core.dynamics.best_response_dynamics`), so all
@@ -27,11 +28,10 @@ from repro.core.cost_models import resolve_cost_model
 from repro.core.dynamics import best_response_dynamics
 from repro.core.games import FULL_KNOWLEDGE, GameSpec, MaxNCG, SumNCG
 from repro.core.metrics import ProfileMetrics
-from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
+from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings, resolve_workers
 from repro.graphs.generators.base import OwnedGraph
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.trees import random_owned_tree
-from repro.parallel.pool import resolve_workers
 
 __all__ = [
     "RunSpec",
@@ -204,7 +204,6 @@ def run_sweep(
     settings: SweepSettings | None = None,
     journal: str | None = None,
     resume: bool = False,
-    steal: bool = True,
     telemetry: bool = False,
 ) -> list[RunResult]:
     """Run many independent specs, optionally across processes.
@@ -232,7 +231,6 @@ def run_sweep(
                 journal_dir=journal,
                 experiment="sweep",
                 resume=resume,
-                steal=steal,
                 telemetry=telemetry,
             ),
         )

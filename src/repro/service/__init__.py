@@ -1,12 +1,13 @@
 """Sweep orchestration service (see ROADMAP "Service layer").
 
 Compiles any sweep — :class:`~repro.experiments.runner.RunSpec` grids,
-robustness operator chains, SumNCG grids — into instance-affine task
-shards, executes them on persistent warm-engine workers (live
-:class:`~repro.engine.DynamicsEngine` sessions, shared-memory instances),
-journals every completed task crash-safely and resumes interrupted sweeps
-with the identical row set.  Entry points: :func:`repro.service.api.
-orchestrate` and the ``python -m repro sweep`` CLI.
+robustness operator chains, SumNCG grids, plain ``func(item)`` maps —
+into instance-affine task shards, executes them on persistent warm-engine
+workers (live :class:`~repro.engine.DynamicsEngine` sessions,
+shared-memory instances), journals every completed task crash-safely and
+resumes interrupted sweeps with the identical row set.  Entry points:
+:func:`repro.service.api.orchestrate` and the ``python -m repro sweep``
+CLI.
 
 The served layer on top (``python -m repro serve``): a persistent daemon
 (:mod:`repro.service.daemon`) with a multi-tenant job queue

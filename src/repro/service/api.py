@@ -1,19 +1,21 @@
 """The sweep orchestration service: compile → shard → execute → journal.
 
-:func:`orchestrate` is the one funnel every sweep entry point routes
-through when it wants more than the throwaway serial pool: warm
-instance-affine workers (:mod:`repro.service.workers`), a crash-safe
-resumable journal (:mod:`repro.service.journal`), and — regardless of
-worker count, shard assignment or completion order — results that are
-bit-identical to the serial path, reassembled in canonical task order.
+:func:`orchestrate` is the one funnel every multi-process sweep routes
+through: warm instance-affine workers (:mod:`repro.service.workers`), a
+crash-safe resumable journal (:mod:`repro.service.journal`), and —
+regardless of worker count, shard assignment or completion order —
+results that are bit-identical to the serial path, reassembled in
+canonical task order.
 
-Three thin wrappers adapt the repository's sweep shapes:
+Four thin wrappers adapt the repository's sweep shapes:
 
 * :func:`run_spec_sweep` — ``experiments.runner.run_sweep`` grids;
 * :func:`sum_sweep` — the SumNCG study's per-run rows;
 * :func:`robustness_sweep` — per-(instance cell, operator) shock chains
   sharing warm base engines, plus the base-equilibrium checkpoint
-  document.
+  document;
+* :func:`map_calls` — ``[func(item) for item in items]`` on ``workers``
+  processes, the extension studies' fan-out.
 
 CLI: ``python -m repro sweep --workers W --journal DIR [--resume]``.
 """
@@ -24,11 +26,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.experiments.config import resolve_workers
 from repro.obs import Telemetry
-from repro.parallel.pool import resolve_workers
 from repro.service.journal import SweepJournal
 from repro.service.tasks import (
     SweepTask,
+    compile_calls,
     compile_robustness_tasks,
     compile_run_specs,
     compile_sum_tasks,
@@ -51,6 +54,7 @@ __all__ = [
     "run_spec_sweep",
     "sum_sweep",
     "robustness_sweep",
+    "map_calls",
 ]
 
 
@@ -75,11 +79,10 @@ class ServiceConfig:
     or :func:`~repro.kernels.set_default_backend`), and backends are
     bit-identical, so journals and results never depend on it.
 
-    ``steal=True`` (the default) lets idle workers steal whole pending
-    instance-groups from stragglers through the
-    :class:`~repro.service.tasks.AffinityTaskQueue`; ``steal=False`` pins
-    every group to its static shard.  Rows are bit-identical either way —
-    only the makespan moves.
+    A multi-worker pool dispatches through the
+    :class:`~repro.service.tasks.AffinityTaskQueue`: idle workers steal
+    whole pending instance-groups from stragglers.  Rows never depend on
+    the dispatch — only the makespan does.
 
     ``telemetry=True`` runs every task under trace spans (engine rounds,
     best responses, view refreshes, kernel calls) and journals one
@@ -98,7 +101,6 @@ class ServiceConfig:
     min_shared_nodes: int = SHARED_INSTANCE_MIN_NODES
     in_process: bool = False
     shard_seed: int | None = None
-    steal: bool = True
     telemetry: bool = False
 
 
@@ -191,7 +193,6 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
                 pool = PersistentWorkerPool(
                     workers=workers,
                     shared_refs=shared.refs,
-                    steal=config.steal,
                     telemetry=config.telemetry,
                 )
                 try:
@@ -215,7 +216,7 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
 # Sweep-shaped wrappers
 # ----------------------------------------------------------------------
 def run_spec_sweep(specs: list, config: ServiceConfig) -> list:
-    """Orchestrated equivalent of ``parallel_map(run_single, specs)``."""
+    """Orchestrated equivalent of ``[run_single(spec) for spec in specs]``."""
     return orchestrate(compile_run_specs(list(specs)), config)
 
 
@@ -239,3 +240,13 @@ def robustness_sweep(
     rows = [row for task_rows, _ in results for row in task_rows]
     checkpoint_document = results[0][1] if results else None
     return rows, checkpoint_document
+
+
+def map_calls(func, items, workers: int | None = 1) -> list:
+    """``[func(item) for item in items]``, run on ``workers`` processes.
+
+    ``func`` must be a module-level function and every item and result
+    picklable.  Output is in input order; nothing is journaled; a raising
+    ``func`` makes the call raise.
+    """
+    return orchestrate(compile_calls(func, list(items)), ServiceConfig(workers=workers))

@@ -68,8 +68,6 @@ class DaemonConfig:
     :class:`WorkerRuntime` whose caches stay warm across jobs too — the
     deterministic executor most tests use.  Results are bit-identical
     either way.
-    ``steal=False`` pins the pool's dispatch to static affinity shards
-    (rows are bit-identical either way; only the makespan moves).
     ``telemetry=True`` traces every executed task and journals one
     additive telemetry summary record per result (``python -m repro
     trace`` renders them); rows stay bit-identical.
@@ -83,7 +81,6 @@ class DaemonConfig:
     port: int = 0
     queue_size: int = 16
     in_process: bool = False
-    steal: bool = True
     telemetry: bool = False
 
 
@@ -111,9 +108,7 @@ class ServiceDaemon:
             )
         else:
             self.executor = PersistentWorkerPool(
-                workers=config.workers,
-                steal=config.steal,
-                telemetry=config.telemetry,
+                workers=config.workers, telemetry=config.telemetry
             )
         self.port: int | None = None
         self._loop: asyncio.AbstractEventLoop | None = None

@@ -3,8 +3,9 @@
 Every sweep entry point of the repository — :func:`repro.experiments.runner.
 run_sweep` over :class:`~repro.experiments.runner.RunSpec` grids, the
 robustness suite's operator x family x shock chains, the SumNCG study's
-(n, α, k, seed) grid — reduces to the same shape: a flat list of
-independent, picklable work items.  This module compiles each of them into
+(n, α, k, seed) grid, the extension studies' plain ``func(item)`` runs —
+reduces to the same shape: a flat list of independent, picklable work
+items.  This module compiles each of them into
 :class:`SweepTask` records carrying three identities:
 
 ``instance_key``
@@ -51,6 +52,7 @@ __all__ = [
     "compile_run_specs",
     "compile_sum_tasks",
     "compile_robustness_tasks",
+    "compile_calls",
     "sweep_hash",
     "shard_tasks",
     "group_weight",
@@ -99,7 +101,7 @@ class SweepTask:
     tasks were sharded or which worker finished first.
     """
 
-    kind: str  #: "run_spec" | "sum" | "robustness"
+    kind: str  #: "run_spec" | "sum" | "robustness" | "call"
     index: int
     instance_key: str
     session_key: str
@@ -192,7 +194,7 @@ def compile_robustness_tasks(config) -> list[SweepTask]:
             alpha,
             k,
             seed,
-            game.label(),
+            game,
             cfg.settings.solver,
             cfg.settings.max_rounds,
         )
@@ -220,11 +222,35 @@ def compile_robustness_tasks(config) -> list[SweepTask]:
                     session_key=session,
                     payload=payload,
                     spec_hash=content_hash(
-                        "robustness", payload[:10], game.label(), payload[11]
+                        "robustness", payload[:10], game, payload[11]
                     ),
                 )
             )
             index += 1
+    return tasks
+
+
+def compile_calls(func, items) -> list[SweepTask]:
+    """One ``"call"`` task per item; executing it returns ``func(item)``.
+
+    ``func`` is pickled by name, so it must be a module-level function.
+    Calls share no instance or session: a call's identity (function name
+    plus item) is also its one-task affinity group.
+    """
+    name = f"{func.__module__}.{func.__qualname__}"
+    tasks: list[SweepTask] = []
+    for index, item in enumerate(items):
+        key = content_hash("call", name, item)
+        tasks.append(
+            SweepTask(
+                kind="call",
+                index=index,
+                instance_key=key,
+                session_key="",
+                payload=(func, item),
+                spec_hash=key,
+            )
+        )
     return tasks
 
 
@@ -285,10 +311,10 @@ def shard_tasks(
     by ``index`` — ``order_seed`` deterministically shuffles the assignment
     order, which the equivalence tests use to prove exactly that.
 
-    This static split remains the execution plan for ``workers=1``,
-    in-process sweeps and ``--no-steal`` runs; the work-stealing path uses
-    the same grouping/assignment as soft affinity *hints* via
-    :class:`AffinityTaskQueue`.
+    This static split is the execution plan for ``workers=1`` and
+    in-process sweeps; the process pool uses the same grouping/assignment
+    as soft affinity *hints* via :class:`AffinityTaskQueue`, whose
+    ``steal=False`` mode reproduces these shards exactly.
     """
     if not tasks:
         return []
@@ -466,6 +492,8 @@ def instance_size(task: SweepTask) -> int:
         return task.payload[0]
     if task.kind == "robustness":
         return task.payload[1]
+    if task.kind == "call":
+        return 1
     raise ValueError(f"unknown task kind {task.kind!r}")
 
 
@@ -573,6 +601,8 @@ def encode_result(task: SweepTask, result) -> Any:
     if task.kind == "robustness":
         rows, base_document = result
         return {"rows": [_jsonify_row(row) for row in rows], "base": base_document}
+    if task.kind == "call":
+        return result
     raise ValueError(f"unknown task kind {task.kind!r}")
 
 
@@ -613,4 +643,6 @@ def decode_result(kind: str, payload: Any):
         return _parse_row(payload)
     if kind == "robustness":
         return ([_parse_row(row) for row in payload["rows"]], payload["base"])
+    if kind == "call":
+        return payload
     raise ValueError(f"unknown task kind {kind!r}")

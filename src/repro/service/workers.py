@@ -1,10 +1,9 @@
 """Warm sweep workers: engine sessions, instance caches, shared memory.
 
-The throwaway :func:`repro.parallel.pool.parallel_map` pool re-creates the
-whole world per task: the instance is regenerated (or pickled over), the
-engine is rebuilt, and for robustness chains the pre-shock base dynamics is
-re-converged — exactly the state the incremental engine exists to keep
-alive.  This module is the stateful replacement:
+A throwaway process pool would re-create the whole world per task: the
+instance regenerated (or pickled over), the engine rebuilt, and for
+robustness chains the pre-shock base dynamics re-converged — exactly the
+state the incremental engine exists to keep alive.  This module keeps it:
 
 * :class:`WorkerRuntime` executes :class:`~repro.service.tasks.SweepTask`s
   while holding two small LRUs — initial instances keyed by
@@ -30,6 +29,8 @@ on_result, should_abort=None, on_telemetry=None)``, ``stop()`` — so the
 orchestrator and the daemon pick one and never care which: a
 :class:`WorkerRuntime` runs its tasks serially in the calling process
 (its ``start``/``stop`` do nothing), the pool runs them in its processes.
+They are the repository's only way to fan work out: plain ``func(item)``
+maps (the extension studies) ride them as ``"call"`` tasks.
 
 Execution through a runtime is bit-identical to the serial paths: tasks
 are self-contained, warm engine reuse is the same ``restore_profile`` +
@@ -52,6 +53,7 @@ import numpy as np
 
 from repro.core.strategies import StrategyProfile
 from repro.engine.views import ViewStore
+from repro.experiments.config import resolve_workers
 from repro.obs import Telemetry, get_telemetry, set_telemetry
 from repro.service.tasks import (
     AffinityTaskQueue,
@@ -300,6 +302,9 @@ class WorkerRuntime:
             )
         if task.kind == "robustness":
             return self._execute_robustness(task)
+        if task.kind == "call":
+            func, item = task.payload
+            return func(item)
         raise ValueError(f"unknown task kind {task.kind!r}")
 
     def _execute_robustness(self, task: SweepTask):
@@ -500,17 +505,10 @@ class PersistentWorkerPool:
         self,
         workers: int | None = 1,
         shared_refs: dict[str, SharedInstanceRef] | None = None,
-        steal: bool = True,
         telemetry: bool = False,
     ) -> None:
-        from repro.parallel.pool import resolve_workers
-
         self.workers = resolve_workers(workers)
         self.shared_refs = dict(shared_refs or {})
-        #: Work-stealing toggle: ``False`` pins dispatch to the static
-        #: affinity shards (the pre-stealing behaviour, and the CLI's
-        #: ``--no-steal``); rows are bit-identical either way.
-        self.steal = steal
         #: When True every worker traces its tasks and streams back a
         #: telemetry summary per result (rows stay bit-identical; only the
         #: :data:`~repro.service.tasks.TIMING_FIELDS`-masked fields differ).
@@ -575,7 +573,7 @@ class PersistentWorkerPool:
         index).  Dispatch goes through an :class:`~repro.service.tasks.
         AffinityTaskQueue`: each worker drains its soft-affinity groups in
         order and, when it runs dry, steals the oldest pending group from
-        the most-loaded sibling (``steal=False`` pins the static shards).
+        the most-loaded sibling.
         The one-task window per worker is preserved — a worker only
         receives its next task after returning the previous one — which
         keeps cancellation prompt and lets the queue route around
@@ -599,9 +597,7 @@ class PersistentWorkerPool:
         if not tasks or (should_abort is not None and should_abort()):
             return
         self.start()
-        queue = AffinityTaskQueue(
-            list(tasks), self.workers, steal=self.steal, order_seed=order_seed
-        )
+        queue = AffinityTaskQueue(list(tasks), self.workers, order_seed=order_seed)
         tracer = get_telemetry().tracer
         inflight_spans: dict[int, object] = {}
         busy = [False] * self.workers

@@ -108,19 +108,6 @@ class TestConvergence:
 
 
 class TestParallelBatch:
-    def test_serial_and_parallel_agree(self):
-        game = MaxNCG(0.5, k=2)
-        owned = random_owned_tree(10, seed=9)
-        serial = best_response_dynamics(
-            owned, game, ordering="parallel_batch", workers=1
-        )
-        parallel = best_response_dynamics(
-            owned, game, ordering="parallel_batch", workers=2
-        )
-        assert serial.final_profile == parallel.final_profile
-        assert serial.rounds == parallel.rounds
-        assert serial.total_changes == parallel.total_changes
-
     def test_batch_moves_do_not_conflict(self):
         # On a star, every leaf's best response touches the centre: at most
         # one leaf move per batch may be applied.
@@ -128,7 +115,7 @@ class TestParallelBatch:
 
         game = MaxNCG(0.5, k=2)
         engine = DynamicsEngine(
-            owned_star(8), game, scheduler=ParallelBatchScheduler(workers=1)
+            owned_star(8), game, scheduler=ParallelBatchScheduler()
         )
         result = engine.run()
         assert result.converged
@@ -139,10 +126,10 @@ class TestParallelBatch:
         for seed in (4, 7):
             owned = random_owned_tree(24, seed=seed)
             dirty = DynamicsEngine(
-                owned, game, scheduler=ParallelBatchScheduler(workers=1, dirty_only=True)
+                owned, game, scheduler=ParallelBatchScheduler(dirty_only=True)
             ).run()
             legacy = DynamicsEngine(
-                owned, game, scheduler=ParallelBatchScheduler(workers=1, dirty_only=False)
+                owned, game, scheduler=ParallelBatchScheduler(dirty_only=False)
             ).run()
             assert dirty.final_profile == legacy.final_profile
             assert dirty.rounds == legacy.rounds
@@ -152,7 +139,7 @@ class TestParallelBatch:
 
     def test_dirty_aware_skips_clean_players_without_reevaluating(self):
         game = MaxNCG(0.5, k=2)
-        scheduler = ParallelBatchScheduler(workers=1, dirty_only=True)
+        scheduler = ParallelBatchScheduler(dirty_only=True)
         engine = DynamicsEngine(
             random_owned_tree(24, seed=4), game, scheduler=scheduler
         )

@@ -101,6 +101,23 @@ class TestSweepCommand:
         assert args.workers == 2
         assert args.journal is None and not args.resume
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["families", "--smoke"],
+            ["ablation", "--study", "ordering"],
+            ["robustness", "--smoke"],
+            ["sweep", "--smoke"],
+            ["serve", "--store", "unused"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_workers_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--workers", "-1"])
+        assert exit_info.value.code == 2
+        assert "--workers: must be >= 0" in capsys.readouterr().err
+
     def test_resume_requires_journal(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--smoke", "--resume", "--quiet"])

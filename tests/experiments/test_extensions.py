@@ -51,6 +51,23 @@ class TestExtensionInstances:
             build_extension_instance("tree", 3, seed=0)
 
 
+@pytest.mark.parametrize(
+    "config_cls, generate",
+    [
+        (FamilyStudyConfig, generate_family_study),
+        (MoveSetStudyConfig, generate_move_set_study),
+        (ViewModelStudyConfig, generate_view_model_study),
+        (BeliefStudyConfig, generate_belief_study),
+        (AnatomyStudyConfig, generate_anatomy_study),
+    ],
+    ids=lambda value: getattr(value, "__name__", ""),
+)
+def test_study_rows_do_not_depend_on_the_worker_count(config_cls, generate):
+    assert generate(config_cls.smoke(workers=2)) == generate(
+        config_cls.smoke(workers=1)
+    )
+
+
 class TestFamilyStudy:
     def test_smoke_rows_structure(self):
         rows = generate_family_study(FamilyStudyConfig.smoke())

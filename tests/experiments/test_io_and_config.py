@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.experiments.config import (
     PAPER_NUM_SEEDS,
     PAPER_TREE_SIZES,
     SweepSettings,
+    resolve_workers,
 )
 from repro.experiments.io import format_table, rows_to_columns, write_csv, write_json
 
@@ -54,6 +56,20 @@ class TestPaperGrids:
             len(PAPER_TREE_SIZES) + len(PAPER_GNP_PARAMETERS)
         ) * PAPER_NUM_SEEDS
         assert 30_000 <= total <= 50_000
+
+
+class TestResolveWorkers:
+    def test_none_and_zero_mean_all_cores(self):
+        cores = max(1, os.cpu_count() or 1)
+        assert resolve_workers(None) == cores
+        assert resolve_workers(0) == cores
+
+    def test_explicit_value(self):
+        assert resolve_workers(3) == 3
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            resolve_workers(-2)
 
 
 class TestIo:

@@ -30,12 +30,14 @@ from repro.experiments.runner import RunSpec, run_single, run_sweep
 from repro.graphs.generators.trees import random_owned_tree
 from repro.service.api import (
     ServiceConfig,
+    map_calls,
     orchestrate,
     robustness_sweep,
     run_spec_sweep,
     sum_sweep,
 )
 from repro.service.tasks import (
+    compile_calls,
     compile_robustness_tasks,
     compile_run_specs,
     decode_result,
@@ -96,6 +98,24 @@ class TestCompilationAndSharding:
         # Exactly one emit_base task per cell, the first operator.
         for ops in cells.values():
             assert [task.payload[11] for task in ops] == [True, False]
+
+    def test_robustness_identities_keep_the_exact_penalty(self):
+        # The game label formats beta to 6 significant digits; two grids
+        # differing beyond that must still get distinct task identities,
+        # or the cache, --resume and warm sessions would mix them up.
+        def compiled(beta):
+            cfg = RobustnessStudyConfig.smoke().with_cost_model(
+                "tolerant", penalty_beta=beta
+            )
+            return compile_robustness_tasks(cfg)
+
+        first, second = compiled(3.0000001), compiled(3.0000002)
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert a.spec_hash != b.spec_hash
+            assert a.session_key != b.session_key
+        assert sweep_hash(first) != sweep_hash(second)
+        assert [t.spec_hash for t in first] == [t.spec_hash for t in compiled(3.0000001)]
 
     def test_shards_preserve_instance_affinity(self):
         tasks = compile_run_specs(_specs(num_seeds=3))
@@ -225,6 +245,27 @@ class TestOrchestratedEquivalence:
             run_spec_sweep(bad * 2, ServiceConfig(workers=2))
 
 
+def _square(x: int) -> int:
+    return x * x
+
+
+def _fail(x: int) -> int:
+    raise RuntimeError(f"boom {x}")
+
+
+def _run_calls(executor, func, items) -> list:
+    """``"call"`` tasks through one executor, reassembled by index."""
+    tasks = compile_calls(func, items)
+    results = {}
+    executor.run_tasks(
+        tasks,
+        lambda index, spec_hash, kind, payload: results.__setitem__(
+            index, decode_result(kind, payload)
+        ),
+    )
+    return [results[task.index] for task in tasks]
+
+
 @pytest.fixture(params=["runtime", "pool"])
 def executor(request):
     """Each executor of the service, started (and stopped afterwards)."""
@@ -271,6 +312,43 @@ class TestExecutorContract:
             executor.run_tasks(
                 compile_run_specs([bad]), lambda index, spec_hash, kind, payload: None
             )
+
+    @pytest.mark.parametrize(
+        "items",
+        [[], [5], list(range(20)), [3, 1, 3, 3]],
+        ids=["empty", "single", "twenty", "duplicates"],
+    )
+    def test_call_tasks_return_func_of_each_item_in_input_order(
+        self, executor, items
+    ):
+        assert _run_calls(executor, _square, items) == [_square(x) for x in items]
+
+    def test_raising_call_raises(self, executor):
+        with pytest.raises(RuntimeError, match="boom"):
+            _run_calls(executor, _fail, [1, 2, 3])
+
+
+class TestMapCalls:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_map_calls_equals_the_serial_comprehension(self, workers):
+        assert map_calls(_square, [], workers) == []
+        assert map_calls(_square, [5], workers) == [25]
+        # Duplicates share one identity and execute once, but every
+        # occurrence still gets its own row.
+        items = [4, *range(12), 4, 4]
+        assert map_calls(_square, items, workers) == [_square(x) for x in items]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_func_raises(self, workers):
+        with pytest.raises(RuntimeError, match="boom"):
+            map_calls(_fail, [1, 2, 3], workers)
+
+    def test_call_identity_names_the_function_and_the_item(self):
+        first, again, other = compile_calls(_square, [1, 1, 2])
+        assert first.spec_hash == again.spec_hash != other.spec_hash
+        assert first.instance_key == first.spec_hash
+        assert first.session_key == ""
+        assert compile_calls(_fail, [1])[0].spec_hash != first.spec_hash
 
 
 class TestPersistentPoolFailures:

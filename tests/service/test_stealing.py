@@ -234,6 +234,6 @@ class TestRealPoolStealing:
         serial = [run_single(spec) for spec in specs]
         results = orchestrate(
             compile_run_specs(specs),
-            ServiceConfig(workers=3, steal=True),
+            ServiceConfig(workers=3),
         )
         assert results == serial
