@@ -3,8 +3,9 @@
 The ablations quantify the sensitivity of the experimental conclusions to
 the three protocol choices the paper fixes (exact solver, round-robin order,
 fair-coin initial ownership).  The micro-benchmarks time the primitives that
-dominate the sweep runtime — view extraction, the dominating-set reduction
-and one full dynamics run — and are the numbers to watch when optimising.
+dominate the sweep runtime — view extraction, the exact best response (the
+dominating-set reduction) and one full dynamics run — and are the numbers
+to watch when optimising.
 """
 
 from conftest import run_once
@@ -23,7 +24,6 @@ from repro.experiments.ablations import (
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.trees import random_owned_tree
 from repro.graphs.traversal import distance_matrix
-from repro.solvers.dominating_set import minimum_dominating_set
 
 
 class TestAblations:
@@ -66,11 +66,6 @@ class TestPrimitives:
         game = MaxNCG(2.0, k=4)
         response = benchmark(best_response_max, profile, 0, game, "milp")
         assert response.view_cost <= response.current_view_cost + 1e-9
-
-    def test_bench_minimum_dominating_set(self, benchmark):
-        owned = owned_connected_gnp_graph(60, 0.08, seed=3)
-        chosen, result = benchmark(minimum_dominating_set, owned.graph, 1, (), "milp")
-        assert result.feasible
 
     def test_bench_full_dynamics_run(self, benchmark):
         owned = random_owned_tree(50, seed=4)

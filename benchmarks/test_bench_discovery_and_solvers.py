@@ -1,20 +1,16 @@
-"""Micro-benchmarks for the discovery view models and the facility solvers.
+"""Micro-benchmarks for the discovery view models and graph primitives.
 
 These are the primitives the extension studies lean on: building a
-traceroute / union-of-balls view for every player, and the k-center /
-k-median heuristics used to sanity-check player purchases.  The assertions
-pin the structural guarantees (traceroute reveals every node, greedy
-k-center is a 2-approximation) rather than absolute runtimes.
+traceroute / union-of-balls view for every player, bridges and betweenness.
+The assertions pin the structural guarantees (traceroute reveals every
+node, every tree edge is a bridge) rather than absolute runtimes.
 """
-
-from conftest import run_once
 
 from repro.core.strategies import StrategyProfile
 from repro.discovery.models import TracerouteModel, UnionOfBallsModel
 from repro.graphs.algorithms import betweenness_centrality, bridges
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.trees import random_owned_tree
-from repro.solvers.facility import exact_k_center, greedy_k_center, greedy_k_median
 
 
 class TestDiscoveryViews:
@@ -37,30 +33,6 @@ class TestDiscoveryViews:
 
         sizes = benchmark(observe_all)
         assert min(sizes) >= 3
-
-
-class TestFacilitySolvers:
-    def test_bench_greedy_k_center(self, benchmark):
-        owned = owned_connected_gnp_graph(120, 0.05, seed=3)
-        result = benchmark(greedy_k_center, 4, owned.graph)
-        assert len(result.centers) == 4
-
-    def test_bench_greedy_k_center_approximation_quality(self, benchmark, emit_rows):
-        owned = random_owned_tree(18, seed=4)
-
-        def compare():
-            greedy = greedy_k_center(2, graph=owned.graph)
-            exact = exact_k_center(2, graph=owned.graph)
-            return {"greedy": greedy.objective, "exact": exact.objective}
-
-        row = run_once(benchmark, compare)
-        emit_rows([row], "facility_k_center", title="Greedy vs exact 2-center on a random tree")
-        assert row["greedy"] <= 2 * row["exact"] + 1e-9
-
-    def test_bench_greedy_k_median(self, benchmark):
-        owned = owned_connected_gnp_graph(120, 0.05, seed=5)
-        result = benchmark(greedy_k_median, 4, owned.graph)
-        assert len(result.centers) == 4
 
 
 class TestGraphPrimitives:

@@ -34,11 +34,11 @@ from repro.core.games import MaxNCG
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.smallworld import owned_barabasi_albert
 from repro.graphs.traversal import (
-    UNREACHABLE,
     batched_bfs_distances,
     reduce_bfs_distances,
 )
 from repro.kernels import available_backends, get_backend
+from repro.kernels.common import UNREACHABLE
 from repro.solvers.set_cover import SetCoverInstance, branch_and_bound_set_cover
 
 

@@ -56,8 +56,9 @@ from repro.core.games import GameSpec, UsageKind
 from repro.core.strategies import StrategyProfile
 from repro.core.views import View, extract_view
 from repro.graphs.graph import Node
-from repro.graphs.traversal import UNREACHABLE, distance_matrix
+from repro.graphs.traversal import distance_matrix
 from repro.kernels import KernelBackend
+from repro.kernels.common import UNREACHABLE
 from repro.solvers.set_cover import (
     WARM_START_SOLVERS,
     SetCoverInstance,
@@ -163,10 +164,8 @@ class MaxCoverContext:
     Everything the ``h`` loop of :func:`best_response_max` derives from the
     view *content* alone — the reduced-view distance matrix, its node order
     and the forced (other-endpoint buyer) candidate indices.  It is
-    independent of the player's own current strategy, so the engine caches
-    one context per (player, view token) and reuses it across activations:
-    a player re-activated with an unchanged neighbourhood but a different
-    strategy skips the ``without_node`` copy and the all-pairs BFS entirely.
+    independent of the player's own current strategy.  The engine builds
+    one per memo miss through :func:`max_cover_context` and injects it.
     """
 
     order: list[Node]
@@ -301,8 +300,8 @@ def best_response_max(
     view is the whole network and the result is a classical best response.
 
     ``cover_context`` optionally injects a pre-built
-    :class:`MaxCoverContext` (the engine's per-view-token cache); it must
-    describe exactly ``view``'s content.  ``warm_start=True`` seeds each
+    :class:`MaxCoverContext` (built by the engine on each memo miss); it
+    must describe exactly ``view``'s content.  ``warm_start=True`` seeds each
     eccentricity guess's set-cover solve with the previous guess's
     solution — coverage ``dist <= h - 1`` grows monotonically in ``h``, so
     the old cover stays feasible and becomes the incumbent that prunes the
@@ -685,7 +684,7 @@ def best_response(
     per-call view extraction (the incremental engine's cached path); the
     result is identical to the extract-from-profile path for equal view
     content.  ``cover_context`` is forwarded to :func:`best_response_max`
-    (MaxNCG only) to skip rebuilding the reduced-view distance structure.
+    (MaxNCG only), which then uses it instead of building its own.
     ``sum_restarts`` is forwarded to
     :func:`best_response_sum_local_search` on the heuristic (above-limit)
     SumNCG path only: extra deterministic multi-seed climbs that can only

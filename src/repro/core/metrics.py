@@ -20,7 +20,7 @@ from repro.core.cost_models import STRICT, CostModel
 from repro.core.games import FULL_KNOWLEDGE, GameSpec, UsageKind
 from repro.core.social import social_optimum
 from repro.core.strategies import StrategyProfile
-from repro.graphs.traversal import UNREACHABLE, reduce_bfs_distances
+from repro.graphs.traversal import reduce_bfs_distances
 from repro.kernels import KernelBackend
 
 __all__ = ["ProfileMetrics", "DistanceStatsAccumulator", "compute_profile_metrics"]
@@ -60,16 +60,15 @@ class ProfileMetrics:
 
 
 class DistanceStatsAccumulator:
-    """Fold blocked BFS rows into the per-source statistics the metrics need.
+    """The per-source statistics the metrics need, from one fused BFS sweep.
 
-    One instance accumulates, block by block, everything
-    :func:`compute_profile_metrics` previously read off the dense distance
-    matrix: per-source usage (max or sum of finite distances), per-source
-    unreached-node counts, per-source view sizes at radius ``view_radius``
-    and the running graph diameter.  Only ``O(n)`` per-source vectors and a
-    scalar survive between blocks, so the sweep never holds more than one
-    ``(block_size, n)`` distance slice alive (the
-    :class:`~repro.graphs.traversal.DistanceBlockConsumer` contract).
+    One instance holds everything :func:`compute_profile_metrics` would
+    otherwise read off the dense distance matrix: per-source usage (max or
+    sum of finite distances), per-source unreached-node counts, per-source
+    view sizes at radius ``view_radius`` and the graph diameter.  They are
+    adopted from :func:`~repro.graphs.traversal.reduce_bfs_distances` via
+    :meth:`ingest_reduction`, so only ``O(n)`` per-source vectors ever
+    exist — no distance row is materialised.
 
     The final per-source usages are produced by :meth:`usage_values`, which
     folds the unreached counts through ``cost_model`` in one vectorised pass
@@ -95,25 +94,8 @@ class DistanceStatsAccumulator:
 
     @property
     def all_reached(self) -> np.ndarray:
-        """Per-source full-reachability flags (kept for downstream callers)."""
+        """Per-source full-reachability flags."""
         return self.unreached_rows == 0
-
-    def process_block(
-        self, start: int, sources: np.ndarray, dist_block: np.ndarray
-    ) -> None:
-        stop = start + dist_block.shape[0]
-        reachable = dist_block != UNREACHABLE
-        finite = np.where(reachable, dist_block, 0)
-        self.unreached_rows[start:stop] = (~reachable).sum(axis=1)
-        if self.usage is UsageKind.MAX:
-            self.usage_rows[start:stop] = finite.max(axis=1, initial=0)
-        else:
-            self.usage_rows[start:stop] = finite.sum(axis=1, dtype=np.int64)
-        self.diameter = max(self.diameter, int(finite.max(initial=0)))
-        if self.view_radius is not None:
-            # UNREACHABLE is int32-max, so the comparison naturally excludes
-            # unreached nodes from the view counts.
-            self.view_sizes[start:stop] = (dist_block <= self.view_radius).sum(axis=1)
 
     def ingest_reduction(
         self,
@@ -124,10 +106,8 @@ class DistanceStatsAccumulator:
     ) -> None:
         """Adopt the per-source vectors of a fused ``bfs_reduce`` sweep.
 
-        The fused kernels emit exactly the folds :meth:`process_block`
-        computes from materialised rows (eccentricity == per-row finite
-        max, etc.), so an accumulator populated this way is
-        indistinguishable from one fed block by block — without any
+        The fused kernels emit exactly the numpy folds of the materialised
+        distance rows (eccentricity == per-row finite max, etc.) without any
         ``(block_size, n)`` distance slice having existed.
         """
         self.usage_rows[:] = ecc if self.usage is UsageKind.MAX else sums

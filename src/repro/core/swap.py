@@ -220,10 +220,6 @@ class LocalMoveDynamicsResult:
     initial_metrics: ProfileMetrics | None = None
     final_metrics: ProfileMetrics | None = None
 
-    @property
-    def reached_equilibrium(self) -> bool:
-        return self.converged
-
     def quality_of_equilibrium(self) -> float:
         """Social cost of the final profile over the benchmark optimum."""
         if self.final_metrics is None:

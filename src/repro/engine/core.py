@@ -31,7 +31,6 @@ from repro.core.best_response import (
     ENGINE_DEFAULT_SOLVER,
     SUM_EXHAUSTIVE_LIMIT,
     BestResponse,
-    MaxCoverContext,
     best_response,
     max_cover_context,
 )
@@ -40,6 +39,7 @@ from repro.core.equilibria import EquilibriumReport
 from repro.core.games import GameSpec, UsageKind
 from repro.core.metrics import compute_profile_metrics
 from repro.core.strategies import StrategyProfile
+from repro.core.views import View
 from repro.engine.schedulers import Scheduler, make_scheduler
 from repro.engine.state import NetworkState
 from repro.engine.views import IncrementalViewCache, ViewStore
@@ -49,13 +49,7 @@ from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import Telemetry, get_telemetry
 from repro.solvers.set_cover import WARM_START_SOLVERS
 
-__all__ = ["coerce_profile", "DynamicsEngine", "COVER_CONTEXT_CACHE_MAX_NODES"]
-
-#: Largest reduced-view node count whose :class:`MaxCoverContext` (a dense
-#: ``(v, v)`` int32 distance matrix) is worth pinning per player.  Beyond
-#: this the cache would hold up to ``n`` such matrices at once — ``O(n^3)``
-#: at full knowledge — so bigger contexts are rebuilt transiently instead.
-COVER_CONTEXT_CACHE_MAX_NODES: int = 512
+__all__ = ["coerce_profile", "DynamicsEngine"]
 
 
 def coerce_profile(initial: StrategyProfile | OwnedGraph) -> StrategyProfile:
@@ -101,8 +95,8 @@ class DynamicsEngine:
         self.solver = solver
         #: Kernel backend running the BFS / cover-search hot loops (see
         #: :mod:`repro.kernels`).  Resolved once here, so the whole run —
-        #: views, cover contexts, solver calls, metric sweeps — uses one
-        #: backend even if the process-wide default changes mid-run.
+        #: views, solver calls, metric sweeps — uses one backend even if
+        #: the process-wide default changes mid-run.
         #: Backends are bit-identical, so trajectories never depend on it.
         self.kernel_backend = resolve_backend(kernel_backend)
         #: SumNCG exact/heuristic dispatch threshold (strategy-space size up
@@ -156,13 +150,6 @@ class DynamicsEngine:
         )
         self._m_responses_computed = responses.child(result="computed")
         self._m_responses_reused = responses.child(result="reused")
-        contexts = self.telemetry.registry.counter(
-            "repro_engine_cover_contexts_total",
-            help="MaxNCG set-cover contexts rebuilt vs reused",
-            labelnames=("result",),
-        )
-        self._m_cover_built = contexts.child(result="built")
-        self._m_cover_reused = contexts.child(result="reused")
         self._m_rounds = self.telemetry.registry.counter(
             "repro_engine_rounds_total", help="Scheduler rounds executed"
         ).child()
@@ -185,7 +172,6 @@ class DynamicsEngine:
             else make_scheduler(scheduler)
         )
         self._responses: dict[Node, tuple[int, frozenset[Node], BestResponse]] = {}
-        self._cover_contexts: dict[Node, tuple[int, MaxCoverContext]] = {}
 
     # ------------------------------------------------------------------
     # Instrumentation (read-through onto the metrics registry children)
@@ -199,16 +185,6 @@ class DynamicsEngine:
     def responses_reused(self) -> int:
         """Solver invocations avoided by memoisation."""
         return self._m_responses_reused.value
-
-    @property
-    def cover_contexts_built(self) -> int:
-        """Reduced-view distance structures rebuilt (MaxNCG only)."""
-        return self._m_cover_built.value
-
-    @property
-    def cover_contexts_reused(self) -> int:
-        """Reduced-view distance structures reused across activations."""
-        return self._m_cover_reused.value
 
     # ------------------------------------------------------------------
     # Per-activation primitives (used by schedulers)
@@ -233,32 +209,6 @@ class DynamicsEngine:
             return memo[2]
         return None
 
-    def _cover_context(self, player: Node, token: int) -> MaxCoverContext | None:
-        """Per-(player, view token) cache of the MaxNCG set-cover context.
-
-        The context (reduced-view distances, candidate order, forced
-        buyers) depends on view content only, so it survives strategy-only
-        changes that invalidate the best-response memo — e.g. a
-        ``set_strategy`` perturbation of the player herself.
-        """
-        if self.game.usage is not UsageKind.MAX:
-            return None
-        cached = self._cover_contexts.get(player)
-        if cached is not None and cached[0] == token:
-            self._m_cover_reused.inc()
-            return cached[1]
-        view = self.views.get(player)
-        if view.size - 1 > COVER_CONTEXT_CACHE_MAX_NODES:
-            # One dense (v, v) matrix per player adds up to O(n * v^2)
-            # resident memory; let oversized views rebuild transiently (the
-            # pre-cache behaviour) instead of pinning them.
-            self._cover_contexts.pop(player, None)
-            return None
-        context = max_cover_context(view, backend=self.kernel_backend)
-        self._cover_contexts[player] = (token, context)
-        self._m_cover_built.inc()
-        return context
-
     def peek_response(self, player: Node) -> BestResponse:
         """Best response of ``player`` against the current state (memoised).
 
@@ -266,12 +216,12 @@ class DynamicsEngine:
         game, solver), so a memo entry stays valid exactly while the
         player's view content token and strategy both stand still.  The
         game — and with it the cost model deciding what unreachable nodes
-        cost — is fixed per engine, so every memo and cover-context entry
-        implicitly carries ``self.game.cost_model.key()``; entries can never
-        leak across models.  Both MaxNCG regimes (full cover and, under a
-        tolerant model, component abandonment) and both SumNCG regimes
-        (seeded exhaustive below ``sum_exhaustive_limit``, local search
-        above) ride this same memo.
+        cost — is fixed per engine, so every memo entry implicitly carries
+        ``self.game.cost_model.key()``; entries can never leak across
+        models.  Both MaxNCG regimes (full cover and, under a tolerant
+        model, component abandonment) and both SumNCG regimes (seeded
+        exhaustive below ``sum_exhaustive_limit``, local search above) ride
+        this same memo.
         """
         view = self.views.get(player)  # settles the content token
         token = self.views.token(player)
@@ -284,9 +234,9 @@ class DynamicsEngine:
                     "engine.best_response", player=str(player), memo_hit=True
                 )
             return memo[2]
-        # The tracing-enabled branch duplicates the solver call so the
-        # disabled path pays no span bookkeeping at all on this, the
-        # engine's hottest call site.
+        # Only the tracing-enabled branch opens a span, so the disabled path
+        # pays no span bookkeeping at all on this, the engine's hottest call
+        # site.
         if self._tracer.enabled:
             with self._tracer.span(
                 "engine.best_response",
@@ -294,35 +244,33 @@ class DynamicsEngine:
                 memo_hit=False,
                 solver=self.solver,
             ) as span:
-                response = best_response(
-                    None,
-                    player,
-                    self.game,
-                    solver=self.solver,
-                    sum_exhaustive_limit=self.sum_exhaustive_limit,
-                    view=view,
-                    current_strategy=strategy,
-                    cover_context=self._cover_context(player, token),
-                    sum_restarts=self.sum_restarts,
-                    backend=self.kernel_backend,
-                )
+                response = self._solve(player, view, strategy)
                 span.set(exact=response.exact, improving=response.is_improving)
         else:
-            response = best_response(
-                None,
-                player,
-                self.game,
-                solver=self.solver,
-                sum_exhaustive_limit=self.sum_exhaustive_limit,
-                view=view,
-                current_strategy=strategy,
-                cover_context=self._cover_context(player, token),
-                sum_restarts=self.sum_restarts,
-                backend=self.kernel_backend,
-            )
+            response = self._solve(player, view, strategy)
         self._responses[player] = (token, strategy, response)
         self._m_responses_computed.inc()
         return response
+
+    def _solve(self, player: Node, view: View, strategy: frozenset[Node]) -> BestResponse:
+        """Solve one memo miss; MaxNCG builds its set-cover context here."""
+        cover_context = (
+            max_cover_context(view, backend=self.kernel_backend)
+            if self.game.usage is UsageKind.MAX
+            else None
+        )
+        return best_response(
+            None,
+            player,
+            self.game,
+            solver=self.solver,
+            sum_exhaustive_limit=self.sum_exhaustive_limit,
+            view=view,
+            current_strategy=strategy,
+            cover_context=cover_context,
+            sum_restarts=self.sum_restarts,
+            backend=self.kernel_backend,
+        )
 
     def apply_response(self, player: Node, response: BestResponse) -> None:
         """Commit ``response.strategy`` and invalidate the dirty region."""

@@ -39,13 +39,13 @@ from repro.core.views import View
 from repro.engine.state import NetworkState, StrategyDelta
 from repro.graphs.graph import Node
 from repro.graphs.traversal import (
-    UNREACHABLE,
     ball,
     bfs_distances,
     bfs_distances_within,
     iter_blocked_bfs_distances,
 )
 from repro.kernels import KernelBackend
+from repro.kernels.common import UNREACHABLE
 from repro.obs import Telemetry, get_telemetry
 
 __all__ = ["IncrementalViewCache", "ViewStore", "DEFAULT_VIEW_STORE_CAPACITY"]
@@ -438,9 +438,6 @@ class IncrementalViewCache:
         compares content and only moves the token on a real change, so
         memoised best responses survive conservative over-invalidation."""
         self._dirty.update(players)
-
-    def invalidate_all(self) -> None:
-        self.invalidate(set(self._state.players()))
 
     # ------------------------------------------------------------------
     # View construction (content-identical to ``extract_view``)

@@ -34,6 +34,7 @@ from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.trees import random_owned_tree
 
 __all__ = [
+    "RUN_SPEC_FAMILIES",
     "RunSpec",
     "RunResult",
     "build_instance",
@@ -48,9 +49,10 @@ __all__ = [
 class RunSpec:
     """One independent dynamics run.
 
-    ``family`` is ``"tree"`` or ``"gnp"``; ``p`` is only meaningful for the
-    latter.  ``k`` uses the paper's convention: values ``>= FULL_KNOWLEDGE_K``
-    are mapped to genuine full knowledge.  ``ordering`` names any scheduler
+    ``family`` is one of :data:`RUN_SPEC_FAMILIES` (``"tree"`` or
+    ``"gnp"``); ``p`` is only meaningful for the latter.  ``k`` uses the
+    paper's convention: values ``>= FULL_KNOWLEDGE_K`` are mapped to
+    genuine full knowledge.  ``ordering`` names any scheduler
     registered in :data:`repro.engine.schedulers.SCHEDULERS`.
 
     Every field changes the result, so the spec's content hash identifies
@@ -128,16 +130,20 @@ class RunResult:
         return row
 
 
+#: Instance families :func:`build_instance` accepts for ``RunSpec.family``.
+RUN_SPEC_FAMILIES: tuple[str, ...] = ("tree", "gnp")
+
+
 def build_instance(spec: RunSpec) -> OwnedGraph:
     """Materialise the initial owned network described by ``spec``."""
+    if spec.family not in RUN_SPEC_FAMILIES:
+        raise ValueError(f"unknown instance family {spec.family!r}")
     if spec.family == "tree":
         owned = random_owned_tree(spec.n, seed=spec.seed)
-    elif spec.family == "gnp":
+    else:
         if spec.p is None:
             raise ValueError("gnp runs need the edge probability p")
         owned = owned_connected_gnp_graph(spec.n, spec.p, seed=spec.seed)
-    else:
-        raise ValueError(f"unknown instance family {spec.family!r}")
     if spec.ownership == "fair_coin":
         return owned
     if spec.ownership == "smaller_endpoint":

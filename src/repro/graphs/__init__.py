@@ -3,10 +3,10 @@
 The package provides a small, dependency-light undirected graph type
 (:class:`~repro.graphs.graph.Graph`) together with the traversal and
 structural primitives the paper's analysis relies on (BFS distances,
-eccentricities, diameter, girth, graph powers) and the graph generators used
-both by the lower-bound constructions of Sections 3-4 and by the experimental
-evaluation of Section 5 (random trees, Erdős–Rényi graphs, the stretched
-toroidal grid, high-girth regular graphs).
+eccentricities, diameter, girth) and the graph generators used both by the
+lower-bound constructions of Sections 3-4 and by the experimental evaluation
+of Section 5 (random trees, Erdős–Rényi graphs, the stretched toroidal grid,
+high-girth regular graphs).
 
 Everything is implemented from scratch on top of plain Python containers and
 NumPy; :mod:`networkx` is only used as an optional interchange format
@@ -24,7 +24,6 @@ from repro.graphs.traversal import (
     all_pairs_distances,
     batched_bfs_distances,
     iter_blocked_bfs_distances,
-    accumulate_bfs_distances,
     reduce_bfs_distances,
     distance_matrix,
 )
@@ -38,7 +37,6 @@ from repro.graphs.properties import (
     is_tree,
     density,
 )
-from repro.graphs.power import graph_power, power_adjacency
 from repro.graphs.algorithms import (
     bfs_tree,
     bfs_layers,
@@ -72,7 +70,6 @@ __all__ = [
     "all_pairs_distances",
     "batched_bfs_distances",
     "iter_blocked_bfs_distances",
-    "accumulate_bfs_distances",
     "reduce_bfs_distances",
     "distance_matrix",
     "eccentricity",
@@ -83,8 +80,6 @@ __all__ = [
     "degree_statistics",
     "is_tree",
     "density",
-    "graph_power",
-    "power_adjacency",
     "bfs_tree",
     "bfs_layers",
     "bridges",

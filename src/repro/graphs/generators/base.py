@@ -11,10 +11,9 @@ topology with such an assignment.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.graphs.graph import Edge, Graph, Node
+from repro.graphs.graph import Graph, Node
 
 __all__ = [
     "OwnedGraph",
@@ -118,17 +117,3 @@ def _key(node: Node):
     if isinstance(node, tuple):
         return (1, node)
     return (0, (node,))
-
-
-def edges_from_ownership(ownership: dict[Node, set[Node]]) -> list[Edge]:
-    """Return the edge list induced by an ownership map."""
-    return [(owner, target) for owner, targets in ownership.items() for target in targets]
-
-
-def nodes_of(edges: Iterable[Edge]) -> set[Node]:
-    """Return the set of endpoints appearing in ``edges``."""
-    result: set[Node] = set()
-    for u, v in edges:
-        result.add(u)
-        result.add(v)
-    return result

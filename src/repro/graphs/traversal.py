@@ -2,19 +2,21 @@
 
 All game-theoretic quantities in the paper (eccentricity, status, views,
 best responses) reduce to unweighted shortest-path distances, so BFS is the
-single hot primitive of the whole code base.  Two implementations are
-provided:
+single hot primitive of the whole code base.  It comes in four forms:
 
 * a plain ``collections.deque`` BFS used for single sources and bounded
-  explorations (lazy view refreshes), and
+  explorations (lazy view refreshes);
 * a batched multi-source frontier BFS over a CSR adjacency layout
   (:func:`batched_bfs_distances`), which keeps the inner loop in NumPy and
   backs both :func:`distance_matrix` (all sources) and the incremental
-  engine's bulk view extraction (many sources, bounded radius), and
+  engine's bulk view extraction (many sources, bounded radius);
 * a blocked/streaming driver on top of it
-  (:func:`iter_blocked_bfs_distances` / :func:`accumulate_bfs_distances`)
-  for workloads whose source set is too large to materialise a dense
-  ``(len(sources), n)`` distance matrix at once.
+  (:func:`iter_blocked_bfs_distances`) for workloads whose source set is
+  too large to materialise a dense ``(len(sources), n)`` distance matrix
+  at once, and
+* a fused sweep (:func:`reduce_bfs_distances`) that folds each source's
+  distances into per-source reductions inside the kernel, never
+  materialising a distance row at all.
 
 Memory model of the blocked driver
 ----------------------------------
@@ -27,7 +29,7 @@ distance rows plus ``O(frontier incidences)`` transient scratch inside the
 kernel, *independent of the total number of sources*.  Every consumer that
 only needs per-source reductions (eccentricity, usage sums, view sizes,
 diameter — see :func:`repro.core.metrics.compute_profile_metrics`) should go
-through the accumulator API instead of :func:`distance_matrix`.
+through :func:`reduce_bfs_distances` instead of :func:`distance_matrix`.
 
 The ``block_size`` knob trades Python-level loop overhead (one kernel call
 per block) against peak memory; :data:`DEFAULT_BLOCK_SIZE` (1024 source
@@ -40,13 +42,12 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from typing import Protocol
 
 import numpy as np
 
 from repro.graphs.graph import Graph, Node
 from repro.kernels import KernelBackend, resolve_backend
-from repro.kernels.common import MAX_EXPANSION_INCIDENCES, UNREACHABLE
+from repro.kernels.common import UNREACHABLE
 from repro.obs import get_telemetry
 from repro.obs.metrics import CounterFamily, default_registry
 
@@ -60,18 +61,10 @@ __all__ = [
     "all_pairs_distances",
     "batched_bfs_distances",
     "iter_blocked_bfs_distances",
-    "accumulate_bfs_distances",
     "reduce_bfs_distances",
-    "DistanceBlockConsumer",
     "distance_matrix",
-    "UNREACHABLE",
     "DEFAULT_BLOCK_SIZE",
-    "MAX_EXPANSION_INCIDENCES",
 ]
-
-# UNREACHABLE and MAX_EXPANSION_INCIDENCES moved to repro.kernels.common so
-# backend modules can share them without importing the graph layer; they are
-# re-exported here for backwards compatibility.
 
 #: Default number of source rows processed per blocked-BFS kernel call.
 #: Peak live memory of a blocked sweep is ``DEFAULT_BLOCK_SIZE * n`` int32
@@ -239,8 +232,8 @@ def batched_bfs_distances(
     (:mod:`repro.kernels`).  Every backend produces bit-identical
     matrices — the numpy reference advances all frontiers together with
     one batch of gather/scatter operations per BFS level (chunked at
-    :data:`MAX_EXPANSION_INCIDENCES` incidences to bound scratch); the
-    compiled backends run a queue BFS per source.  BFS distances are
+    :data:`~repro.kernels.common.MAX_EXPANSION_INCIDENCES` incidences to
+    bound scratch); the compiled backends run a queue BFS per source.  BFS distances are
     unique, so the traversal strategy cannot show in the output.
     """
     n = len(indptr) - 1
@@ -266,23 +259,6 @@ def batched_bfs_distances(
         ):
             return kernel.bfs(indptr, indices, source_array, radius, dist)
     return kernel.bfs(indptr, indices, source_array, radius, dist)
-
-
-class DistanceBlockConsumer(Protocol):
-    """Accumulator protocol fed by :func:`accumulate_bfs_distances`.
-
-    ``process_block(start, sources, dist_block)`` receives the rows for
-    ``sources[start:start + dist_block.shape[0]]`` of the conceptual
-    ``(len(sources), n)`` distance matrix: ``dist_block[i, j]`` is the
-    distance from source ``start + i`` (in sweep order) to node ``j``, or
-    :data:`UNREACHABLE`.  Implementations fold each block into running
-    statistics (max/sum/eccentricity/counts) and must not retain a
-    reference to ``dist_block`` — the driver may reuse the buffer.
-    """
-
-    def process_block(
-        self, start: int, sources: np.ndarray, dist_block: np.ndarray
-    ) -> None: ...
 
 
 def iter_blocked_bfs_distances(
@@ -329,30 +305,6 @@ def iter_blocked_bfs_distances(
             )
 
     return blocks()
-
-
-def accumulate_bfs_distances(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: Sequence[int] | np.ndarray,
-    consumer: DistanceBlockConsumer,
-    radius: int | None = None,
-    block_size: int | None = None,
-    backend: str | KernelBackend | None = None,
-) -> DistanceBlockConsumer:
-    """Drive a blocked BFS sweep through ``consumer`` and return it.
-
-    The streaming counterpart of "compute the full distance matrix, then
-    reduce it": ``consumer.process_block`` sees every row of the conceptual
-    matrix exactly once, in source order, without more than ``block_size``
-    rows ever being materialised (the per-profile metric sweep and the
-    large-n CI smoke run sit on this).
-    """
-    for start, block_sources, dist_block in iter_blocked_bfs_distances(
-        indptr, indices, sources, radius=radius, block_size=block_size, backend=backend
-    ):
-        consumer.process_block(start, block_sources, dist_block)
-    return consumer
 
 
 def reduce_bfs_distances(

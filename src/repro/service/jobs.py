@@ -121,7 +121,9 @@ def compile_job(description: dict) -> list[SweepTask]:
     a grid cell computed by any client (or by ``python -m repro sweep``
     against the same store) is a cache hit for every later client.
     Malformed descriptions raise ``ValueError``/``TypeError``/``KeyError``
-    (HTTP 400 to clients).
+    (HTTP 400 to clients), and so do instance families and perturbation
+    operators that execution would not know, so a bad job is refused at
+    submission instead of failing later in a worker.
     """
     if not isinstance(description, dict):
         raise ValueError("job description must be a JSON object")
@@ -131,12 +133,13 @@ def compile_job(description: dict) -> list[SweepTask]:
             f"unknown job kind {kind!r} (expected one of {sorted(JOB_KINDS)})"
         )
     if kind == "run_spec":
-        from repro.experiments.runner import RunSpec
+        from repro.experiments.runner import RUN_SPEC_FAMILIES, RunSpec
         from repro.service.tasks import compile_run_specs
 
-        specs = [RunSpec(**spec) for spec in description["specs"]]
+        specs = [RunSpec(**spec) for spec in _list(description, "specs")]
         if not specs:
             raise ValueError("run_spec job carries no specs")
+        _check_names("family", [spec.family for spec in specs], RUN_SPEC_FAMILIES)
         return compile_run_specs(specs)
     from repro.experiments.config import SweepSettings
 
@@ -147,22 +150,30 @@ def compile_job(description: dict) -> list[SweepTask]:
 
         return compile_sum_tasks(
             SumDynamicsConfig(
-                sizes=tuple(description["sizes"]),
-                alphas=tuple(description["alphas"]),
-                ks=tuple(description["ks"]),
+                sizes=_list(description, "sizes"),
+                alphas=_list(description, "alphas"),
+                ks=_list(description, "ks"),
                 settings=settings,
             )
         )
-    from repro.experiments.extensions.robustness import RobustnessStudyConfig
+    from repro.experiments.extensions.instances import EXTENSION_FAMILIES
+    from repro.experiments.extensions.robustness import (
+        PERTURBATIONS,
+        RobustnessStudyConfig,
+    )
     from repro.service.tasks import compile_robustness_tasks
 
+    families = _list(description, "families")
+    operators = _list(description, "operators")
+    _check_names("family", families, EXTENSION_FAMILIES)
+    _check_names("operator", operators, PERTURBATIONS)
     return compile_robustness_tasks(
         RobustnessStudyConfig(
-            families=tuple(description["families"]),
-            operators=tuple(description["operators"]),
+            families=families,
+            operators=operators,
             n=description["n"],
-            alphas=tuple(description["alphas"]),
-            ks=tuple(description["ks"]),
+            alphas=_list(description, "alphas"),
+            ks=_list(description, "ks"),
             shocks_per_instance=description["shocks_per_instance"],
             intensity=description["intensity"],
             usage=description.get("usage", "max"),
@@ -171,6 +182,26 @@ def compile_job(description: dict) -> list[SweepTask]:
             settings=settings,
         )
     )
+
+
+def _list(description: dict, key: str) -> tuple:
+    """``description[key]`` as a tuple; refuses anything but a JSON list.
+
+    ``tuple("tree")`` would silently become four one-letter names.
+    """
+    value = description[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON list, got {type(value).__name__}")
+    return tuple(value)
+
+
+def _check_names(what: str, names, known) -> None:
+    """Refuse any of ``names`` that the registry ``known`` does not hold."""
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown {what} {unknown[0]!r} (expected one of {sorted(known)})"
+        )
 
 
 # ----------------------------------------------------------------------

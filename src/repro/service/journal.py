@@ -247,7 +247,3 @@ class SweepJournal:
             record["spec_hash"]: record["payload"]
             for record in iter_result_records(load_jsonl_records(self.log_path))
         }
-
-    def completed_count(self) -> int:
-        """Number of distinct completed tasks currently journaled."""
-        return len(self._load_completed())

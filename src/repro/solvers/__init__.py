@@ -14,8 +14,9 @@ provide three interchangeable solvers:
 * :func:`~repro.solvers.set_cover.greedy_set_cover` — the classical
   ``ln n``-approximation, exposed for the solver-quality ablation bench.
 
-Dominating-set wrappers over these live in
-:mod:`repro.solvers.dominating_set`.
+Best responses build the constrained dominating set as a
+:class:`~repro.solvers.set_cover.SetCoverInstance` directly (see
+:func:`repro.core.best_response.best_response_max`).
 """
 
 from repro.solvers.set_cover import (
@@ -26,23 +27,6 @@ from repro.solvers.set_cover import (
     milp_set_cover,
     solve_set_cover,
 )
-from repro.solvers.dominating_set import (
-    dominating_set_instance,
-    minimum_dominating_set,
-    power_dominating_set_instance,
-    is_dominating_set,
-)
-from repro.solvers.facility import (
-    FacilityResult,
-    greedy_k_center,
-    exact_k_center,
-    greedy_k_median,
-    local_search_k_median,
-    exact_k_median,
-    solve_k_center,
-    solve_k_median,
-)
-
 __all__ = [
     "SetCoverInstance",
     "SetCoverResult",
@@ -50,16 +34,4 @@ __all__ = [
     "branch_and_bound_set_cover",
     "milp_set_cover",
     "solve_set_cover",
-    "dominating_set_instance",
-    "minimum_dominating_set",
-    "power_dominating_set_instance",
-    "is_dominating_set",
-    "FacilityResult",
-    "greedy_k_center",
-    "exact_k_center",
-    "greedy_k_median",
-    "local_search_k_median",
-    "exact_k_median",
-    "solve_k_center",
-    "solve_k_median",
 ]

@@ -204,27 +204,43 @@ class TestBlockedMetrics:
 
     def test_ingest_reduction_equals_block_folds(self):
         """An accumulator fed the fused vectors is indistinguishable from
-        one fed materialised blocks through process_block."""
+        a numpy fold over the materialised distance matrix."""
+        from types import SimpleNamespace
+
         import numpy as np
 
         from repro.core.games import UsageKind
         from repro.core.metrics import DistanceStatsAccumulator
         from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
         from repro.graphs.traversal import (
-            accumulate_bfs_distances,
+            batched_bfs_distances,
             reduce_bfs_distances,
         )
+        from repro.kernels.common import UNREACHABLE
 
         profile = StrategyProfile.from_owned_graph(
             owned_connected_gnp_graph(40, 0.12, seed=3)
         )
         indptr, indices, _ = profile.graph().to_csr_arrays()
         sources = np.arange(40, dtype=np.int64)
+        dist = batched_bfs_distances(indptr, indices, sources)
+        reachable = dist != UNREACHABLE
+        finite = np.where(reachable, dist, 0)
         for usage in (UsageKind.MAX, UsageKind.SUM):
             for view_radius in (None, 2):
-                blocked = DistanceStatsAccumulator(40, usage, view_radius=view_radius)
-                accumulate_bfs_distances(
-                    indptr, indices, sources, blocked, block_size=7
+                blocked = SimpleNamespace(
+                    usage_rows=(
+                        finite.max(axis=1, initial=0)
+                        if usage is UsageKind.MAX
+                        else finite.sum(axis=1, dtype=np.int64)
+                    ),
+                    unreached_rows=(~reachable).sum(axis=1),
+                    view_sizes=(
+                        np.zeros(40, dtype=np.int64)
+                        if view_radius is None
+                        else (dist <= view_radius).sum(axis=1)
+                    ),
+                    diameter=int(finite.max(initial=0)),
                 )
                 fused = DistanceStatsAccumulator(40, usage, view_radius=view_radius)
                 fused.ingest_reduction(

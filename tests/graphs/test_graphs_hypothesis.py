@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from repro.graphs.generators.erdos_renyi import gnp_random_graph
 from repro.graphs.generators.trees import prufer_to_tree, random_tree
 from repro.graphs.graph import Graph
-from repro.graphs.power import graph_power
 from repro.graphs.properties import diameter, eccentricities, girth, is_tree, radius
 from repro.graphs.traversal import (
-    UNREACHABLE,
     bfs_distances,
     bfs_distances_within,
     connected_components,
@@ -20,6 +18,7 @@ from repro.graphs.traversal import (
     is_connected,
     shortest_path,
 )
+from repro.kernels.common import UNREACHABLE
 
 
 @st.composite
@@ -136,14 +135,6 @@ class TestStructuralProperties:
         n = len(sequence) + 2
         bounded = [value % n for value in sequence]
         assert is_tree(prufer_to_tree(bounded))
-
-    @given(connected_graphs(max_nodes=9), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=30, deadline=None)
-    def test_graph_power_monotone(self, graph, h):
-        power_h = graph_power(graph, h)
-        power_h1 = graph_power(graph, h + 1)
-        for u, v in power_h.edges():
-            assert power_h1.has_edge(u, v)
 
     @given(random_graphs())
     @settings(max_examples=40, deadline=None)

@@ -28,7 +28,6 @@ from repro.graphs.generators.erdos_renyi import gnp_random_graph
 from repro.graphs.generators.smallworld import owned_barabasi_albert
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
-    UNREACHABLE,
     batched_bfs_distances,
     bfs_distances,
     bfs_distances_within,
@@ -47,6 +46,7 @@ from repro.kernels import (
     set_default_backend,
     use_backend,
 )
+from repro.kernels.common import UNREACHABLE
 from repro.service.api import ServiceConfig, orchestrate
 from repro.service.tasks import compile_run_specs, strip_timing_fields
 

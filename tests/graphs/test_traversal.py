@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from repro.graphs.generators.erdos_renyi import gnp_random_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
-    UNREACHABLE,
-    accumulate_bfs_distances,
     all_pairs_distances,
     ball,
     batched_bfs_distances,
@@ -23,6 +21,7 @@ from repro.graphs.traversal import (
     iter_blocked_bfs_distances,
     shortest_path,
 )
+from repro.kernels.common import UNREACHABLE
 
 
 class TestBfsDistances:
@@ -206,16 +205,6 @@ def bfs_workloads(draw, max_nodes: int = 14):
     return graph, sources, radius, block_size
 
 
-class _CollectBlocks:
-    """DistanceBlockConsumer that reassembles the full matrix for checking."""
-
-    def __init__(self) -> None:
-        self.blocks: list[tuple[int, np.ndarray]] = []
-
-    def process_block(self, start, sources, dist_block):
-        self.blocks.append((start, dist_block.copy()))
-
-
 class TestBlockedBfsProperties:
     @given(bfs_workloads())
     @settings(max_examples=60, deadline=None)
@@ -241,26 +230,6 @@ class TestBlockedBfsProperties:
             )
             for column, node in enumerate(order):
                 assert reference[row, column] == expected.get(node, UNREACHABLE)
-
-    @given(bfs_workloads())
-    @settings(max_examples=40, deadline=None)
-    def test_accumulator_sees_every_row_once(self, workload):
-        graph, sources, radius, block_size = workload
-        indptr, indices, _ = graph.to_csr_arrays()
-        collector = accumulate_bfs_distances(
-            indptr, indices, sources, _CollectBlocks(),
-            radius=radius, block_size=block_size,
-        )
-        starts = [start for start, _ in collector.blocks]
-        sizes = [block.shape[0] for _, block in collector.blocks]
-        assert starts == sorted(starts)
-        assert sum(sizes) == len(sources)
-        if sources:
-            reference = batched_bfs_distances(indptr, indices, sources, radius=radius)
-            reassembled = np.concatenate([b for _, b in collector.blocks])
-            assert np.array_equal(reassembled, reference)
-        else:
-            assert collector.blocks == []
 
     def test_empty_sources_yield_no_blocks(self, path5):
         indptr, indices, _ = path5.to_csr_arrays()

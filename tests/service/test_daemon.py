@@ -16,6 +16,7 @@ The served contract under test:
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -27,12 +28,25 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import SweepSettings
+from repro.experiments.extensions.robustness import RobustnessStudyConfig
+from repro.experiments.extensions.sum_dynamics import SumDynamicsConfig
 from repro.experiments.runner import RunSpec, run_single, run_sweep
 from repro.service.client import ServiceError, SweepClient
 from repro.service.daemon import DaemonConfig, ServiceDaemon
-from repro.service.jobs import JobQueueFull, run_spec_description
+from repro.service.jobs import (
+    JobQueueFull,
+    compile_job,
+    robustness_description,
+    run_spec_description,
+    sum_description,
+)
 from repro.service.journal import load_jsonl_records
-from repro.service.tasks import compile_run_specs, strip_timing_fields
+from repro.service.tasks import (
+    compile_robustness_tasks,
+    compile_run_specs,
+    compile_sum_tasks,
+    strip_timing_fields,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -217,14 +231,47 @@ class TestDaemonWorkerPool:
         assert stats["workers"] == 2
 
 
+class TestJobDescriptions:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SumDynamicsConfig.smoke(),
+            RobustnessStudyConfig.smoke(),
+            RobustnessStudyConfig.smoke().with_cost_model("tolerant", 3.0000001),
+            RobustnessStudyConfig.smoke().with_reconnect(),
+        ],
+        ids=["sum", "robustness", "robustness-tolerant", "robustness-reconnect"],
+    )
+    def test_description_round_trips_to_the_same_tasks(self, config):
+        """The wire form compiles to exactly the batch compiler's tasks."""
+        if isinstance(config, SumDynamicsConfig):
+            description, expected = sum_description(config), compile_sum_tasks(config)
+        else:
+            description = robustness_description(config)
+            expected = compile_robustness_tasks(config)
+        tasks = compile_job(json.loads(json.dumps(description)))
+        assert [task.spec_hash for task in tasks] == [
+            task.spec_hash for task in expected
+        ]
+
+
 class TestDaemonProtocol:
     def test_invalid_descriptions_are_400(self, daemon):
         client = SweepClient(daemon.base_url)
+        robustness = robustness_description(RobustnessStudyConfig.smoke())
+        bad_family_spec = {**run_spec_description(_specs(alphas=(0.5,), seeds=1))["specs"][0]}
+        bad_family_spec["family"] = "zzz"
         for description in (
             {"kind": "nonsense"},
             {"kind": "run_spec", "specs": []},
             {"kind": "run_spec", "specs": [{"bogus": 1}]},
             [1, 2, 3],
+            # A JSON string where a list is expected, not four 1-letter families.
+            {**robustness, "families": "tree"},
+            # Names the executing registries do not hold.
+            {"kind": "run_spec", "specs": [bad_family_spec]},
+            {**robustness, "families": ["tree", "zzz"]},
+            {**robustness, "operators": ["drop_random_edges", "no_such_operator"]},
         ):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(description)

@@ -1,13 +1,9 @@
 """Property-based tests for the combinatorial solvers."""
 
-import random
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.generators.trees import random_tree
-from repro.solvers.dominating_set import is_dominating_set, minimum_dominating_set
 from repro.solvers.set_cover import (
     SetCoverInstance,
     branch_and_bound_set_cover,
@@ -63,33 +59,3 @@ class TestSetCoverProperties:
         result = branch_and_bound_set_cover(instance)
         if result.feasible:
             assert not (set(result.selected) & set(instance.forced))
-
-
-class TestDominatingSetProperties:
-    @given(
-        st.integers(min_value=2, max_value=14),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_tree_dominating_set_is_valid_and_minimal_vs_greedy(self, n, seed):
-        tree = random_tree(n, random.Random(seed))
-        exact_nodes, exact = minimum_dominating_set(tree, method="branch_and_bound")
-        greedy_nodes, greedy = minimum_dominating_set(tree, method="greedy")
-        assert is_dominating_set(tree, exact_nodes)
-        assert is_dominating_set(tree, greedy_nodes)
-        assert exact.objective <= greedy.objective
-        # A dominating set of a graph with max degree Δ has size >= n/(Δ+1).
-        max_degree = max(tree.degrees().values())
-        assert exact.objective >= n / (max_degree + 1) - 1e-9
-
-    @given(
-        st.integers(min_value=3, max_value=12),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_radius_monotonicity(self, n, radius, seed):
-        tree = random_tree(n, random.Random(seed))
-        _, small = minimum_dominating_set(tree, radius=radius, method="branch_and_bound")
-        _, large = minimum_dominating_set(tree, radius=radius + 1, method="branch_and_bound")
-        assert large.objective <= small.objective
