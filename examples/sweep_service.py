@@ -8,7 +8,7 @@ Builds a small RunSpec grid where four (alpha, k) cells share each random
 instance, runs it three ways and shows what the sweep orchestration
 service (``repro.service``) adds over the throwaway pool:
 
-1. the classic serial sweep (the ground truth);
+1. each spec run on its own with ``run_single`` (the ground truth);
 2. the orchestrated sweep — instance-affine shards on warm workers — whose
    results must be identical;
 3. a journaled sweep that gets "killed" halfway (we truncate the journal
@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 from repro.experiments.config import SweepSettings
-from repro.experiments.runner import RunSpec, run_sweep
+from repro.experiments.runner import RunSpec, run_single, run_sweep
 from repro.service.api import ServiceConfig, run_spec_sweep
 from repro.service.journal import SweepJournal
 
@@ -45,8 +45,8 @@ def main() -> None:
     ]
     print(f"grid: {len(specs)} runs, 4 (alpha, k) cells per instance, n={n}")
 
-    serial = run_sweep(specs, SweepSettings(num_seeds=2, solver="greedy", workers=1))
-    print(f"serial sweep       : {sum(r.converged for r in serial)}/{len(serial)} converged")
+    serial = [run_single(spec) for spec in specs]
+    print(f"one run per spec   : {sum(r.converged for r in serial)}/{len(serial)} converged")
 
     orchestrated = run_spec_sweep(specs, ServiceConfig(workers=workers))
     print(f"orchestrated sweep : identical results = {orchestrated == serial}")

@@ -423,27 +423,28 @@ def _run_sweep_command(parser: argparse.ArgumentParser, args: argparse.Namespace
     ks = [int(value) for value in args.ks.split(",") if value.strip()]
     n = args.n if args.n is not None else (14 if args.smoke else 20)
     seeds = args.seeds if args.seeds is not None else (2 if args.smoke else 3)
-    p = args.p
-    if "gnp" in families and p is None:
-        parser.error("family gnp needs --p")
-    specs = [
-        RunSpec(
-            family=family,
-            n=n,
-            p=p if family == "gnp" else None,
-            alpha=alpha,
-            k=k,
-            seed=seed,
-            usage=args.usage,
-            solver=args.solver,
-            max_rounds=args.max_rounds,
-            ordering=args.ordering,
-        )
-        for family in families
-        for alpha in alphas
-        for k in ks
-        for seed in range(seeds)
-    ]
+    try:
+        specs = [
+            RunSpec(
+                family=family,
+                n=n,
+                p=args.p if family == "gnp" else None,
+                alpha=alpha,
+                k=k,
+                seed=seed,
+                usage=args.usage,
+                solver=args.solver,
+                max_rounds=args.max_rounds,
+                ordering=args.ordering,
+            )
+            for family in families
+            for alpha in alphas
+            for k in ks
+            for seed in range(seeds)
+        ]
+    except ValueError as exc:
+        # A malformed grid is refused before any journal opens.
+        parser.error(str(exc))
     if args.remote:
         from repro.service.client import SweepClient
 

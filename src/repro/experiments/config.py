@@ -90,8 +90,8 @@ class SweepSettings:
     max_rounds:
         Round cap of the dynamics (the paper's runs converge within ~8).
     workers:
-        Process count for the sweep (1 = serial; ``0`` = every core, see
-        :func:`resolve_workers`).
+        Process count for the sweep (1 = in the calling process; ``0`` =
+        every core, see :func:`resolve_workers`).
     base_seed:
         Offset applied to every per-instance seed so different studies use
         disjoint random streams.

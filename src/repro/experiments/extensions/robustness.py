@@ -90,9 +90,10 @@ from repro.core.costs import social_cost
 from repro.core.dynamics import DynamicsResult
 from repro.core.games import FULL_KNOWLEDGE, GameSpec, MaxNCG, SumNCG
 from repro.core.metrics import compute_profile_metrics
+from repro.core.serialization import dynamics_result_to_dict
 from repro.core.strategies import StrategyProfile
 from repro.engine.core import DynamicsEngine
-from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings, resolve_workers
+from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.experiments.extensions.instances import build_extension_instance
 from repro.experiments.store import ExperimentStore
 from repro.graphs.algorithms import betweenness_centrality, bridges
@@ -586,6 +587,20 @@ def _converge_base(
     return session
 
 
+def _base_checkpoint_document(session: _BaseSession) -> dict:
+    """The checkpoint document of a cell's certified base run.
+
+    Sweep engines skip metric sweeps; the headline metrics are backfilled
+    once (no dynamics re-run), so the document is complete wherever it is
+    decoded — including from a resumed journal, where the engine no
+    longer exists.
+    """
+    result = session.result
+    if result.final_metrics is None:
+        result.final_metrics = compute_profile_metrics(result.final_profile, result.game)
+    return dynamics_result_to_dict(result)
+
+
 def _unconverged_base_row(session: _BaseSession) -> dict:
     """The one honest row of an instance whose pre-shock dynamics failed.
 
@@ -611,8 +626,8 @@ def _operator_rows(
 
     Warm-replays the engine back to the base equilibrium first, so the
     chain sees the same starting point regardless of what ran on the
-    engine before it — earlier operators in the serial sweep, or earlier
-    tasks on the same warm service worker.
+    engine before it — the same cell's earlier operator tasks on a warm
+    sweep worker.
     """
     engine = session.engine
     game = engine.game
@@ -802,26 +817,6 @@ def _operator_rows(
     return rows
 
 
-def _instance_rows(task: tuple) -> tuple[list[dict], DynamicsResult | None]:
-    """One instance's shock/recovery rows plus its certified base run.
-
-    Work item of the serial path (the sweep service decomposes the same
-    work into per-operator tasks over a shared :class:`_BaseSession`
-    instead).  The second element is the
-    pre-shock converged :class:`DynamicsResult` (``None`` when the base
-    dynamics failed to certify) so the caller can checkpoint a base
-    equilibrium without re-running the dynamics it already paid for.
-    """
-    (family, n, alpha, k, seed, operators, shocks, intensity, solver, max_rounds, game) = task
-    session = _converge_base(family, n, alpha, k, seed, solver, max_rounds, game)
-    if not session.result.converged:
-        return [_unconverged_base_row(session)], None
-    rows: list[dict] = []
-    for operator in operators:
-        rows.extend(_operator_rows(session, operator, shocks, intensity))
-    return rows, (session.result if session.result.certified else None)
-
-
 def _instance_cells(cfg: RobustnessStudyConfig) -> list[tuple]:
     """Canonical ``(family, alpha, k, seed, game)`` order of the grid."""
     return [
@@ -857,76 +852,36 @@ def generate_robustness_study(
     re-running the dynamics.  (No checkpoint is written when that base run
     failed to certify: a cycling or capped run is not a base equilibrium.)
 
-    With ``workers > 1`` in ``config.settings`` (or a ``journal``
-    directory) the sweep submits per-operator tasks through the
-    orchestration service (:mod:`repro.service`): tasks of the same
-    instance cell share one warm base engine on their worker instead of
-    each re-converging it, and the journal gives crash-safe ``resume``.
-    The deterministic row fields are identical to the serial path; only
-    the wall-clock ``warm_s`` / ``cold_s`` / ``warm_speedup`` measurements
-    differ run to run (as they do between any two serial runs).
+    The sweep runs through the orchestration service
+    (:func:`repro.service.api.robustness_sweep`) on ``config.settings.
+    workers`` instance-affine workers (1 = in the calling process):
+    per-operator tasks of the same instance cell share one warm base
+    engine instead of each re-converging it, and a ``journal`` directory
+    gives crash-safe ``resume``.  Only the wall-clock ``warm_s`` /
+    ``cold_s`` / ``warm_speedup`` fields differ run to run.
     """
-    cfg = config if config is not None else RobustnessStudyConfig.paper()
-    workers = cfg.settings.workers
-    if journal is not None or resolve_workers(workers) > 1:
-        from repro.service.api import ServiceConfig, robustness_sweep
+    from repro.service.api import ServiceConfig, robustness_sweep
 
-        service_config = ServiceConfig(
-            workers=workers,
+    cfg = config if config is not None else RobustnessStudyConfig.paper()
+    rows, checkpoint_document = robustness_sweep(
+        cfg,
+        ServiceConfig(
+            workers=cfg.settings.workers,
             journal_dir=journal,
             experiment=experiment_name,
             resume=resume,
-        )
-        rows, checkpoint_document = robustness_sweep(cfg, service_config)
-        if store is not None:
-            if not isinstance(store, ExperimentStore):
-                store = ExperimentStore(store)
-            store.save_rows(experiment_name, rows, config=asdict(cfg))
-            if checkpoint_document is not None:
-                family, alpha, k, seed, _ = _instance_cells(cfg)[0]
-                store.save_checkpoint_document(
-                    experiment_name,
-                    f"base-{family}-a{alpha}-k{k}-s{seed}",
-                    checkpoint_document,
-                )
-        return rows
-    tasks = [
-        (
-            family,
-            cfg.n,
-            alpha,
-            k,
-            seed,
-            cfg.operators,
-            cfg.shocks_per_instance,
-            cfg.intensity,
-            cfg.settings.solver,
-            cfg.settings.max_rounds,
-            game,
-        )
-        for family, alpha, k, seed, game in _instance_cells(cfg)
-    ]
-    nested = [_instance_rows(task) for task in tasks]
-    rows = [row for instance_rows, _ in nested for row in instance_rows]
+        ),
+    )
     if store is not None:
         if not isinstance(store, ExperimentStore):
             store = ExperimentStore(store)
         store.save_rows(experiment_name, rows, config=asdict(cfg))
-        family, _, alpha, k, seed = tasks[0][:5]
-        checkpoint_result = nested[0][1]
-        # Only a certified equilibrium earns the "base" label; a cycling or
-        # capped run would silently ship a non-equilibrium checkpoint.
-        if checkpoint_result is not None:
-            # The sweep engines skip metric sweeps; backfill the headline
-            # metrics for the checkpoint document (one O(n · edges) pass,
-            # no dynamics re-run).
-            checkpoint_result.final_metrics = compute_profile_metrics(
-                checkpoint_result.final_profile, checkpoint_result.game
-            )
-            store.save_checkpoint(
+        if checkpoint_document is not None:
+            family, alpha, k, seed, _ = _instance_cells(cfg)[0]
+            store.save_checkpoint_document(
                 experiment_name,
                 f"base-{family}-a{alpha}-k{k}-s{seed}",
-                checkpoint_result,
+                checkpoint_document,
             )
     return rows
 

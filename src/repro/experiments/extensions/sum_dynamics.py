@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 from repro.analysis.statistics import summarize
 from repro.core.dynamics import best_response_dynamics
 from repro.core.games import FULL_KNOWLEDGE, SumNCG
-from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings, resolve_workers
-from repro.graphs.generators.trees import random_owned_tree
+from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 
 __all__ = ["SumDynamicsConfig", "run_sum_task", "generate_sum_dynamics"]
 
@@ -97,12 +96,6 @@ def run_sum_task(task: tuple[int, float, int, int, int], initial, view_store=Non
     }
 
 
-def _run_one(task: tuple[int, float, int, int, int]) -> dict:
-    """Self-contained serial work item: generate the instance, then run."""
-    n, _, _, seed, _ = task
-    return run_sum_task(task, random_owned_tree(n, seed=seed))
-
-
 def generate_sum_dynamics(
     config: SumDynamicsConfig | None = None,
     journal: str | None = None,
@@ -110,34 +103,23 @@ def generate_sum_dynamics(
 ) -> list[dict]:
     """One aggregated row per (n, α, k) cell of the SumNCG sweep.
 
-    With ``workers > 1`` (or a ``journal`` directory) the per-run grid is
-    submitted through the orchestration service — instance-affine warm
-    workers plus crash-safe ``resume`` — with per-run rows identical to
-    the serial path.
+    The per-run grid (:func:`repro.service.tasks.compile_sum_tasks`) runs
+    through the orchestration service on ``settings.workers``
+    instance-affine workers (1 = in the calling process); a ``journal``
+    directory makes it crash-safe and enables ``resume``.
     """
-    cfg = config if config is not None else SumDynamicsConfig.paper()
-    workers = cfg.settings.workers
-    if journal is not None or resolve_workers(workers) > 1:
-        from repro.service.api import ServiceConfig, sum_sweep
+    from repro.service.api import ServiceConfig, sum_sweep
 
-        raw = sum_sweep(
-            cfg,
-            ServiceConfig(
-                workers=workers,
-                journal_dir=journal,
-                experiment="sum-dynamics",
-                resume=resume,
-            ),
-        )
-    else:
-        tasks = [
-            (n, alpha, k, cfg.settings.base_seed + seed, cfg.settings.max_rounds)
-            for n in cfg.sizes
-            for alpha in cfg.alphas
-            for k in cfg.ks
-            for seed in range(cfg.settings.num_seeds)
-        ]
-        raw = [_run_one(task) for task in tasks]
+    cfg = config if config is not None else SumDynamicsConfig.paper()
+    raw = sum_sweep(
+        cfg,
+        ServiceConfig(
+            workers=cfg.settings.workers,
+            journal_dir=journal,
+            experiment="sum-dynamics",
+            resume=resume,
+        ),
+    )
 
     groups: dict[tuple, list[dict]] = {}
     for row in raw:

@@ -18,9 +18,6 @@ scenarios beyond the paper's two.
 
 from __future__ import annotations
 
-import cProfile
-import io
-import pstats
 from dataclasses import dataclass
 
 from repro.core.best_response import ENGINE_DEFAULT_SOLVER
@@ -28,10 +25,12 @@ from repro.core.cost_models import resolve_cost_model
 from repro.core.dynamics import best_response_dynamics
 from repro.core.games import FULL_KNOWLEDGE, GameSpec, MaxNCG, SumNCG
 from repro.core.metrics import ProfileMetrics
-from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings, resolve_workers
+from repro.engine.schedulers import SCHEDULERS
+from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.graphs.generators.base import OwnedGraph
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.trees import random_owned_tree
+from repro.solvers.set_cover import SOLVERS
 
 __all__ = [
     "RUN_SPEC_FAMILIES",
@@ -41,8 +40,13 @@ __all__ = [
     "run_single",
     "run_spec_on_instance",
     "run_sweep",
-    "profile_run",
 ]
+
+#: Instance families :func:`build_instance` accepts for ``RunSpec.family``.
+RUN_SPEC_FAMILIES: tuple[str, ...] = ("tree", "gnp")
+
+#: Edge-ownership rules :func:`build_instance` accepts for ``RunSpec.ownership``.
+OWNERSHIP_RULES: tuple[str, ...] = ("fair_coin", "smaller_endpoint")
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,9 @@ class RunSpec:
     Every field changes the result, so the spec's content hash identifies
     the work.  The kernel backend is not a field: it is process state
     (:mod:`repro.kernels`), and backends are bit-identical.
+
+    A spec that execution would refuse raises ``ValueError`` when it is
+    built, so a malformed sweep fails before any of its work starts.
     """
 
     family: str
@@ -76,6 +83,22 @@ class RunSpec:
     #: (``None`` defaults to ``2n``, above any realisable distance).
     cost_model: str = "strict"
     penalty_beta: float | None = None
+
+    def __post_init__(self) -> None:
+        self.game()  # alpha, k, usage and the cost model
+        if self.family not in RUN_SPEC_FAMILIES:
+            raise ValueError(f"unknown instance family {self.family!r}")
+        if self.family == "gnp" and (self.p is None or not 0.0 <= self.p <= 1.0):
+            raise ValueError(f"gnp runs need an edge probability p in [0, 1], got {self.p!r}")
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n!r}")
+        for what, name, known in (
+            ("solver", self.solver, SOLVERS),
+            ("ordering", self.ordering, SCHEDULERS),
+            ("ownership rule", self.ownership, OWNERSHIP_RULES),
+        ):
+            if name not in known:
+                raise ValueError(f"unknown {what} {name!r} (expected one of {sorted(known)})")
 
     def game(self) -> GameSpec:
         k_value = FULL_KNOWLEDGE if self.k >= FULL_KNOWLEDGE_K else self.k
@@ -130,31 +153,21 @@ class RunResult:
         return row
 
 
-#: Instance families :func:`build_instance` accepts for ``RunSpec.family``.
-RUN_SPEC_FAMILIES: tuple[str, ...] = ("tree", "gnp")
-
-
 def build_instance(spec: RunSpec) -> OwnedGraph:
     """Materialise the initial owned network described by ``spec``."""
-    if spec.family not in RUN_SPEC_FAMILIES:
-        raise ValueError(f"unknown instance family {spec.family!r}")
     if spec.family == "tree":
         owned = random_owned_tree(spec.n, seed=spec.seed)
     else:
-        if spec.p is None:
-            raise ValueError("gnp runs need the edge probability p")
         owned = owned_connected_gnp_graph(spec.n, spec.p, seed=spec.seed)
     if spec.ownership == "fair_coin":
         return owned
-    if spec.ownership == "smaller_endpoint":
-        from repro.graphs.generators.base import assign_ownership_to_smaller
+    from repro.graphs.generators.base import assign_ownership_to_smaller
 
-        return OwnedGraph(
-            graph=owned.graph,
-            ownership=assign_ownership_to_smaller(owned.graph),
-            metadata={**owned.metadata, "ownership": "smaller_endpoint"},
-        )
-    raise ValueError(f"unknown ownership rule {spec.ownership!r}")
+    return OwnedGraph(
+        graph=owned.graph,
+        ownership=assign_ownership_to_smaller(owned.graph),
+        metadata={**owned.metadata, "ownership": "smaller_endpoint"},
+    )
 
 
 def run_spec_on_instance(
@@ -212,51 +225,29 @@ def run_sweep(
     resume: bool = False,
     telemetry: bool = False,
 ) -> list[RunResult]:
-    """Run many independent specs, optionally across processes.
+    """Run many independent specs through the orchestration service.
 
-    With more than one worker (or a ``journal`` directory) the sweep is
-    submitted through the orchestration service (:mod:`repro.service`):
-    persistent workers with instance-affine sharding, shared-memory
-    instances above the size threshold, and a crash-safe journal enabling
-    ``resume``.  Results are bit-identical to the ``workers=1`` serial
-    loop, which remains the zero-overhead default for serial sweeps.
+    Equivalent to ``[run_single(spec) for spec in specs]``.  The sweep
+    runs on ``settings.workers`` instance-affine workers (1 = in the
+    calling process) via :func:`repro.service.api.run_spec_sweep`; a
+    ``journal`` directory makes it crash-safe and enables ``resume``.
 
-    ``telemetry=True`` routes through the service regardless of worker
-    count and traces every task; with a ``journal`` the per-task span
-    summaries land as additive telemetry records next to the results
+    ``telemetry=True`` traces every task; with a ``journal`` the per-task
+    span summaries land as additive telemetry records next to the results
     (``python -m repro trace`` renders them).  Rows are bit-identical.
     """
-    workers = settings.workers if settings is not None else 1
-    if journal is not None or resolve_workers(workers) > 1 or telemetry:
-        from repro.service.api import ServiceConfig, run_spec_sweep
+    from repro.service.api import ServiceConfig, run_spec_sweep
 
-        return run_spec_sweep(
-            list(specs),
-            ServiceConfig(
-                workers=workers,
-                journal_dir=journal,
-                experiment="sweep",
-                resume=resume,
-                telemetry=telemetry,
-            ),
-        )
-    return [run_single(spec) for spec in specs]
-
-
-def profile_run(spec: RunSpec, top: int = 25) -> str:
-    """Profile a single run with :mod:`cProfile` and return the hot-spot table.
-
-    Follows the "no optimisation without measuring" workflow of the HPC
-    guides; used by developers, not by the experiment pipeline.
-    """
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_single(spec)
-    profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats(pstats.SortKey.CUMULATIVE).print_stats(top)
-    return buffer.getvalue()
+    return run_spec_sweep(
+        list(specs),
+        ServiceConfig(
+            workers=settings.workers if settings is not None else 1,
+            journal_dir=journal,
+            experiment="sweep",
+            resume=resume,
+            telemetry=telemetry,
+        ),
+    )
 
 
 def specs_for_cell(
@@ -287,17 +278,3 @@ def specs_for_cell(
         )
         for seed in range(settings.num_seeds)
     ]
-
-
-def run_cell(
-    family: str,
-    n: int,
-    alpha: float,
-    k: int,
-    settings: SweepSettings,
-    p: float | None = None,
-    usage: str = "max",
-) -> list[RunResult]:
-    """Convenience wrapper: build and run all specs of one parameter cell."""
-    specs = specs_for_cell(family, n, alpha, k, settings, p=p, usage=usage)
-    return run_sweep(specs, settings)

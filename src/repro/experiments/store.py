@@ -25,9 +25,8 @@ import json
 import math
 from pathlib import Path
 
-from repro.core.dynamics import DynamicsResult
 from repro.core.games import GameSpec
-from repro.core.serialization import dynamics_result_to_dict, read_dynamics_checkpoint
+from repro.core.serialization import read_dynamics_checkpoint
 from repro.core.strategies import StrategyProfile
 from repro.experiments.io import write_csv, write_json
 
@@ -182,19 +181,14 @@ class ExperimentStore:
     # ------------------------------------------------------------------
     # Equilibrium checkpoints
     # ------------------------------------------------------------------
-    def save_checkpoint(self, name: str, label: str, result: DynamicsResult) -> Path:
-        """Store the final profile / game of one dynamics run under ``label``."""
-        return self.save_checkpoint_document(
-            name, label, dynamics_result_to_dict(result)
-        )
-
     def save_checkpoint_document(self, name: str, label: str, document: dict) -> Path:
-        """Store an already-serialised dynamics checkpoint document.
+        """Store a serialised dynamics checkpoint document under ``label``.
 
-        The sweep service journals checkpoint documents (not live
-        :class:`DynamicsResult` objects), so a resumed sweep can persist a
-        checkpoint whose engine no longer exists; the on-disk format is
-        identical to :meth:`save_checkpoint`.
+        ``document`` is :func:`~repro.core.serialization.
+        dynamics_result_to_dict` of one run.  The sweep service journals
+        these documents (not live :class:`~repro.core.dynamics.
+        DynamicsResult` objects), so a resumed sweep can persist a
+        checkpoint whose engine no longer exists.
         """
         if document.get("format") != "repro-dynamics-result":
             raise ValueError("document is not a repro-dynamics-result checkpoint")
@@ -209,7 +203,7 @@ class ExperimentStore:
         return path
 
     def load_checkpoint(self, name: str, label: str) -> tuple[StrategyProfile, GameSpec, dict]:
-        """Load a checkpoint saved by :meth:`save_checkpoint`."""
+        """Load a checkpoint saved by :meth:`save_checkpoint_document`."""
         path = self._experiment_dir(name) / "checkpoints" / f"{label}.json"
         if not path.exists():
             raise KeyError(f"experiment {name!r} has no checkpoint {label!r}")

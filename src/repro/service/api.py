@@ -1,19 +1,20 @@
 """The sweep orchestration service: compile → shard → execute → journal.
 
-:func:`orchestrate` is the one funnel every multi-process sweep routes
-through: warm instance-affine workers (:mod:`repro.service.workers`), a
+:func:`orchestrate` is the one funnel every sweep routes through, at
+any worker count: warm instance-affine workers
+(:mod:`repro.service.workers` — in the calling process at one worker), a
 crash-safe resumable journal (:mod:`repro.service.journal`), and —
 regardless of worker count, shard assignment or completion order —
-results that are bit-identical to the serial path, reassembled in
-canonical task order.
+results that are bit-identical to running each task on its own,
+reassembled in canonical task order.
 
 Four thin wrappers adapt the repository's sweep shapes:
 
 * :func:`run_spec_sweep` — ``experiments.runner.run_sweep`` grids;
-* :func:`sum_sweep` — the SumNCG study's per-run rows;
-* :func:`robustness_sweep` — per-(instance cell, operator) shock chains
-  sharing warm base engines, plus the base-equilibrium checkpoint
-  document;
+* :func:`sum_sweep` — ``generate_sum_dynamics``' per-run rows;
+* :func:`robustness_sweep` — ``generate_robustness_study``'s
+  per-(instance cell, operator) shock chains sharing warm base engines,
+  plus the base-equilibrium checkpoint document;
 * :func:`map_calls` — ``[func(item) for item in items]`` on ``workers``
   processes, the extension studies' fan-out.
 
@@ -128,10 +129,13 @@ def _export_shared_instances(
 def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
     """Execute a compiled sweep; decoded results in canonical task order.
 
-    Every result — fresh or journaled — passes through the same
-    encode/decode pair, so the assembled output of a resumed sweep is
-    byte-identical to an uninterrupted one, and the output of a sharded
-    run is byte-identical to the serial loop.
+    One worker (or ``in_process``) runs each shard in the calling process
+    on a fresh serial :class:`WorkerRuntime`; more workers start a
+    :class:`PersistentWorkerPool` for the sweep.  Every result — fresh or
+    journaled — passes through the same encode/decode pair, so the
+    assembled output of a resumed sweep is byte-identical to an
+    uninterrupted one, and the output of a sharded run is byte-identical
+    to the one-worker run.
     """
     if not tasks:
         return []
@@ -231,7 +235,7 @@ def robustness_sweep(
     """Orchestrated robustness study: per-shock rows + checkpoint document.
 
     Rows are concatenated in canonical (cell-major, operator-minor) task
-    order — exactly the serial sweep's row order.  The second element is
+    order, whatever the worker count.  The second element is
     the first instance cell's certified base-equilibrium checkpoint
     document (``None`` when that base run failed to certify).
     """

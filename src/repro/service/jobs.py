@@ -121,9 +121,9 @@ def compile_job(description: dict) -> list[SweepTask]:
     a grid cell computed by any client (or by ``python -m repro sweep``
     against the same store) is a cache hit for every later client.
     Malformed descriptions raise ``ValueError``/``TypeError``/``KeyError``
-    (HTTP 400 to clients), and so do instance families and perturbation
-    operators that execution would not know, so a bad job is refused at
-    submission instead of failing later in a worker.
+    (HTTP 400 to clients), and so do run specs, instance families and
+    perturbation operators that execution would refuse, so a bad job is
+    refused at submission instead of failing later in a worker.
     """
     if not isinstance(description, dict):
         raise ValueError("job description must be a JSON object")
@@ -133,13 +133,13 @@ def compile_job(description: dict) -> list[SweepTask]:
             f"unknown job kind {kind!r} (expected one of {sorted(JOB_KINDS)})"
         )
     if kind == "run_spec":
-        from repro.experiments.runner import RUN_SPEC_FAMILIES, RunSpec
+        from repro.experiments.runner import RunSpec
         from repro.service.tasks import compile_run_specs
 
+        # RunSpec refuses any spec execution would refuse.
         specs = [RunSpec(**spec) for spec in _list(description, "specs")]
         if not specs:
             raise ValueError("run_spec job carries no specs")
-        _check_names("family", [spec.family for spec in specs], RUN_SPEC_FAMILIES)
         return compile_run_specs(specs)
     from repro.experiments.config import SweepSettings
 

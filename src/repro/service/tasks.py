@@ -76,8 +76,8 @@ TELEMETRY_SUMMARY_FIELDS: frozenset[str] = frozenset(
 )
 
 #: Wall-clock row fields — the only sweep outputs that legitimately differ
-#: between two runs of the same spec (they differ between two *serial* runs
-#: just the same).  Everything else must be bit-identical.
+#: between two runs of the same spec (they differ between two one-worker
+#: runs just the same).  Everything else must be bit-identical.
 TIMING_FIELDS: frozenset[str] = (
     frozenset({"warm_s", "cold_s", "warm_speedup"}) | TELEMETRY_SUMMARY_FIELDS
 )
@@ -139,7 +139,7 @@ def compile_run_specs(specs: list[RunSpec]) -> list[SweepTask]:
 
 def compile_sum_tasks(config) -> list[SweepTask]:
     """Per-run tasks of a :class:`~repro.experiments.extensions.sum_dynamics.
-    SumDynamicsConfig` grid, in the exact order of the serial sweep."""
+    SumDynamicsConfig` grid, in canonical (n, α, k, seed) order."""
     cfg = config
     tasks: list[SweepTask] = []
     index = 0
@@ -173,11 +173,10 @@ def compile_sum_tasks(config) -> list[SweepTask]:
 def compile_robustness_tasks(config) -> list[SweepTask]:
     """Per-(instance cell, operator) tasks of a robustness study.
 
-    The serial sweep runs all operators of one instance sequentially on a
-    single engine; decomposing at operator granularity keeps exactly that
-    row order (tasks are compiled cell-major, operators inner) while
-    letting the warm worker pool share one converged base session across a
-    cell's operator chains.  The first operator task of each cell carries
+    One task per operator chain of each instance cell, compiled
+    cell-major with operators inner (the study's row order); a cell's
+    tasks share one ``session_key``, so a warm worker converges the base
+    session once and replays it for every operator chain.  The first operator task of each cell carries
     ``emit_base=True``: it owns the cell's honest unconverged-base row and
     (when certified) the base-equilibrium checkpoint document.
     """

@@ -32,10 +32,11 @@ orchestrator and the daemon pick one and never care which: a
 They are the repository's only way to fan work out: plain ``func(item)``
 maps (the extension studies) ride them as ``"call"`` tasks.
 
-Execution through a runtime is bit-identical to the serial paths: tasks
-are self-contained, warm engine reuse is the same ``restore_profile`` +
-``run`` replay the serial robustness sweep already performs between
-operators, and the equivalence is pinned by ``tests/service``.
+Execution through a runtime is bit-identical to running each task on its
+own: tasks are self-contained, warm engine reuse is a ``restore_profile``
++ ``run`` replay of the converged base, and the equivalence is pinned by
+``tests/service`` against references built outside the service
+(``run_single``, fresh per-cell base engines).
 """
 
 from __future__ import annotations
@@ -308,9 +309,8 @@ class WorkerRuntime:
         raise ValueError(f"unknown task kind {task.kind!r}")
 
     def _execute_robustness(self, task: SweepTask):
-        from repro.core.metrics import compute_profile_metrics
-        from repro.core.serialization import dynamics_result_to_dict
         from repro.experiments.extensions.robustness import (
+            _base_checkpoint_document,
             _converge_base,
             _operator_rows,
             _unconverged_base_row,
@@ -352,15 +352,7 @@ class WorkerRuntime:
         base_document = None
         if emit_base and session.result.certified:
             # The cell's first task owns the base-equilibrium checkpoint.
-            # Sweep engines skip metric sweeps; backfill the headline
-            # metrics once (mirrors the serial store path) so the document
-            # is complete wherever it is decoded — including from a
-            # resumed journal, where the engine no longer exists.
-            if session.result.final_metrics is None:
-                session.result.final_metrics = compute_profile_metrics(
-                    session.result.final_profile, session.result.game
-                )
-            base_document = dynamics_result_to_dict(session.result)
+            base_document = _base_checkpoint_document(session)
         return (rows, base_document)
 
     def execute_traced(self, task: SweepTask):

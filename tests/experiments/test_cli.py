@@ -126,6 +126,14 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--families", "gnp", "--quiet"])
 
+    def test_malformed_grid_is_refused_before_the_journal_opens(self, tmp_path, capsys):
+        journal = tmp_path / "bad"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--smoke", "--alphas", "1,-1", "--journal", str(journal), "--quiet"])
+        assert exit_info.value.code == 2
+        assert "alpha must be positive" in capsys.readouterr().err
+        assert not (journal / "sweep" / "journal.jsonl").exists()
+
     def test_smoke_honors_explicit_grid_flags(self, tmp_path):
         # --smoke shrinks defaults only; an explicit flag stays in force.
         out = tmp_path / "rows.json"

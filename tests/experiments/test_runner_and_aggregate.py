@@ -10,8 +10,6 @@ from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
 from repro.experiments.runner import (
     RunSpec,
     build_instance,
-    profile_run,
-    run_cell,
     run_single,
     run_sweep,
     specs_for_cell,
@@ -41,6 +39,27 @@ class TestRunSpec:
     def test_game_invalid_usage(self):
         with pytest.raises(ValueError):
             tree_spec(usage="median").game()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"alpha": -1.0},
+            {"k": 0},
+            {"family": "gnp"},
+            {"family": "gnp", "p": 1.5},
+            {"family": "hypercube"},
+            {"n": 0},
+            {"usage": "bogus"},
+            {"solver": "bogus"},
+            {"ordering": "bogus"},
+            {"ownership": "bogus"},
+            {"cost_model": "bogus"},
+        ],
+        ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
+    )
+    def test_malformed_spec_is_refused_when_built(self, overrides):
+        with pytest.raises(ValueError):
+            tree_spec(**overrides)
 
     def test_specs_are_hashable_and_picklable(self):
         import pickle
@@ -97,10 +116,6 @@ class TestRunSingle:
         assert a.final_metrics == b.final_metrics
         assert a.rounds == b.rounds
 
-    def test_profile_run_returns_report(self):
-        report = profile_run(tree_spec(n=10, seed=0))
-        assert "cumulative" in report or "ncalls" in report
-
 
 class TestSweep:
     def test_specs_for_cell(self):
@@ -109,17 +124,11 @@ class TestSweep:
         assert len(specs) == 4
         assert {spec.seed for spec in specs} == {0, 1, 2, 3}
 
-    def test_run_cell_serial(self):
-        settings = SweepSettings(num_seeds=2, solver="greedy", workers=1)
-        results = run_cell("tree", 12, 2.0, 2, settings)
-        assert len(results) == 2
-        assert all(r.spec.n == 12 for r in results)
-
     def test_run_sweep_parallel_workers(self):
         settings = SweepSettings(num_seeds=3, solver="greedy", workers=2)
         specs = specs_for_cell("tree", 10, 1.0, 2, settings)
         parallel = run_sweep(specs, settings)
-        serial = run_sweep(specs, SweepSettings(num_seeds=3, solver="greedy", workers=1))
+        serial = [run_single(spec) for spec in specs]
         assert [r.final_metrics for r in parallel] == [r.final_metrics for r in serial]
 
 

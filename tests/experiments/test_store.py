@@ -97,12 +97,14 @@ class TestExperimentStore:
         assert store.list_experiments() == ["a", "b"]
 
     def test_checkpoint_round_trip(self, tmp_path):
+        from repro.core.serialization import dynamics_result_to_dict
+
         store = ExperimentStore(tmp_path / "store")
         owned = random_owned_tree(10, seed=2)
         game = MaxNCG(alpha=2.0, k=2)
         result = best_response_dynamics(owned, game, solver="branch_and_bound")
         store.save_rows("anatomy", SAMPLE_ROWS)
-        store.save_checkpoint("anatomy", "seed2", result)
+        store.save_checkpoint_document("anatomy", "seed2", dynamics_result_to_dict(result))
 
         assert store.list_checkpoints("anatomy") == ["seed2"]
         assert store.describe("anatomy")["has_checkpoints"] is True

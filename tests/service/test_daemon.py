@@ -27,10 +27,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import SweepSettings
 from repro.experiments.extensions.robustness import RobustnessStudyConfig
 from repro.experiments.extensions.sum_dynamics import SumDynamicsConfig
-from repro.experiments.runner import RunSpec, run_single, run_sweep
+from repro.experiments.runner import RunSpec, run_single
 from repro.service.client import ServiceError, SweepClient
 from repro.service.daemon import DaemonConfig, ServiceDaemon
 from repro.service.jobs import (
@@ -68,8 +67,7 @@ def _specs(alphas, seeds=2, n=10, max_rounds=30) -> list[RunSpec]:
 
 
 def _serial_rows(specs: list[RunSpec]) -> list[dict]:
-    results = run_sweep(specs, SweepSettings(num_seeds=2, solver="greedy"))
-    return strip_timing_fields([result.as_row() for result in results])
+    return strip_timing_fields([run_single(spec).as_row() for spec in specs])
 
 
 def _remote_rows(client: SweepClient, job_id: str) -> list[dict]:
@@ -259,8 +257,8 @@ class TestDaemonProtocol:
     def test_invalid_descriptions_are_400(self, daemon):
         client = SweepClient(daemon.base_url)
         robustness = robustness_description(RobustnessStudyConfig.smoke())
-        bad_family_spec = {**run_spec_description(_specs(alphas=(0.5,), seeds=1))["specs"][0]}
-        bad_family_spec["family"] = "zzz"
+        good_spec = run_spec_description(_specs(alphas=(0.5,), seeds=1))["specs"][0]
+        bad_family_spec = {**good_spec, "family": "zzz"}
         for description in (
             {"kind": "nonsense"},
             {"kind": "run_spec", "specs": []},
@@ -272,6 +270,21 @@ class TestDaemonProtocol:
             {"kind": "run_spec", "specs": [bad_family_spec]},
             {**robustness, "families": ["tree", "zzz"]},
             {**robustness, "operators": ["drop_random_edges", "no_such_operator"]},
+            # Specs that execution would refuse in a worker.
+            *(
+                {"kind": "run_spec", "specs": [{**good_spec, **override}]}
+                for override in (
+                    {"alpha": -1},
+                    {"k": 0},
+                    {"family": "gnp"},
+                    {"family": "gnp", "p": 1.5},
+                    {"n": 0},
+                    {"usage": "bogus"},
+                    {"solver": "bogus"},
+                    {"ordering": "bogus"},
+                    {"ownership": "bogus"},
+                )
+            ),
         ):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(description)
@@ -401,10 +414,7 @@ class TestDaemonCrashRecovery:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
-        serial = run_sweep(specs, SweepSettings(num_seeds=3, solver="greedy"))
-        assert rows == strip_timing_fields(
-            [result.as_row() for result in serial]
-        )
+        assert rows == strip_timing_fields([run_single(spec).as_row() for spec in specs])
 
     def test_torn_job_record_is_skipped_on_recovery(self, tmp_path):
         """A torn ``.jobs/<id>.json`` (crash mid-submit) must not poison

@@ -2,15 +2,17 @@
 
 The load-bearing property: orchestrated sweeps — any worker count, any
 shard assignment, warm engine reuse, shared-memory instances, journal
-round-trips — produce exactly the serial path's results, reassembled in
-canonical task order.  Timing fields (``warm_s``/``cold_s``/
-``warm_speedup``) are the sole documented exception; they differ between
-two *serial* runs just the same.
+round-trips — produce exactly the results of references built outside
+the service (``run_single`` per spec, ``run_sum_task`` per run, a fresh
+base engine per robustness cell), reassembled in canonical task order.
+Timing fields (``warm_s``/``cold_s``/``warm_speedup``) are the sole
+documented exception; they differ between any two runs just the same.
 """
 
 import dataclasses
 import os
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +21,10 @@ from hypothesis import strategies as st
 from repro.experiments.config import SweepSettings
 from repro.experiments.extensions.robustness import (
     RobustnessStudyConfig,
+    _converge_base,
+    _instance_cells,
+    _operator_rows,
+    _unconverged_base_row,
     generate_robustness_study,
 )
 from repro.experiments.extensions.sum_dynamics import (
@@ -26,7 +32,8 @@ from repro.experiments.extensions.sum_dynamics import (
     generate_sum_dynamics,
     run_sum_task,
 )
-from repro.experiments.runner import RunSpec, run_single, run_sweep
+from repro.experiments.runner import RunSpec, run_single
+from repro.experiments.store import ExperimentStore
 from repro.graphs.generators.trees import random_owned_tree
 from repro.service.api import (
     ServiceConfig,
@@ -181,6 +188,27 @@ class TestCodecs:
         assert decoded["count"] == 3
 
 
+def _robustness_reference(cfg: RobustnessStudyConfig) -> list[dict]:
+    """A robustness study's rows built outside the service.
+
+    One fresh base engine per instance cell, then each operator's chain
+    on it in turn.
+    """
+    rows: list[dict] = []
+    for family, alpha, k, seed, game in _instance_cells(cfg):
+        session = _converge_base(
+            family, cfg.n, alpha, k, seed, cfg.settings.solver, cfg.settings.max_rounds, game
+        )
+        if not session.result.converged:
+            rows.append(_unconverged_base_row(session))
+            continue
+        for operator in cfg.operators:
+            rows.extend(
+                _operator_rows(session, operator, cfg.shocks_per_instance, cfg.intensity)
+            )
+    return rows
+
+
 class TestOrchestratedEquivalence:
     @settings(
         max_examples=8,
@@ -190,7 +218,7 @@ class TestOrchestratedEquivalence:
     @given(workers=st.integers(min_value=2, max_value=5), shard_seed=st.integers(0, 1000))
     def test_run_spec_rows_invariant_under_sharding(self, workers, shard_seed):
         specs = _specs()
-        serial = run_sweep(specs, SweepSettings(num_seeds=2, solver="greedy", workers=1))
+        serial = [run_single(spec) for spec in specs]
         orchestrated = run_spec_sweep(
             specs,
             ServiceConfig(workers=workers, in_process=True, shard_seed=shard_seed),
@@ -199,7 +227,7 @@ class TestOrchestratedEquivalence:
 
     @pytest.mark.parametrize("shard_seed", [0, 7])
     def test_robustness_rows_invariant_under_sharding(self, shard_seed):
-        serial = generate_robustness_study(_robustness_config())
+        serial = _robustness_reference(_robustness_config())
         rows, checkpoint = robustness_sweep(
             _robustness_config(),
             ServiceConfig(workers=3, in_process=True, shard_seed=shard_seed),
@@ -227,6 +255,25 @@ class TestOrchestratedEquivalence:
         )
         assert rows == serial
 
+    def test_robustness_store_does_not_depend_on_the_worker_count(self, tmp_path):
+        one = generate_robustness_study(_robustness_config(), store=tmp_path / "a")
+        two = generate_robustness_study(
+            _robustness_config(workers=2),
+            store=tmp_path / "b",
+            journal=str(tmp_path / "journal"),
+        )
+        assert strip_timing_fields(two) == strip_timing_fields(one)
+        stores = [ExperimentStore(tmp_path / name) for name in ("a", "b")]
+        assert strip_timing_fields(stores[1].load_rows("robustness")) == (
+            strip_timing_fields(stores[0].load_rows("robustness"))
+        )
+        (label,) = stores[0].list_checkpoints("robustness")
+        assert stores[1].list_checkpoints("robustness") == [label]
+        checkpoint = Path("robustness", "checkpoints", f"{label}.json")
+        assert (tmp_path / "b" / checkpoint).read_bytes() == (
+            (tmp_path / "a" / checkpoint).read_bytes()
+        )
+
     def test_journaled_sum_study_matches_serial(self, tmp_path):
         cfg = SumDynamicsConfig.smoke()
         assert generate_sum_dynamics(cfg, journal=str(tmp_path)) == (
@@ -235,12 +282,13 @@ class TestOrchestratedEquivalence:
 
     def test_real_process_pool_matches_serial(self):
         specs = _specs()
-        serial = run_sweep(specs, SweepSettings(num_seeds=2, solver="greedy", workers=1))
+        serial = [run_single(spec) for spec in specs]
         orchestrated = run_spec_sweep(specs, ServiceConfig(workers=2))
         assert orchestrated == serial
 
     def test_worker_errors_propagate(self):
-        bad = [RunSpec(family="gnp", n=10, alpha=1.0, k=2, seed=0, p=None)]
+        # No connected G(10, 0) exists: the worker's generator gives up.
+        bad = [RunSpec(family="gnp", n=10, alpha=1.0, k=2, seed=0, p=0.0)]
         with pytest.raises((RuntimeError, ValueError)):
             run_spec_sweep(bad * 2, ServiceConfig(workers=2))
 
@@ -307,7 +355,8 @@ class TestExecutorContract:
         assert delivered == []
 
     def test_task_error_raises(self, executor):
-        bad = RunSpec(family="gnp", n=10, alpha=1.0, k=2, seed=0, p=None)
+        # No connected G(10, 0) exists: the worker's generator gives up.
+        bad = RunSpec(family="gnp", n=10, alpha=1.0, k=2, seed=0, p=0.0)
         with pytest.raises((RuntimeError, ValueError)):
             executor.run_tasks(
                 compile_run_specs([bad]), lambda index, spec_hash, kind, payload: None
@@ -398,7 +447,7 @@ class TestWarmSessions:
         ]
         assert runtime.sessions_built == 1
         assert runtime.sessions_reused == len(tasks) - 1
-        serial = generate_robustness_study(cfg)
+        serial = _robustness_reference(cfg)
         rows = [row for task_rows, _ in results for row in task_rows]
         assert strip_timing_fields(rows) == strip_timing_fields(serial)
 
@@ -434,7 +483,7 @@ class TestSharedMemoryInstances:
 
     def test_orchestrate_with_forced_sharing_matches_serial(self):
         specs = _specs()
-        serial = run_sweep(specs, SweepSettings(num_seeds=2, solver="greedy", workers=1))
+        serial = [run_single(spec) for spec in specs]
         orchestrated = run_spec_sweep(
             specs, ServiceConfig(workers=2, min_shared_nodes=1)
         )
