@@ -549,7 +549,7 @@ def _converge_base(
 
     ``owned`` optionally injects a pre-built instance (an
     :class:`~repro.graphs.generators.base.OwnedGraph` or a
-    :class:`StrategyProfile`, e.g. a sweep worker's shared-memory copy);
+    :class:`StrategyProfile`, e.g. a sweep worker's cached copy);
     by default the instance is generated from its family/size/seed.
     """
     if owned is None:

@@ -182,7 +182,7 @@ def run_spec_on_instance(
     ``initial`` is the instance :func:`build_instance` would produce for
     ``spec`` — an :class:`OwnedGraph` or the equivalent
     :class:`~repro.core.strategies.StrategyProfile` (e.g. a sweep worker's
-    cached or shared-memory copy); the result is identical either way.
+    cached copy); the result is identical either way.
     ``view_store`` optionally shares refreshed BFS views across runs over
     the same instance (an α-grid) — trajectories are bit-identical with or
     without it.  ``telemetry`` is an optional :class:`repro.obs.Telemetry`

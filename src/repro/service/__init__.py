@@ -3,8 +3,8 @@
 Compiles any sweep — :class:`~repro.experiments.runner.RunSpec` grids,
 robustness operator chains, SumNCG grids, plain ``func(item)`` maps —
 into instance-affine task shards, executes them on persistent warm-engine
-workers (live :class:`~repro.engine.DynamicsEngine` sessions,
-shared-memory instances), journals every completed task crash-safely and
+workers (live :class:`~repro.engine.DynamicsEngine` sessions, cached
+instances), journals every completed task crash-safely and
 resumes interrupted sweeps with the identical row set.  Entry points:
 :func:`repro.service.api.orchestrate` and the ``python -m repro sweep``
 CLI.
@@ -45,12 +45,7 @@ from repro.service.tasks import (
     strip_timing_fields,
     sweep_hash,
 )
-from repro.service.workers import (
-    PersistentWorkerPool,
-    SharedInstanceStore,
-    WorkerRuntime,
-    attach_shared_profile,
-)
+from repro.service.workers import PersistentWorkerPool, WorkerRuntime
 
 __all__ = [
     "ServiceConfig",
@@ -68,10 +63,8 @@ __all__ = [
     "simulate_dispatch",
     "strip_timing_fields",
     "sweep_hash",
-    "SharedInstanceStore",
     "PersistentWorkerPool",
     "WorkerRuntime",
-    "attach_shared_profile",
     "DaemonConfig",
     "ServiceDaemon",
     "run_daemon",

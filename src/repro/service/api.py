@@ -37,17 +37,10 @@ from repro.service.tasks import (
     compile_run_specs,
     compile_sum_tasks,
     decode_result,
-    instance_builder,
-    instance_size,
     shard_tasks,
     sweep_hash,
 )
-from repro.service.workers import (
-    SHARED_INSTANCE_MIN_NODES,
-    PersistentWorkerPool,
-    SharedInstanceStore,
-    WorkerRuntime,
-)
+from repro.service.workers import PersistentWorkerPool, WorkerRuntime
 
 __all__ = [
     "ServiceConfig",
@@ -82,8 +75,9 @@ class ServiceConfig:
 
     A multi-worker pool dispatches through the
     :class:`~repro.service.tasks.AffinityTaskQueue`: idle workers steal
-    whole pending instance-groups from stragglers.  Rows never depend on
-    the dispatch — only the makespan does.
+    whole pending instance-groups from stragglers.  Each group runs on
+    one worker, which builds the group's instance itself.  Rows never
+    depend on the dispatch — only the makespan does.
 
     ``telemetry=True`` runs every task under trace spans (engine rounds,
     best responses, view refreshes, kernel calls) and journals one
@@ -99,39 +93,19 @@ class ServiceConfig:
     journal_dir: str | Path | None = None
     experiment: str = "sweep"
     resume: bool = False
-    min_shared_nodes: int = SHARED_INSTANCE_MIN_NODES
     in_process: bool = False
     shard_seed: int | None = None
     telemetry: bool = False
-
-
-def _export_shared_instances(
-    tasks: list[SweepTask], min_nodes: int
-) -> SharedInstanceStore:
-    """Materialise each large, multiply-used instance into shared memory.
-
-    Eligibility is decided *before* building (the expected size is part of
-    every task description): only groups with at least two tasks and
-    ``min_nodes`` players pay the one parent-side build; everything else
-    is cheaper regenerated inside its worker's instance cache.
-    """
-    store = SharedInstanceStore()
-    groups: dict[str, list[SweepTask]] = {}
-    for task in tasks:
-        groups.setdefault(task.instance_key, []).append(task)
-    for key, members in groups.items():
-        if len(members) < 2 or instance_size(members[0]) < min_nodes:
-            continue
-        store.export(key, instance_builder(members[0])())
-    return store
 
 
 def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
     """Execute a compiled sweep; decoded results in canonical task order.
 
     One worker (or ``in_process``) runs each shard in the calling process
-    on a fresh serial :class:`WorkerRuntime`; more workers start a
-    :class:`PersistentWorkerPool` for the sweep.  Every result — fresh or
+    on a fresh serial :class:`WorkerRuntime`; more workers run the tasks
+    on a :class:`PersistentWorkerPool` for the sweep.  Either way an
+    instance is built once, by the runtime that executes its group, into
+    that runtime's instance cache.  Every result — fresh or
     journaled — passes through the same encode/decode pair, so the
     assembled output of a resumed sweep is byte-identical to an
     uninterrupted one, and the output of a sharded run is byte-identical
@@ -193,14 +167,10 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
                         telemetry=Telemetry(tracing=True) if config.telemetry else None
                     ).run_tasks(shard, on_result, on_telemetry=on_telemetry)
             else:
-                shared = _export_shared_instances(pending, config.min_shared_nodes)
                 pool = PersistentWorkerPool(
-                    workers=workers,
-                    shared_refs=shared.refs,
-                    telemetry=config.telemetry,
+                    workers=workers, telemetry=config.telemetry
                 )
                 try:
-                    pool.start()
                     pool.run_tasks(
                         pending,
                         on_result,
@@ -209,7 +179,6 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
                     )
                 finally:
                     pool.stop()
-                    shared.release()
     finally:
         if journal is not None:
             journal.close()

@@ -217,7 +217,13 @@ class ServiceDaemon:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or 0)
+            raw_length = headers.get("content-length", "0") or "0"
+            if not (raw_length.isascii() and raw_length.isdecimal()):
+                await self._respond(
+                    writer, 400, {"error": f"invalid Content-Length {raw_length!r}"}
+                )
+                return
+            length = int(raw_length)
             body = await reader.readexactly(length) if length > 0 else b""
             path, _, query = target.partition("?")
             await self._route(method, path, query, body, writer)

@@ -11,10 +11,9 @@ items.  This module compiles each of them into
 ``instance_key``
     Hash of exactly the inputs that determine the *initial instance*
     (family, size, seed, ownership rule).  Tasks sharing it are placed on
-    the same worker shard, in sequence, so the worker's instance cache —
-    and, for instances above the shared-memory threshold, the one
-    ``multiprocessing.shared_memory`` copy — is hit instead of regenerating
-    (or re-pickling) the graph per task.
+    the same worker shard, in sequence, so the worker builds the instance
+    once into its instance cache and every later task of the group hits
+    the cache instead of regenerating (or re-pickling) the graph.
 ``session_key``
     Hash of everything that determines a warm engine session (instance
     plus game, solver, round cap).  Robustness operator tasks of one
@@ -43,7 +42,7 @@ from typing import Any
 
 from repro.core.metrics import ProfileMetrics
 from repro.experiments.runner import RunResult, RunSpec
-from repro.obs import Telemetry, get_telemetry
+from repro.obs import get_telemetry
 
 __all__ = [
     "SweepTask",
@@ -117,7 +116,7 @@ def compile_run_specs(specs: list[RunSpec]) -> list[SweepTask]:
 
     Specs differing only in (α, k, solver, ordering …) share their initial
     instance — grids sweep those dimensions over the same seeds — so they
-    land on the same worker and reuse its cached (or shared-memory) copy.
+    land on the same worker and reuse its cached copy.
     """
     tasks: list[SweepTask] = []
     for index, spec in enumerate(specs):
@@ -337,9 +336,9 @@ class AffinityTaskQueue:
     it runs dry (``steal=True``), steals the **oldest pending group** from
     the victim with the largest remaining estimated load — whole
     instance-groups move, never single tasks, so the in-sequence-per-
-    instance invariant (warm sessions, shared-memory attach, journal
-    ordering) survives any interleaving.  A group being executed is checked
-    out to its worker and can no longer move.
+    instance invariant (warm sessions, one instance build per group,
+    journal ordering) survives any interleaving.  A group being executed
+    is checked out to its worker and can no longer move.
 
     Dispatch is deterministic given the sequence of :meth:`next_task`
     calls; results never depend on that sequence because every task is
@@ -354,7 +353,6 @@ class AffinityTaskQueue:
         num_workers: int,
         steal: bool = True,
         order_seed: int | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -375,7 +373,7 @@ class AffinityTaskQueue:
         # Instrumentation (read by tests and the steal benchmark) — private
         # registry children behind read-through properties, so dispatch
         # counts also aggregate into the process-wide metrics.
-        dispatch = (telemetry or get_telemetry()).registry.counter(
+        dispatch = get_telemetry().registry.counter(
             "repro_dispatch_total",
             help="Task-queue dispatch decisions",
             labelnames=("op",),
@@ -481,7 +479,7 @@ def strip_timing_fields(rows: list[dict]) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# Instance builders (parent-side pre-materialisation for shared memory)
+# Instance builders (the worker-side instance cache; the size estimate)
 # ----------------------------------------------------------------------
 def instance_size(task: SweepTask) -> int:
     """Expected player count of the task's initial instance (pre-build)."""
@@ -499,9 +497,8 @@ def instance_size(task: SweepTask) -> int:
 def instance_builder(task: SweepTask):
     """Zero-argument builder of the task's initial instance.
 
-    Used both by the worker-side instance cache and by the orchestrator
-    when it pre-materialises a large, multiply-used instance into shared
-    memory.
+    Called by :class:`~repro.service.workers.WorkerRuntime` on an instance
+    cache miss: the worker that runs an instance group builds its instance.
     """
     if task.kind == "run_spec":
         from repro.experiments.runner import build_instance

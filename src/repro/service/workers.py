@@ -1,4 +1,4 @@
-"""Warm sweep workers: engine sessions, instance caches, shared memory.
+"""Warm sweep workers: engine sessions and instance caches.
 
 A throwaway process pool would re-create the whole world per task: the
 instance regenerated (or pickled over), the engine rebuilt, and for
@@ -10,13 +10,9 @@ state the incremental engine exists to keep alive.  This module keeps it:
   ``instance_key`` and live :class:`~repro.experiments.extensions.
   robustness._BaseSession` engines keyed by ``session_key``.  Because the
   task compiler shards with instance affinity, consecutive tasks hit these
-  caches: a robustness cell's second operator chain starts from a
+  caches: each instance is built once, by the worker that runs its group,
+  and a robustness cell's second operator chain starts from a
   ``restore_profile`` warm replay instead of a cold base convergence.
-* :class:`SharedInstanceStore` places one copy of a large instance's
-  strategy CSR (players, per-player bought-target lists) in
-  ``multiprocessing.shared_memory``; workers attach and rebuild the
-  :class:`~repro.core.strategies.StrategyProfile` from the mapped arrays
-  instead of regenerating the graph per worker or pickling it per task.
 * :class:`PersistentWorkerPool` runs a fixed set of long-lived worker
   processes fed through an :class:`~repro.service.tasks.AffinityTaskQueue`:
   soft instance affinity keeps the warm caches hot, idle workers steal
@@ -46,13 +42,8 @@ import os
 import time
 import traceback
 from collections import OrderedDict
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 from queue import Empty
 
-import numpy as np
-
-from repro.core.strategies import StrategyProfile
 from repro.engine.views import ViewStore
 from repro.experiments.config import resolve_workers
 from repro.obs import Telemetry, get_telemetry, set_telemetry
@@ -65,20 +56,11 @@ from repro.service.tasks import (
 )
 
 __all__ = [
-    "SHARED_INSTANCE_MIN_NODES",
     "SESSION_CACHE_SIZE",
     "INSTANCE_CACHE_SIZE",
-    "SharedInstanceRef",
-    "SharedInstanceStore",
     "WorkerRuntime",
     "PersistentWorkerPool",
 ]
-
-#: Instances below this player count are cheaper to regenerate from their
-#: seed than to map: one worker-side rebuild per instance group (the LRU
-#: holds it across the group's tasks) costs microseconds at small n.  At
-#: 10^4+ nodes regeneration and per-task pickling both dwarf an mmap.
-SHARED_INSTANCE_MIN_NODES: int = 2048
 
 #: Live engine sessions per worker.  Shards order tasks group-by-group, so
 #: a session is only revisited while its group runs — two covers the
@@ -87,101 +69,6 @@ SESSION_CACHE_SIZE: int = 2
 
 #: Initial instances per worker (cheap: one profile each).
 INSTANCE_CACHE_SIZE: int = 4
-
-
-# ----------------------------------------------------------------------
-# Shared-memory instances
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SharedInstanceRef:
-    """Name + shape of one shared-memory instance block (picklable)."""
-
-    name: str
-    num_players: int
-    num_targets: int
-
-
-def _profile_of(instance) -> StrategyProfile:
-    if isinstance(instance, StrategyProfile):
-        return instance
-    return StrategyProfile.from_owned_graph(instance)
-
-
-class SharedInstanceStore:
-    """Parent-side owner of the shared-memory instance blocks.
-
-    Each exported instance occupies one block holding three ``int64``
-    sections — ``players`` (in profile order: the order is part of the
-    dynamics' tie-breaking and must survive the trip), ``indptr`` and the
-    flattened per-player ``targets`` (sorted, so the rebuild is
-    deterministic).  Only integer-labelled instances are exportable; the
-    generators used by the sweeps all produce those, and a non-integer
-    instance silently falls back to worker-side regeneration.
-    """
-
-    def __init__(self) -> None:
-        self._blocks: list[shared_memory.SharedMemory] = []
-        self.refs: dict[str, SharedInstanceRef] = {}
-
-    def export(self, instance_key: str, instance) -> bool:
-        """Place ``instance`` in shared memory; False if not exportable."""
-        profile = _profile_of(instance)
-        players = profile.players()
-        # np.integer labels (e.g. nodes minted from numpy index arrays) are
-        # every bit as exportable as python ints — `isinstance(np.int64(3),
-        # int)` is False, so testing `int` alone silently disabled shared
-        # placement for numpy-labelled instances.
-        if not all(isinstance(player, (int, np.integer)) for player in players):
-            return False
-        strategies = [sorted(profile.strategy(player)) for player in players]
-        num_targets = sum(len(targets) for targets in strategies)
-        length = 2 * len(players) + 1 + num_targets
-        block = shared_memory.SharedMemory(create=True, size=max(8, length * 8))
-        data = np.ndarray((length,), dtype=np.int64, buffer=block.buf)
-        n = len(players)
-        data[:n] = players
-        indptr = data[n : 2 * n + 1]
-        indptr[0] = 0
-        cursor = 2 * n + 1
-        for i, targets in enumerate(strategies):
-            data[cursor : cursor + len(targets)] = targets
-            cursor += len(targets)
-            indptr[i + 1] = indptr[i] + len(targets)
-        self._blocks.append(block)
-        self.refs[instance_key] = SharedInstanceRef(
-            name=block.name, num_players=n, num_targets=num_targets
-        )
-        return True
-
-    def release(self) -> None:
-        """Close and unlink every block (after the worker pool is done)."""
-        for block in self._blocks:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._blocks = []
-        self.refs = {}
-
-
-def attach_shared_profile(ref: SharedInstanceRef) -> StrategyProfile:
-    """Rebuild the :class:`StrategyProfile` behind a shared-memory ref."""
-    block = shared_memory.SharedMemory(name=ref.name)
-    try:
-        length = 2 * ref.num_players + 1 + ref.num_targets
-        data = np.ndarray((length,), dtype=np.int64, buffer=block.buf)
-        n = ref.num_players
-        players = data[:n].tolist()
-        indptr = data[n : 2 * n + 1].tolist()
-        targets = data[2 * n + 1 :].tolist()
-        strategies = {
-            player: targets[indptr[i] : indptr[i + 1]]
-            for i, player in enumerate(players)
-        }
-    finally:
-        block.close()
-    return StrategyProfile(strategies)
 
 
 # ----------------------------------------------------------------------
@@ -196,11 +83,9 @@ class WorkerRuntime:
 
     def __init__(
         self,
-        shared_refs: dict[str, SharedInstanceRef] | None = None,
         view_store: ViewStore | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        self._shared_refs = dict(shared_refs or {})
         self._instances: OrderedDict[str, object] = OrderedDict()
         self._sessions: OrderedDict[str, object] = OrderedDict()
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
@@ -227,9 +112,6 @@ class WorkerRuntime:
         self._m_instances_reused = cache_ops.child(
             cache="instance", event="reused"
         )
-        self._m_shared_attached = cache_ops.child(
-            cache="instance", event="attached"
-        )
 
     @property
     def sessions_built(self) -> int:
@@ -247,10 +129,6 @@ class WorkerRuntime:
     def instances_reused(self) -> int:
         return self._m_instances_reused.value
 
-    @property
-    def shared_attached(self) -> int:
-        return self._m_shared_attached.value
-
     # -- caches --------------------------------------------------------
     def _instance(self, task: SweepTask):
         key = task.instance_key
@@ -258,12 +136,8 @@ class WorkerRuntime:
             self._instances.move_to_end(key)
             self._m_instances_reused.inc()
             return self._instances[key]
-        if key in self._shared_refs:
-            instance = attach_shared_profile(self._shared_refs[key])
-            self._m_shared_attached.inc()
-        else:
-            instance = instance_builder(task)()
-            self._m_instances_built.inc()
+        instance = instance_builder(task)()
+        self._m_instances_built.inc()
         self._instances[key] = instance
         while len(self._instances) > INSTANCE_CACHE_SIZE:
             self._instances.popitem(last=False)
@@ -430,7 +304,6 @@ def _service_worker_main(
     inbox,
     outbox,
     orchestrator_pid: int,
-    shared_refs: dict[str, SharedInstanceRef] | None = None,
     telemetry: bool = False,
 ) -> None:
     """Long-lived process body of one :class:`PersistentWorkerPool` slot.
@@ -445,9 +318,7 @@ def _service_worker_main(
     what ``--resume`` exists for) would otherwise leave workers burning CPU
     on results nobody collects, concurrently with the resumed run.
     """
-    runtime = WorkerRuntime(
-        shared_refs, telemetry=Telemetry(tracing=True) if telemetry else None
-    )
+    runtime = WorkerRuntime(telemetry=Telemetry(tracing=True) if telemetry else None)
     while True:
         try:
             item = inbox.get(timeout=1.0)
@@ -496,11 +367,9 @@ class PersistentWorkerPool:
     def __init__(
         self,
         workers: int | None = 1,
-        shared_refs: dict[str, SharedInstanceRef] | None = None,
         telemetry: bool = False,
     ) -> None:
         self.workers = resolve_workers(workers)
-        self.shared_refs = dict(shared_refs or {})
         #: When True every worker traces its tasks and streams back a
         #: telemetry summary per result (rows stay bit-identical; only the
         #: :data:`~repro.service.tasks.TIMING_FIELDS`-masked fields differ).
@@ -529,7 +398,6 @@ class PersistentWorkerPool:
                 inbox,
                 self._outbox,
                 os.getpid(),  # captured pre-fork: the orphan baseline
-                self.shared_refs,
                 self.telemetry,
             ),
             daemon=True,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -290,6 +291,23 @@ class TestDaemonProtocol:
                 client.submit(description)
             assert excinfo.value.status == 400
         assert client.stats()["engine_executions"] == 0
+
+    def test_malformed_content_length_is_400(self, daemon):
+        """A Content-Length that is not a non-negative integer gets a 400
+        response, not a dropped connection."""
+        for value in ("abc", "-1", "1.5"):
+            with socket.create_connection(
+                (daemon.config.host, daemon.port), timeout=30
+            ) as sock:
+                sock.sendall(
+                    f"POST /jobs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode()
+                )
+                response = b""
+                while chunk := sock.recv(4096):
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), (value, response)
+            assert "Content-Length" in json.loads(body)["error"]
 
     def test_unknown_job_is_404(self, daemon):
         client = SweepClient(daemon.base_url)

@@ -1,10 +1,10 @@
 """Tests for the sweep orchestration service.
 
 The load-bearing property: orchestrated sweeps — any worker count, any
-shard assignment, warm engine reuse, shared-memory instances, journal
-round-trips — produce exactly the results of references built outside
-the service (``run_single`` per spec, ``run_sum_task`` per run, a fresh
-base engine per robustness cell), reassembled in canonical task order.
+shard assignment, warm engine reuse, journal round-trips — produce
+exactly the results of references built outside the service
+(``run_single`` per spec, ``run_sum_task`` per run, a fresh base engine
+per robustness cell), reassembled in canonical task order.
 Timing fields (``warm_s``/``cold_s``/``warm_speedup``) are the sole
 documented exception; they differ between any two runs just the same.
 """
@@ -49,17 +49,11 @@ from repro.service.tasks import (
     compile_run_specs,
     decode_result,
     encode_result,
-    instance_builder,
     shard_tasks,
     strip_timing_fields,
     sweep_hash,
 )
-from repro.service.workers import (
-    PersistentWorkerPool,
-    SharedInstanceStore,
-    WorkerRuntime,
-    attach_shared_profile,
-)
+from repro.service.workers import PersistentWorkerPool, WorkerRuntime
 
 
 def _specs(num_seeds: int = 2) -> list[RunSpec]:
@@ -450,87 +444,6 @@ class TestWarmSessions:
         serial = _robustness_reference(cfg)
         rows = [row for task_rows, _ in results for row in task_rows]
         assert strip_timing_fields(rows) == strip_timing_fields(serial)
-
-
-class TestSharedMemoryInstances:
-    def test_export_attach_round_trip(self):
-        from repro.core.strategies import StrategyProfile
-
-        task = compile_run_specs(_specs()[:1])[0]
-        instance = instance_builder(task)()
-        profile = StrategyProfile.from_owned_graph(instance)
-        store = SharedInstanceStore()
-        try:
-            assert store.export(task.instance_key, instance)
-            restored = attach_shared_profile(store.refs[task.instance_key])
-            assert restored == profile
-            assert restored.players() == profile.players()  # order matters
-        finally:
-            store.release()
-
-    def test_runtime_uses_shared_instance(self):
-        task = compile_run_specs(_specs()[:1])[0]
-        store = SharedInstanceStore()
-        try:
-            store.export(task.instance_key, instance_builder(task)())
-            shared_runtime = WorkerRuntime(shared_refs=store.refs)
-            shared_result = shared_runtime.execute(task)
-            assert shared_runtime.shared_attached == 1
-            assert shared_runtime.instances_built == 0
-        finally:
-            store.release()
-        assert shared_result == run_single(task.payload[0])
-
-    def test_orchestrate_with_forced_sharing_matches_serial(self):
-        specs = _specs()
-        serial = [run_single(spec) for spec in specs]
-        orchestrated = run_spec_sweep(
-            specs, ServiceConfig(workers=2, min_shared_nodes=1)
-        )
-        assert orchestrated == serial
-
-    def test_non_integer_nodes_fall_back(self):
-        from repro.graphs.generators.base import OwnedGraph, assign_ownership_to_smaller
-        from repro.graphs.graph import Graph
-
-        graph = Graph(edges=[(("a", 0), ("a", 1)), (("a", 1), ("a", 2))])
-        owned = OwnedGraph(graph=graph, ownership=assign_ownership_to_smaller(graph))
-        store = SharedInstanceStore()
-        try:
-            assert not store.export("tuple-nodes", owned)
-            assert "tuple-nodes" not in store.refs
-        finally:
-            store.release()
-
-    def test_numpy_integer_labels_are_shareable(self):
-        """Regression: ``np.int64`` player labels must not silently disable
-        shared-memory placement (``isinstance(x, int)`` is False for them)."""
-        import numpy as np
-
-        from repro.graphs.generators.base import OwnedGraph, assign_ownership_to_smaller
-        from repro.graphs.graph import Graph
-
-        task = compile_run_specs(_specs()[:1])[0]
-        plain = instance_builder(task)()
-        relabel = {player: np.int64(player) for player in plain.graph.nodes()}
-        graph = Graph(
-            edges=[(relabel[u], relabel[v]) for u, v in plain.graph.edges()]
-        )
-        owned = OwnedGraph(
-            graph=graph, ownership=assign_ownership_to_smaller(graph)
-        )
-        store = SharedInstanceStore()
-        try:
-            assert store.export(task.instance_key, owned)
-            runtime = WorkerRuntime(shared_refs=store.refs)
-            runtime.execute(task)
-            assert runtime.shared_attached > 0
-            restored = attach_shared_profile(store.refs[task.instance_key])
-            assert sorted(restored.players()) == sorted(
-                int(player) for player in owned.ownership
-            )
-        finally:
-            store.release()
 
 
 class TestOrchestrateJournal:

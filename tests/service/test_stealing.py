@@ -164,6 +164,9 @@ class TestAffinityTaskQueue:
             payload = encode_result(task, runtimes[worker].execute(task))
             decoded[task.index] = decode_result(task.kind, payload)
         assert [decoded[i] for i in range(len(specs))] == serial
+        assert sum(r.instances_built for r in runtimes) == len(
+            {t.instance_key for t in tasks}
+        )
 
 
 class TestStragglerScenario:
