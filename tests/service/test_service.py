@@ -35,6 +35,8 @@ from repro.experiments.extensions.sum_dynamics import (
 from repro.experiments.runner import RunSpec, run_single
 from repro.experiments.store import ExperimentStore
 from repro.graphs.generators.trees import random_owned_tree
+from repro.obs import Telemetry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.api import (
     ServiceConfig,
     map_calls,
@@ -47,13 +49,18 @@ from repro.service.tasks import (
     compile_calls,
     compile_robustness_tasks,
     compile_run_specs,
+    compile_sum_tasks,
     decode_result,
     encode_result,
     shard_tasks,
     strip_timing_fields,
     sweep_hash,
 )
-from repro.service.workers import PersistentWorkerPool, WorkerRuntime
+from repro.service.workers import (
+    INSTANCE_CACHE_SIZE,
+    PersistentWorkerPool,
+    WorkerRuntime,
+)
 
 
 def _specs(num_seeds: int = 2) -> list[RunSpec]:
@@ -444,6 +451,71 @@ class TestWarmSessions:
         serial = _robustness_reference(cfg)
         rows = [row for task_rows, _ in results for row in task_rows]
         assert strip_timing_fields(rows) == strip_timing_fields(serial)
+
+
+class TestWorkerInstances:
+    """A worker builds each instance itself, on its group's first task,
+    into an LRU that the group's later tasks reuse."""
+
+    def test_runtime_builds_each_instance_once_per_group(self):
+        tasks = compile_run_specs(_specs())
+        runtime = WorkerRuntime()
+        results = [runtime.execute(task) for task in tasks]
+        groups = len({task.instance_key for task in tasks})
+        assert runtime.instances_built == groups
+        assert runtime.instances_reused == len(tasks) - groups
+        assert results == [run_single(task.payload[0]) for task in tasks]
+
+    def test_a_reused_instance_is_unchanged_by_earlier_runs(self):
+        task = compile_run_specs(_specs()[:1])[0]
+        runtime = WorkerRuntime()
+        first = runtime.execute(task)
+        second = runtime.execute(task)
+        assert (runtime.instances_built, runtime.instances_reused) == (1, 1)
+        assert first == second == run_single(task.payload[0])
+
+    def test_instance_cache_evicts_the_least_recently_used(self):
+        specs = [
+            RunSpec(family="tree", n=10, alpha=2.0, k=2, seed=seed, solver="greedy")
+            for seed in range(INSTANCE_CACHE_SIZE + 1)
+        ]
+        tasks = compile_run_specs(specs)
+        runtime = WorkerRuntime()
+        for task in tasks:
+            runtime.execute(task)
+        runtime.execute(tasks[-1])  # the newest instance is still cached
+        assert runtime.instances_reused == 1
+        runtime.execute(tasks[0])  # the oldest was evicted: built again
+        assert runtime.instances_built == len(tasks) + 1
+        assert runtime.instances_reused == 1
+
+    def test_cache_counter_has_only_built_and_reused_events(self):
+        registry = MetricsRegistry()
+        runtime = WorkerRuntime(telemetry=Telemetry(registry=registry))
+        tasks = compile_run_specs(_specs())
+        for task in tasks:
+            runtime.execute(task)
+        groups = len({task.instance_key for task in tasks})
+        family = registry.counter("repro_worker_cache_total")
+        assert {key: series.value for key, series in family.samples()} == {
+            ("instance", "built"): groups,
+            ("instance", "reused"): len(tasks) - groups,
+            ("session", "built"): 0,
+            ("session", "reused"): 0,
+        }
+
+    def test_sum_tasks_build_one_tree_per_size_and_seed(self):
+        cfg = SumDynamicsConfig.smoke()
+        tasks = compile_sum_tasks(cfg)
+        runtime = WorkerRuntime()
+        rows = [runtime.execute(task) for task in tasks]
+        assert runtime.instances_built == len(cfg.sizes) * cfg.settings.num_seeds
+        assert runtime.instances_reused == len(tasks) - runtime.instances_built
+        assert rows == [
+            run_sum_task(task.payload, random_owned_tree(n, seed=seed))
+            for task in tasks
+            for n, _, _, seed, _ in [task.payload]
+        ]
 
 
 class TestOrchestrateJournal:
