@@ -5,14 +5,14 @@ Writes ``BENCH_sum.json`` under ``benchmarks/out/``.
 Two sections:
 
 * **activations** — for every player whose strategy space sits at a
-  cross-check size (``6 <= m <= SUM_EXHAUSTIVE_LIMIT``, where the seeded
-  path and the naive enumeration are both exact), time the pre-refactor
-  cold enumeration (``prune=False``, no seed) against the dispatch's
-  local-search-seeded, class-pruned enumeration — at the initial profile
-  *and* at the converged equilibrium (the quiet-round/certification regime,
-  where the incumbent is optimal and pruning bites hardest).  Every pair of
-  replies must be bit-for-bit identical; the aggregate speedup is the
-  acceptance figure.
+  cross-check size (``6 <= m <= SUM_EXHAUSTIVE_LIMIT``, where the pruned
+  path and the full enumeration are both exact), time the cold full
+  enumeration (``prune=False``, no seed) against the dispatch's
+  class-pruned enumeration (size classes priced best bound first) — at
+  the initial profile *and* at the converged equilibrium (the
+  quiet-round/certification regime, where the incumbent is optimal and
+  pruning bites hardest).  Every pair of replies must be bit-for-bit
+  identical; the aggregate speedup is the acceptance figure.
 * **dynamics** — full engine runs vs the rebuild-everything reference loop
   on the same instances, asserted bit-for-bit identical (final profile,
   rounds, changes): the engine's view cache + response memo may only buy
@@ -52,7 +52,7 @@ INSTANCES = [
 
 
 def _time_activations(profile: StrategyProfile, game) -> dict:
-    """Cold-vs-seeded timings over one profile's cross-check players."""
+    """Cold-vs-pruned timings over one profile's cross-check players."""
     cold_s = warm_s = 0.0
     players = 0
     identical = True
@@ -133,7 +133,7 @@ def _run_benchmark() -> dict:
         )
         all_identical = all_identical and trajectory_identical
     return {
-        "benchmark": "SumNCG: seeded/pruned exact dispatch vs cold enumeration",
+        "benchmark": "SumNCG: pruned exact dispatch vs cold enumeration",
         "exhaustive_limit": SUM_EXHAUSTIVE_LIMIT,
         "instances": instance_reports,
         "cold_s": round(total_cold, 4),

@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["max", "sum"],
         default="max",
         help="which game the sweep perturbs (SumNCG runs on the engine-grade "
-        "seeded exhaustive / local-search dispatch)",
+        "pruned exhaustive / local-search dispatch)",
     )
     robustness.add_argument(
         "--cost-model",

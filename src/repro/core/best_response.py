@@ -17,14 +17,25 @@ SumNCG
 The paper does not run SumNCG experiments because the best response is
 NP-hard even to approximate conveniently.  This module makes the sum game
 engine-grade anyway: :func:`best_response` routes small strategy spaces
-(``<=`` :data:`SUM_EXHAUSTIVE_LIMIT` candidates) through a hill-climbing
-local search whose result *seeds* the exact exhaustive enumeration — the
-seed's cost is a feasible incumbent, so whole subset-size classes whose
-usage lower bound cannot beat it are skipped without a single BFS — and
-larger spaces through the local search alone (flagged ``exact=False``).
-Seeding and pruning never change the returned strategy, only the solve
-time, which is what lets :class:`repro.engine.DynamicsEngine` memoise sum
-best responses per (view token, strategy) exactly like the max game.
+(``<=`` :data:`SUM_EXHAUSTIVE_LIMIT` candidates) through the exact
+exhaustive enumeration and larger spaces through a hill-climbing local
+search (flagged ``exact=False``).  The enumeration prices whole
+subset-size classes, most promising usage lower bound first: the cheapest
+reply found so far is a feasible incumbent, so every class whose bound
+cannot beat it is skipped without pricing it.  Pruning never changes the
+returned strategy, only the solve time — the priced classes are scanned in
+canonical order either way — which is what lets
+:class:`repro.engine.DynamicsEngine` memoise sum best responses per (view
+token, strategy) exactly like the max game.
+
+Both routines price candidates from one distance matrix: the player's
+distances after a move are ``1 + min`` over the rows of ``H \\ {u}`` of her
+new targets and her buyers, so a candidate's cost and its Proposition 2.2
+frontier veto are a column minimum away (:class:`_SumEvaluator`), and a
+subset-size class or a batch of hill-climb moves is priced in one
+vectorised gather.  The costs are the same float expressions over the
+same integers as :func:`~repro.core.deviations.worst_case_delta`, which
+stays as the reference.
 
 Cost models
 -----------
@@ -51,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.deviations import COST_EPS, view_cost, worst_case_delta
+from repro.core.deviations import COST_EPS, view_cost
 from repro.core.games import GameSpec, UsageKind
 from repro.core.strategies import StrategyProfile
 from repro.core.views import View, extract_view
@@ -86,9 +97,9 @@ __all__ = [
 ENGINE_DEFAULT_SOLVER: str = "branch_and_bound"
 
 #: Largest SumNCG strategy space the :func:`best_response` dispatch solves
-#: exactly (local-search seed + pruned exhaustive cross-check); beyond it
-#: the hill-climbing local search alone answers, flagged ``exact=False``.
-#: The enumeration is ``O(2^m)`` BFS calls worst case, so
+#: exactly (pruned exhaustive enumeration); beyond it the hill-climbing
+#: local search answers, flagged ``exact=False``.
+#: The enumeration prices ``O(2^m)`` strategies worst case, so
 #: :func:`best_response_sum_exhaustive` warns whenever it is asked to
 #: enumerate a space larger than this.
 SUM_EXHAUSTIVE_LIMIT: int = 12
@@ -120,18 +131,6 @@ class BestResponse:
         return self.improvement > COST_EPS
 
 
-def _current_best_response(view: View, current: frozenset[Node], game: GameSpec, exact: bool) -> BestResponse:
-    cost = view_cost(view, current, game)
-    return BestResponse(
-        player=view.player,
-        strategy=current,
-        view_cost=cost,
-        current_view_cost=cost,
-        exact=exact,
-        view_size=view.size,
-    )
-
-
 def _resolve_view_and_strategy(
     profile: StrategyProfile | None,
     player: Node,
@@ -159,13 +158,16 @@ def _resolve_view_and_strategy(
 
 @dataclass(frozen=True, eq=False)
 class MaxCoverContext:
-    """Distance structure behind a player's MaxNCG set-cover instances.
+    """Distance structure of a player's view with the player removed.
 
-    Everything the ``h`` loop of :func:`best_response_max` derives from the
-    view *content* alone — the reduced-view distance matrix, its node order
-    and the forced (other-endpoint buyer) candidate indices.  It is
-    independent of the player's own current strategy.  The engine builds
-    one per memo miss through :func:`max_cover_context` and injects it.
+    Everything a best response derives from the view *content* alone — the
+    reduced-view distance matrix, its node order and the forced
+    (other-endpoint buyer) candidate indices.  It is independent of the
+    player's own current strategy, and serves both games: the ``h`` loop of
+    :func:`best_response_max` builds its set-cover instances from it, and
+    the SumNCG routines price every candidate strategy from its rows (the
+    SumNCG strategy space is exactly its node set).  The engine builds one
+    per memo miss through :func:`max_cover_context` and injects it.
     """
 
     order: list[Node]
@@ -176,7 +178,7 @@ class MaxCoverContext:
 def max_cover_context(
     view: View, backend: str | KernelBackend | None = None
 ) -> MaxCoverContext:
-    """Build the set-cover context of ``view`` (pure function of content).
+    """Build the best-response context of ``view`` (pure function of content).
 
     Distances inside the view with the player removed: these are the
     distances available to reach each vertex after the first hop.
@@ -424,6 +426,154 @@ def best_response_max(
     )
 
 
+#: Column-minimum rows the SumNCG evaluator prices per vectorised batch;
+#: bounds the transient ``rows x |H - u|`` scratch of large size classes
+#: and swap neighbourhoods.
+_SUM_BATCH_ROWS: int = 4096
+
+
+class _SumEvaluator:
+    """Prices a player's SumNCG strategies from one distance matrix.
+
+    After ``u`` switches to ``S`` every path out of ``u`` in the modified
+    view ``H'`` starts with an edge to ``S`` or to a buyer ``b ∈ B`` (the
+    edges bought towards ``u``, which she cannot drop: the context's
+    ``forced`` rows), so for every other visible ``v``::
+
+        d_{H'}(u, v) = 1 + min_{s ∈ S ∪ B} D[s, v]
+
+    with ``D`` the distances of ``H − u`` (:attr:`MaxCoverContext.dist` —
+    the SumNCG strategy space is exactly the node set of ``H − u``).  The
+    column minimum of at most ``|S| + |B|`` rows gives a candidate's
+    realised distance sum, its unreached count and its Proposition 2.2
+    frontier veto: the integers :func:`~repro.core.deviations.view_cost` and
+    :func:`~repro.core.deviations.deviation_is_forbidden_sum` read off a BFS
+    of the copied view, fed into the same float expressions, so every cost
+    and ``∆`` is bit-identical to
+    :func:`~repro.core.deviations.worst_case_delta`.  Scalar costs are
+    memoised per strategy for the lifetime of one reply.
+    """
+
+    def __init__(self, view: View, game: GameSpec, context: MaxCoverContext) -> None:
+        self.view = view
+        self.game = game
+        self.dist = context.dist
+        self.index = {node: i for i, node in enumerate(context.order)}
+        buyers = list(context.forced)
+        self.base = (
+            self.dist[buyers].min(axis=0)
+            if buyers
+            else np.full(len(context.order), UNREACHABLE, dtype=self.dist.dtype)
+        )
+        # The veto fires when 1 + minimum > reference, i.e. minimum >
+        # reference - 1 (UNREACHABLE exceeds every finite limit).  Frontier
+        # vertices are visible and never the player, so all sit in H - u.
+        self.frontier_columns = np.array(
+            [self.index[vertex] for vertex in view.frontier], dtype=np.intp
+        )
+        self.frontier_limits = np.array(
+            [view.distances.get(vertex, view.k) - 1 for vertex in view.frontier],
+            dtype=np.float64,
+        )
+        self._costs: dict[frozenset[Node], tuple[float, bool]] = {}
+
+    def rows(self, targets) -> list[int]:
+        """Row indices of ``targets``; refuses what ``modified_view_graph`` refuses."""
+        rows = []
+        for target in targets:
+            if target == self.view.player:
+                raise ValueError("a player cannot buy an edge to herself")
+            if target not in self.index:
+                raise ValueError(
+                    f"target {target!r} is outside the player's view and cannot be bought"
+                )
+            rows.append(self.index[target])
+        return rows
+
+    def minimum(self, rows: list[int]) -> np.ndarray:
+        """Column minimum of ``rows ∪ B``: ``d_{H'}(u, ·) - 1`` over ``H − u``."""
+        if not rows:
+            return self.base
+        return np.minimum(self.dist[rows].min(axis=0), self.base)
+
+    def leave_one_out(self, rows: list[int]) -> np.ndarray:
+        """Row ``i``: the column minimum of ``(rows without rows[i]) ∪ B``."""
+        stacked = self.dist[rows]
+        pad = np.full((1, stacked.shape[1]), UNREACHABLE, dtype=stacked.dtype)
+        before = np.minimum.accumulate(np.vstack([pad, stacked]), axis=0)[:-1]
+        after = np.minimum.accumulate(np.vstack([stacked, pad])[::-1], axis=0)[::-1][1:]
+        return np.minimum(np.minimum(before, after), self.base)
+
+    def price(self, minima: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """View costs and frontier vetoes of strategies given their column minima.
+
+        ``size`` is the strategies' common size.  The cost
+        is ``α·|S| + usage_sum(finite sum, unreached)`` exactly as
+        :func:`~repro.core.deviations.view_cost` computes it
+        (:meth:`~repro.core.cost_models.CostModel.fold_sum` is the
+        vectorised :meth:`~repro.core.cost_models.CostModel.usage_sum`).
+        """
+        reached = minima != UNREACHABLE
+        counts = np.count_nonzero(reached, axis=1)
+        # Each reached vertex sits one hop further than its row minimum;
+        # u herself adds 0 to the sum and is never unreached.
+        sums = np.add.reduce(np.where(reached, minima, 0), axis=1, dtype=np.int64) + counts
+        unreached = minima.shape[1] - counts
+        costs = self.game.alpha * size + self.game.cost_model.fold_sum(sums, unreached)
+        if not self.frontier_columns.size:
+            return costs, np.zeros(len(minima), dtype=bool)
+        frontier = minima[:, self.frontier_columns]
+        return costs, np.logical_or.reduce(frontier > self.frontier_limits, axis=1)
+
+    def cost(self, strategy: frozenset[Node]) -> tuple[float, bool]:
+        """``(view_cost, forbidden)`` of one strategy, memoised per reply."""
+        known = self._costs.get(strategy)
+        if known is None:
+            minima = self.minimum(self.rows(strategy))[None, :]
+            costs, forbidden = self.price(minima, len(strategy))
+            known = (float(costs[0]), bool(forbidden[0]))
+            self._costs[strategy] = known
+        return known
+
+    def remember(self, strategy: frozenset[Node], cost: float) -> None:
+        """Record the cost of an allowed strategy priced in a batch."""
+        self._costs[strategy] = (cost, False)
+
+    def delta(self, current: frozenset[Node], new: frozenset[Node]) -> float:
+        """:func:`~repro.core.deviations.worst_case_delta` of ``current → new``."""
+        new_cost, forbidden = self.cost(new)
+        if forbidden:
+            return math.inf
+        old_cost = self.cost(current)[0]
+        if math.isinf(new_cost) and math.isinf(old_cost):
+            return 0.0
+        return new_cost - old_cost
+
+    @staticmethod
+    def deltas(old_cost: float, costs: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
+        """:meth:`delta` of one old cost against a batch of priced strategies."""
+        if math.isinf(old_cost):
+            # inf - inf -> 0.0; a finite new cost gives finite - inf = -inf.
+            deltas = np.where(np.isinf(costs), 0.0, -math.inf)
+        else:
+            deltas = costs - old_cost
+        deltas[forbidden] = math.inf
+        return deltas
+
+
+def _improving(base: float, deltas: np.ndarray, bar: float) -> np.ndarray:
+    """Positions (in order) of finite ``∆`` with ``base + ∆ < bar``.
+
+    ``base`` is the cost of the strategy the ``∆`` are taken from, or (in a
+    climb) a finite sum of finite steps away from it.  An infinite ``base``
+    leaves nothing below ``bar = base - COST_EPS``; a finite one means no
+    ``∆`` is ``-inf``, and ``base + inf`` is never below ``bar``.
+    """
+    if math.isinf(base):
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(base + deltas < bar)
+
+
 def best_response_sum_exhaustive(
     profile: StrategyProfile | None,
     player: Node,
@@ -433,6 +583,7 @@ def best_response_sum_exhaustive(
     current_strategy: frozenset[Node] | None = None,
     warm_start: frozenset[Node] | None = None,
     prune: bool = True,
+    cover_context: MaxCoverContext | None = None,
 ) -> BestResponse:
     """Exact best response in SumNCG by exhaustive enumeration.
 
@@ -443,18 +594,22 @@ def best_response_sum_exhaustive(
     :func:`best_response_sum_local_search`.  Asking for a space beyond
     :data:`SUM_EXHAUSTIVE_LIMIT` raises a :class:`RuntimeWarning` before the
     ``2^m`` enumeration starts — the engine dispatch never does this, so a
-    warning always marks an explicit oversized request.
+    warning always marks an explicit oversized request.  Each subset-size
+    class is priced in vectorised batches of column minima (see
+    :class:`_SumEvaluator`); ``cover_context`` optionally injects the
+    view's :class:`MaxCoverContext`, which is built otherwise.
 
-    ``warm_start`` optionally hands over a known strategy (typically the
-    local-search reply the :func:`best_response` dispatch just computed).
-    Its cost becomes a pruning incumbent: a whole subset-size class is
-    skipped when even its usage lower bound — every visible node at
-    distance 1 if adjacent-after-move, else at ``min(2, β)`` — cannot beat
-    a known reply.  Like the max game's warm starts, seeding and pruning
-    never change the returned strategy or cost (only candidates strictly
-    worse than a known feasible reply are skipped; ties always survive to
-    be resolved in canonical enumeration order); ``prune=False`` forces the
-    pre-scaling full enumeration, kept for benchmarking
+    With ``prune=True`` (the default) the classes are priced in order of
+    their usage lower bound — every visible node at distance 1 if
+    adjacent-after-move, else at ``min(2, β)`` — and a class is skipped
+    when that bound cannot beat the cheapest reply known so far: the
+    incumbent, ``warm_start`` (an optional known strategy, e.g. a warm
+    replay hint) and every class already priced.  Like the max game's warm
+    starts, seeding and pruning never change the returned strategy or cost
+    (only candidates strictly worse than a known feasible reply are
+    skipped; the priced classes are scanned in canonical enumeration order,
+    so ties resolve as in the full enumeration); ``prune=False`` forces the
+    full enumeration, kept for benchmarking
     (``benchmarks/test_bench_sum.py``).
     """
     if game.usage is not UsageKind.SUM:
@@ -476,49 +631,64 @@ def best_response_sum_exhaustive(
             RuntimeWarning,
             stacklevel=2,
         )
-    current_cost = view_cost(view, current, game)
-    best_cost = current_cost
-    best_strategy = current
+    if cover_context is None:
+        cover_context = max_cover_context(view)
+    evaluator = _SumEvaluator(view, game, cover_context)
+    current_cost = evaluator.cost(current)[0]
     num_others = len(candidates)
     num_buyers = len(view.buyers)
     # Any node not adjacent after the move sits at distance >= 2 if reached,
     # or costs the unreachable penalty beta >= 1 — so min(2, beta) lower
     # bounds its contribution (= 2 under the strict model).
     far_cost = min(2.0, game.cost_model.unreachable_distance)
+
+    def class_bound(size: int) -> float:
+        near = min(size + num_buyers, num_others)
+        return game.alpha * size + near + (num_others - near) * far_cost
+
     # Cost of the cheapest *known* reply: the incumbent strategy, tightened
-    # by the warm-start seed.  Always >= the optimum, so classes pruned
-    # against it are strictly worse than the returned reply.
+    # by the warm-start seed and by every class priced.  Always >= the
+    # optimum, so classes pruned against it are strictly worse than the
+    # returned reply.
     prune_cost = current_cost
     if warm_start is not None:
         warm = frozenset(warm_start)
         if warm != current and warm.issubset(view.strategy_space):
-            delta = worst_case_delta(view, current, warm, game)
+            delta = evaluator.delta(current, warm)
             if not math.isinf(delta):
                 prune_cost = min(prune_cost, current_cost + delta)
-    for size in range(len(candidates) + 1):
-        if prune:
-            if game.alpha * size + num_others > prune_cost + COST_EPS:
-                # Even an everything-adjacent reply of this size is dearer
-                # than a known one; building cost only grows from here.
-                break
-            near_max = min(size + num_buyers, num_others)
-            class_bound = (
-                game.alpha * size + near_max + (num_others - near_max) * far_cost
-            )
-            if class_bound > prune_cost + COST_EPS:
-                continue
-        for combo in itertools.combinations(candidates, size):
-            candidate_strategy = frozenset(combo)
-            if candidate_strategy == current:
-                continue
-            delta = worst_case_delta(view, current, candidate_strategy, game)
-            if math.isinf(delta):
-                continue
-            cost = current_cost + delta
-            if cost < best_cost - COST_EPS:
-                best_cost = cost
-                best_strategy = candidate_strategy
-                prune_cost = min(prune_cost, best_cost)
+    # Pruning prices the most promising classes first, so the incumbent is
+    # (near) optimal before the bound is checked against the rest.
+    sizes = range(num_others + 1)
+    if prune:
+        sizes = sorted(sizes, key=lambda size: (class_bound(size), size))
+    rows = np.array(evaluator.rows(candidates), dtype=np.intp)
+    priced: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for size in sizes:
+        if prune and class_bound(size) > prune_cost + COST_EPS:
+            break
+        priced[size] = _price_class(evaluator, rows, size, current_cost)
+        for _, deltas in priced[size]:
+            allowed = deltas[np.isfinite(deltas)]
+            if allowed.size:
+                prune_cost = min(prune_cost, current_cost + float(allowed.min()))
+    # The canonical scan: every priced subset in size-then-combinations
+    # order, keeping the first that is strictly better by COST_EPS.
+    best_cost = current_cost
+    best_strategy = current
+    for size in sorted(priced):
+        for members, deltas in priced[size]:
+            position = 0
+            while True:
+                hits = _improving(current_cost, deltas[position:], best_cost - COST_EPS)
+                if not hits.size:
+                    break
+                position += int(hits[0])
+                strategy = frozenset(candidates[i] for i in members[position])
+                if strategy != current:
+                    best_cost = current_cost + float(deltas[position])
+                    best_strategy = strategy
+                position += 1
     return BestResponse(
         player=player,
         strategy=best_strategy,
@@ -529,9 +699,74 @@ def best_response_sum_exhaustive(
     )
 
 
+def _price_class(
+    evaluator: _SumEvaluator, rows: np.ndarray, size: int, current_cost: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(members, ∆)`` batches of every ``size``-subset of the candidates.
+
+    ``members`` holds candidate positions, one subset per row, in
+    ``itertools.combinations`` order; ``∆`` is each subset's
+    :func:`~repro.core.deviations.worst_case_delta` from the current
+    strategy.
+    """
+    priced = []
+    combos = itertools.combinations(range(len(rows)), size)
+    while batch := list(itertools.islice(combos, _SUM_BATCH_ROWS)):
+        members = np.array(batch, dtype=np.intp).reshape(len(batch), size)
+        if size:
+            minima = np.minimum(evaluator.dist[rows[members]].min(axis=1), evaluator.base)
+        else:
+            minima = evaluator.base[None, :]
+        costs, forbidden = evaluator.price(minima, size)
+        priced.append((members, evaluator.deltas(current_cost, costs, forbidden)))
+    return priced
+
+
+def _neighbourhood(
+    evaluator: _SumEvaluator, strategy: frozenset[Node], candidates: list[Node]
+):
+    """The add / drop / swap neighbourhood of ``strategy``, in scan order.
+
+    Yields ``(size, minima, member)`` batches: the batch's strategy size,
+    the strategies' column minima, and ``member(i)`` building the ``i``-th
+    strategy of the batch.  The order is the single climb's — every add
+    (candidate order), every drop (``repr`` order), then every swap,
+    removed-major — and each batch is built only when the climb asks for
+    it, so a step that finds an improving add never prices its drops or
+    swaps.  Swaps come in batches of at most :data:`_SUM_BATCH_ROWS` rows.
+    """
+    present = sorted(strategy, key=repr)
+    absent = [c for c in candidates if c not in strategy]
+    index = evaluator.index
+    present_rows = [index[c] for c in present]
+    absent_dist = evaluator.dist[[index[c] for c in absent]]
+    size = len(present)
+    if absent:
+        yield (
+            size + 1,
+            np.minimum(evaluator.minimum(present_rows), absent_dist),
+            lambda i: strategy | {absent[i]},
+        )
+    if not present:
+        return
+    without = evaluator.leave_one_out(present_rows)
+    yield size - 1, without, lambda i: strategy - {present[i]}
+    if not absent:
+        return
+    step = max(1, _SUM_BATCH_ROWS // len(absent))
+    for first in range(0, size, step):
+        swaps = np.minimum(without[first:first + step, None, :], absent_dist[None])
+        yield (
+            size,
+            swaps.reshape(-1, absent_dist.shape[1]),
+            lambda i, first=first: (
+                strategy - {present[first + i // len(absent)]}
+            ) | {absent[i % len(absent)]},
+        )
+
+
 def _sum_hill_climb(
-    view: View,
-    game: GameSpec,
+    evaluator: _SumEvaluator,
     candidates: list[Node],
     start_strategy: frozenset[Node],
     start_cost: float,
@@ -541,33 +776,25 @@ def _sum_hill_climb(
 
     Applies the first improving single add / drop / swap move (among the
     Proposition 2.2 allowed ones) until no single move improves the in-view
-    cost; returns the local optimum and its cost.
+    cost; returns the local optimum and its cost.  Each step prices its
+    neighbourhood in vectorised batches, in the climb's scan order.
     """
     best_strategy = start_strategy
     best_cost = start_cost
     for _ in range(max_iterations):
-        improved = False
-        neighbourhood: list[frozenset[Node]] = []
-        present = sorted(best_strategy, key=repr)
-        absent = [c for c in candidates if c not in best_strategy]
-        neighbourhood.extend(best_strategy | {c} for c in absent)
-        neighbourhood.extend(best_strategy - {c} for c in present)
-        neighbourhood.extend(
-            (best_strategy - {removed}) | {added}
-            for removed in present
-            for added in absent
-        )
-        for candidate_strategy in neighbourhood:
-            delta = worst_case_delta(view, best_strategy, candidate_strategy, game)
-            if math.isinf(delta):
-                continue
-            cost = best_cost + delta
-            if cost < best_cost - COST_EPS:
-                best_cost = cost
-                best_strategy = frozenset(candidate_strategy)
-                improved = True
+        old_cost = evaluator.cost(best_strategy)[0]
+        bar = best_cost - COST_EPS
+        for size, minima, member in _neighbourhood(evaluator, best_strategy, candidates):
+            costs, forbidden = evaluator.price(minima, size)
+            deltas = evaluator.deltas(old_cost, costs, forbidden)
+            hits = _improving(best_cost, deltas, bar)
+            if hits.size:
+                first = int(hits[0])
+                best_strategy = member(first)
+                best_cost = best_cost + float(deltas[first])
+                evaluator.remember(best_strategy, float(costs[first]))
                 break
-        if not improved:
+        else:
             break
     return best_strategy, best_cost
 
@@ -581,13 +808,16 @@ def best_response_sum_local_search(
     current_strategy: frozenset[Node] | None = None,
     seed_strategy: frozenset[Node] | None = None,
     restarts: int = 1,
+    cover_context: MaxCoverContext | None = None,
 ) -> BestResponse:
     """Hill-climbing best-*reply* heuristic for SumNCG.
 
     Repeatedly applies the first improving single add / drop / swap move
     (among the Proposition 2.2 allowed ones) until no single move improves
     the in-view cost.  The result is a local optimum, not necessarily a
-    best response, and is flagged ``exact=False``.
+    best response, and is flagged ``exact=False``.  ``cover_context``
+    optionally injects the view's :class:`MaxCoverContext`, which is built
+    otherwise (see :class:`_SumEvaluator`).
 
     The climb starts from the *incumbent* strategy — which on the engine
     path is the player's previous best response, so a re-activation after a
@@ -613,20 +843,23 @@ def best_response_sum_local_search(
     view, current = _resolve_view_and_strategy(
         profile, player, game, view, current_strategy
     )
+    if cover_context is None:
+        cover_context = max_cover_context(view)
+    evaluator = _SumEvaluator(view, game, cover_context)
     candidates = sorted(view.strategy_space, key=repr)
-    current_cost = view_cost(view, current, game)
+    current_cost = evaluator.cost(current)[0]
     best_strategy = current
     best_cost = current_cost
     if seed_strategy is not None:
         seed = frozenset(seed_strategy)
         if seed != current and seed.issubset(view.strategy_space):
-            delta = worst_case_delta(view, current, seed, game)
+            delta = evaluator.delta(current, seed)
             if not math.isinf(delta) and current_cost + delta < best_cost - COST_EPS:
                 best_strategy = seed
                 best_cost = current_cost + delta
 
     best_strategy, best_cost = _sum_hill_climb(
-        view, game, candidates, best_strategy, best_cost, max_iterations
+        evaluator, candidates, best_strategy, best_cost, max_iterations
     )
     if restarts > 1 and candidates:
         rng = random.Random(
@@ -637,11 +870,11 @@ def best_response_sum_local_search(
             start = frozenset(rng.sample(candidates, size))
             if start == current:
                 continue  # the incumbent climb already covered this start
-            delta = worst_case_delta(view, current, start, game)
+            delta = evaluator.delta(current, start)
             if math.isinf(delta):
                 continue  # forbidden move (Proposition 2.2): unusable start
             strategy, cost = _sum_hill_climb(
-                view, game, candidates, start, current_cost + delta, max_iterations
+                evaluator, candidates, start, current_cost + delta, max_iterations
             )
             if cost < best_cost - COST_EPS:
                 best_cost = cost
@@ -672,26 +905,27 @@ def best_response(
 
     MaxNCG always uses the dominating-set reduction.  SumNCG is exact when
     the strategy space is small (``<= sum_exhaustive_limit`` candidates,
-    default :data:`SUM_EXHAUSTIVE_LIMIT`): a warm-started local-search
-    climb from the incumbent strategy runs first and its reply *seeds* the
-    exhaustive enumeration as a pruning incumbent — same answer as the cold
-    enumeration, a fraction of the BFS calls.  Larger spaces get the local
-    search alone (``exact=False``).  This is the routine behind
+    default :data:`SUM_EXHAUSTIVE_LIMIT`): the pruned exhaustive
+    enumeration — same answer as the full enumeration, a fraction of the
+    work.  Larger spaces get the hill-climbing local search, climbing from
+    the incumbent strategy (``exact=False``).  This is the routine behind
     :meth:`repro.engine.DynamicsEngine.peek_response`, so both regimes ride
     the engine's per-(view token, strategy) memo.
 
     ``view`` and ``current_strategy`` may be injected to bypass the
     per-call view extraction (the incremental engine's cached path); the
     result is identical to the extract-from-profile path for equal view
-    content.  ``cover_context`` is forwarded to :func:`best_response_max`
-    (MaxNCG only), which then uses it instead of building its own.
+    content.  ``cover_context`` injects the view's :class:`MaxCoverContext`
+    for either game: MaxNCG builds its set-cover instances from it, and the
+    SumNCG routines price every candidate strategy from its distance
+    matrix.  Without it the context is built here.
     ``sum_restarts`` is forwarded to
     :func:`best_response_sum_local_search` on the heuristic (above-limit)
     SumNCG path only: extra deterministic multi-seed climbs that can only
     improve the reply; the exact path ignores it (enumeration already
-    proves optimality).  ``backend`` selects the kernel backend on the
-    MaxNCG path (bit-identical across backends; the SumNCG routines run on
-    dict-based traversals and ignore it).
+    proves optimality).  ``backend`` selects the kernel backend of the
+    context's BFS and of the MaxNCG cover search (bit-identical across
+    backends, so it never changes the reply).
     """
     if game.usage is UsageKind.MAX:
         return best_response_max(
@@ -702,13 +936,12 @@ def best_response(
     view, current_strategy = _resolve_view_and_strategy(
         profile, player, game, view, current_strategy
     )
+    if cover_context is None:
+        cover_context = max_cover_context(view, backend=backend)
     if len(view.strategy_space) <= sum_exhaustive_limit:
-        seed = best_response_sum_local_search(
-            profile, player, game, view=view, current_strategy=current_strategy
-        )
         return best_response_sum_exhaustive(
             profile, player, game, max_candidates=sum_exhaustive_limit, view=view,
-            current_strategy=current_strategy, warm_start=seed.strategy,
+            current_strategy=current_strategy, cover_context=cover_context,
         )
     return best_response_sum_local_search(
         profile,
@@ -717,4 +950,5 @@ def best_response(
         view=view,
         current_strategy=current_strategy,
         restarts=sum_restarts,
+        cover_context=cover_context,
     )

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 from repro.core.best_response import (
     ENGINE_DEFAULT_SOLVER,
+    SUM_EXHAUSTIVE_LIMIT,
     BestResponse,
-    best_response_max,
-    best_response_sum_exhaustive,
-    best_response_sum_local_search,
+    best_response,
 )
 from repro.core.deviations import COST_EPS
-from repro.core.games import GameSpec, UsageKind
+from repro.core.games import GameSpec
 from repro.core.strategies import StrategyProfile
 from repro.discovery.models import ViewModel
 from repro.graphs.graph import Node
@@ -43,23 +42,20 @@ def best_response_under_model(
     game: GameSpec,
     model: ViewModel,
     solver: str = ENGINE_DEFAULT_SOLVER,
-    sum_exhaustive_limit: int = 12,
+    sum_exhaustive_limit: int = SUM_EXHAUSTIVE_LIMIT,
 ) -> BestResponse:
     """Best response of ``player`` when her knowledge comes from ``model``.
 
-    The dispatch mirrors :func:`repro.core.best_response.best_response`:
-    MaxNCG uses the constrained-dominating-set reduction on the model's view,
-    SumNCG uses exhaustive enumeration for small strategy spaces and
-    hill-climbing otherwise.
+    The :func:`repro.core.best_response.best_response` dispatch on the
+    model's view: MaxNCG uses the constrained-dominating-set reduction,
+    SumNCG is exact for strategy spaces of at most ``sum_exhaustive_limit``
+    nodes and hill-climbs otherwise.
     """
     view = model.observe(profile, player)
-    if game.usage is UsageKind.MAX:
-        return best_response_max(profile, player, game, solver=solver, view=view)
-    if len(view.strategy_space) <= sum_exhaustive_limit:
-        return best_response_sum_exhaustive(
-            profile, player, game, max_candidates=sum_exhaustive_limit, view=view
-        )
-    return best_response_sum_local_search(profile, player, game, view=view)
+    return best_response(
+        profile, player, game, solver=solver,
+        sum_exhaustive_limit=sum_exhaustive_limit, view=view,
+    )
 
 
 def improving_players_under_model(

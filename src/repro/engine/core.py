@@ -219,7 +219,7 @@ class DynamicsEngine:
         cost — is fixed per engine, so every memo entry implicitly carries
         ``self.game.cost_model.key()``; entries can never leak across
         models.  Both MaxNCG regimes (full cover and, under a tolerant
-        model, component abandonment) and both SumNCG regimes (seeded
+        model, component abandonment) and both SumNCG regimes (pruned
         exhaustive below ``sum_exhaustive_limit``, local search above) ride
         this same memo.
         """
@@ -253,12 +253,14 @@ class DynamicsEngine:
         return response
 
     def _solve(self, player: Node, view: View, strategy: frozenset[Node]) -> BestResponse:
-        """Solve one memo miss; MaxNCG builds its set-cover context here."""
-        cover_context = (
-            max_cover_context(view, backend=self.kernel_backend)
-            if self.game.usage is UsageKind.MAX
-            else None
-        )
+        """Solve one memo miss from the view's distance context.
+
+        Both games read the reply off one
+        :class:`~repro.core.best_response.MaxCoverContext` built
+        here: MaxNCG's set-cover instances, and every SumNCG candidate's
+        price (see :func:`repro.core.best_response.best_response`).
+        """
+        cover_context = max_cover_context(view, backend=self.kernel_backend)
         return best_response(
             None,
             player,

@@ -94,11 +94,15 @@ from repro.core.serialization import dynamics_result_to_dict
 from repro.core.strategies import StrategyProfile
 from repro.engine.core import DynamicsEngine
 from repro.experiments.config import FULL_KNOWLEDGE_K, SweepSettings
-from repro.experiments.extensions.instances import build_extension_instance
+from repro.experiments.extensions.instances import (
+    EXTENSION_FAMILIES,
+    build_extension_instance,
+)
 from repro.experiments.store import ExperimentStore
 from repro.graphs.algorithms import betweenness_centrality, bridges
 from repro.graphs.graph import Node
 from repro.graphs.traversal import bfs_distances_within, connected_components
+from repro.solvers.set_cover import SOLVERS
 
 __all__ = [
     "ShockRecord",
@@ -419,6 +423,25 @@ class RobustnessStudyConfig:
     cost_model: str = "strict"
     penalty_beta: float | None = None
     settings: SweepSettings = field(default_factory=SweepSettings.paper)
+
+    def __post_init__(self) -> None:
+        # A grid that execution would refuse raises here, before any of its
+        # work starts.
+        for what, names, known in (
+            ("instance family", self.families, EXTENSION_FAMILIES),
+            ("perturbation", self.operators, PERTURBATIONS),
+            ("solver", (self.settings.solver,), SOLVERS),
+        ):
+            unknown = [name for name in names if name not in known]
+            if unknown:
+                raise ValueError(
+                    f"unknown {what} {unknown[0]!r} (expected one of {sorted(known)})"
+                )
+        if self.n < 4:
+            raise ValueError(f"extension instances need at least 4 players, got n={self.n!r}")
+        for alpha in self.alphas:
+            for k in self.ks:
+                self.game(FULL_KNOWLEDGE if k >= FULL_KNOWLEDGE_K else k, alpha)
 
     @classmethod
     def paper(cls, workers: int = 1) -> "RobustnessStudyConfig":

@@ -15,7 +15,7 @@ worth comparing against the MaxNCG figures:
 Every run rides the incremental engine
 (:func:`repro.core.dynamics.best_response_dynamics` →
 :class:`repro.engine.DynamicsEngine`): sum best responses go through the
-seeded exhaustive / local-search dispatch of
+pruned exhaustive / local-search dispatch of
 :func:`repro.core.best_response.best_response` and are memoised per
 (view token, strategy), so the quiet certifying rounds of every converged
 run are cache hits rather than fresh ``2^m`` enumerations
@@ -49,6 +49,16 @@ class SumDynamicsConfig:
     ks: tuple[int, ...] = (2, 3, FULL_KNOWLEDGE_K)
     settings: SweepSettings = field(default_factory=SweepSettings.paper)
 
+    def __post_init__(self) -> None:
+        # A grid that execution would refuse raises here, before any of its
+        # work starts.
+        for n in self.sizes:
+            if n < 1:
+                raise ValueError(f"sizes must be positive, got {n!r}")
+        for alpha in self.alphas:
+            for k in self.ks:
+                _sum_game(alpha, k)
+
     @classmethod
     def paper(cls, workers: int = 1) -> "SumDynamicsConfig":
         return cls(settings=SweepSettings.paper(workers=workers))
@@ -63,6 +73,11 @@ class SumDynamicsConfig:
         )
 
 
+def _sum_game(alpha: float, k: int) -> SumNCG:
+    """The game of one grid cell (``k >= FULL_KNOWLEDGE_K`` is full knowledge)."""
+    return SumNCG(alpha=alpha, k=FULL_KNOWLEDGE if k >= FULL_KNOWLEDGE_K else k)
+
+
 def run_sum_task(task: tuple[int, float, int, int, int], initial, view_store=None) -> dict:
     """One SumNCG run on a pre-built initial instance (sweep work item).
 
@@ -71,10 +86,8 @@ def run_sum_task(task: tuple[int, float, int, int, int], initial, view_store=Non
     sweep worker's cache; the result is identical either way.
     """
     n, alpha, k, seed, max_rounds = task
-    k_value = FULL_KNOWLEDGE if k >= FULL_KNOWLEDGE_K else k
-    game = SumNCG(alpha=alpha, k=k_value)
     result = best_response_dynamics(
-        initial, game, max_rounds=max_rounds, view_store=view_store
+        initial, _sum_game(alpha, k), max_rounds=max_rounds, view_store=view_store
     )
     metrics = result.final_metrics
     return {

@@ -121,8 +121,9 @@ def compile_job(description: dict) -> list[SweepTask]:
     a grid cell computed by any client (or by ``python -m repro sweep``
     against the same store) is a cache hit for every later client.
     Malformed descriptions raise ``ValueError``/``TypeError``/``KeyError``
-    (HTTP 400 to clients), and so do run specs, instance families and
-    perturbation operators that execution would refuse, so a bad job is
+    (HTTP 400 to clients), and so do run specs and study grids that
+    execution would refuse (``RunSpec``, ``SumDynamicsConfig`` and
+    ``RobustnessStudyConfig`` refuse them at construction), so a bad job is
     refused at submission instead of failing later in a worker.
     """
     if not isinstance(description, dict):
@@ -156,21 +157,13 @@ def compile_job(description: dict) -> list[SweepTask]:
                 settings=settings,
             )
         )
-    from repro.experiments.extensions.instances import EXTENSION_FAMILIES
-    from repro.experiments.extensions.robustness import (
-        PERTURBATIONS,
-        RobustnessStudyConfig,
-    )
+    from repro.experiments.extensions.robustness import RobustnessStudyConfig
     from repro.service.tasks import compile_robustness_tasks
 
-    families = _list(description, "families")
-    operators = _list(description, "operators")
-    _check_names("family", families, EXTENSION_FAMILIES)
-    _check_names("operator", operators, PERTURBATIONS)
     return compile_robustness_tasks(
         RobustnessStudyConfig(
-            families=families,
-            operators=operators,
+            families=_list(description, "families"),
+            operators=_list(description, "operators"),
             n=description["n"],
             alphas=_list(description, "alphas"),
             ks=_list(description, "ks"),
@@ -193,15 +186,6 @@ def _list(description: dict, key: str) -> tuple:
     if not isinstance(value, list):
         raise ValueError(f"{key!r} must be a JSON list, got {type(value).__name__}")
     return tuple(value)
-
-
-def _check_names(what: str, names, known) -> None:
-    """Refuse any of ``names`` that the registry ``known`` does not hold."""
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise ValueError(
-            f"unknown {what} {unknown[0]!r} (expected one of {sorted(known)})"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -258,6 +258,7 @@ class TestDaemonProtocol:
     def test_invalid_descriptions_are_400(self, daemon):
         client = SweepClient(daemon.base_url)
         robustness = robustness_description(RobustnessStudyConfig.smoke())
+        sum_study = sum_description(SumDynamicsConfig.smoke())
         good_spec = run_spec_description(_specs(alphas=(0.5,), seeds=1))["specs"][0]
         bad_family_spec = {**good_spec, "family": "zzz"}
         for description in (
@@ -286,6 +287,13 @@ class TestDaemonProtocol:
                     {"ownership": "bogus"},
                 )
             ),
+            # Study grids that execution would refuse in a worker.
+            {**sum_study, "sizes": [0]},
+            {**sum_study, "alphas": [-1.0]},
+            {**sum_study, "alphas": ["x"]},
+            {**sum_study, "ks": [0]},
+            {**robustness, "n": 0},
+            {**robustness, "settings": {**robustness["settings"], "solver": "bogus"}},
         ):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(description)
