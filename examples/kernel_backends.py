@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Kernel backends: pick the machinery, keep the bits.
 
-The two hot loops of every experiment — the batched BFS level expansion
-and the set-cover branch-and-bound search — run on pluggable backends
-(:mod:`repro.kernels`): the ``native`` C/ctypes backend, compiled once
+The hot loops of every experiment — the batched BFS level expansion, its
+fused statistics fold, the set-cover branch-and-bound search, and the
+MaxNCG best-response loop that runs that search once per eccentricity
+guess (``max_reply``, one C call per reply on native) — run on pluggable
+backends (:mod:`repro.kernels`): the ``native`` C/ctypes backend, compiled once
 per host with the system compiler and auto-selected wherever that works,
 and the always-available ``numpy`` reference it falls back to.  Both
 are **bit-identical**; the backend is a speed knob, never a

@@ -10,7 +10,8 @@ every other visible vertex lies within distance ``h - 1`` (inside
 ``H \\ {u}``) of a new target or of a vertex that already bought an edge
 towards ``u``.  Step (iii) is a constrained minimum dominating set on the
 ``(h-1)``-th power of ``H \\ {u}`` and is solved exactly (MILP or
-branch-and-bound) or greedily (ablation).
+branch-and-bound) or greedily (ablation).  With branch and bound the whole
+loop over ``h`` is one call of the kernel backend's ``max_reply``.
 
 SumNCG
 ------
@@ -54,6 +55,7 @@ finite best responses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -62,17 +64,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.deviations import COST_EPS, view_cost
+from repro.core.deviations import COST_EPS
 from repro.core.games import GameSpec, UsageKind
 from repro.core.strategies import StrategyProfile
 from repro.core.views import View, extract_view
 from repro.graphs.graph import Node
 from repro.graphs.traversal import distance_matrix
-from repro.kernels import KernelBackend
+from repro.kernels import KernelBackend, resolve_backend
 from repro.kernels.common import UNREACHABLE
 from repro.solvers.set_cover import (
     WARM_START_SOLVERS,
     SetCoverInstance,
+    max_reply,
     solve_set_cover,
 )
 
@@ -173,6 +176,21 @@ class MaxCoverContext:
     order: list[Node]
     dist: np.ndarray
     forced: tuple[int, ...]
+    #: The row of each node of ``order``.
+    index: dict[Node, int]
+
+    def rows(self, player: Node, targets) -> list[int]:
+        """Row indices of ``targets``; refuses what ``modified_view_graph`` refuses."""
+        rows = []
+        for target in targets:
+            if target == player:
+                raise ValueError("a player cannot buy an edge to herself")
+            if target not in self.index:
+                raise ValueError(
+                    f"target {target!r} is outside the player's view and cannot be bought"
+                )
+            rows.append(self.index[target])
+        return rows
 
 
 def max_cover_context(
@@ -189,7 +207,33 @@ def max_cover_context(
     dist, order = distance_matrix(reduced, backend=backend)
     index = {node: i for i, node in enumerate(order)}
     forced = tuple(sorted(index[buyer] for buyer in view.buyers if buyer in index))
-    return MaxCoverContext(order=order, dist=dist, forced=forced)
+    return MaxCoverContext(order=order, dist=dist, forced=forced, index=index)
+
+
+def _max_view_cost(
+    context: MaxCoverContext, player: Node, strategy: frozenset[Node], game: GameSpec
+) -> float:
+    """:func:`~repro.core.deviations.view_cost` of ``strategy`` in MaxNCG.
+
+    Her distances after playing ``strategy`` are ``1 + min`` over the
+    context rows of ``strategy`` and her buyers (see :class:`_SumEvaluator`),
+    fed into the same float expression.
+    """
+    rows = context.rows(player, strategy) + list(context.forced)
+    eccentricity, unreached = 0, len(context.order)
+    if rows and unreached:
+        minima = context.dist[rows].min(axis=0)
+        farthest = int(minima.max())
+        if farthest != UNREACHABLE:
+            eccentricity, unreached = farthest + 1, 0
+        else:
+            reached = minima[minima != UNREACHABLE]
+            if reached.size:
+                eccentricity = int(reached.max()) + 1
+            unreached -= reached.size
+    return game.alpha * len(strategy) + game.cost_model.usage_max(
+        float(eccentricity), unreached
+    )
 
 
 def _tolerant_partial_max(
@@ -320,9 +364,15 @@ def best_response_max(
     (``greedy`` stays quiet — it has no exact search to prune, so warm
     starts are meaningless there).
 
-    ``backend`` selects the kernel backend for the view BFS and the
-    branch-and-bound cover search (see :mod:`repro.kernels`); all backends
-    are bit-identical, so it never changes the returned strategy.
+    The incumbent is priced from the context rows (as
+    :class:`_SumEvaluator` prices SumNCG strategies), and the whole
+    eccentricity-guess loop runs in the kernel backend's ``max_reply`` —
+    one native call per reply on the compiled backend — or, for the
+    ``milp`` and ``greedy`` ablations, in
+    :func:`repro.solvers.set_cover.max_reply`.  ``backend`` selects the
+    kernel backend for the view BFS and that loop (see
+    :mod:`repro.kernels`); all backends are bit-identical, so it never
+    changes the returned strategy.
     """
     if game.usage is not UsageKind.MAX:
         raise ValueError("best_response_max requires a MaxNCG game spec")
@@ -342,69 +392,20 @@ def best_response_max(
     view, current = _resolve_view_and_strategy(
         profile, player, game, view, current_strategy
     )
-    current_cost = view_cost(view, current, game)
-    exact = solver != "greedy"
-
-    # Trivial view: the player sees nobody else, the empty strategy is optimal.
-    others = sorted(view.strategy_space, key=repr)
-    if not others:
-        empty: frozenset[Node] = frozenset()
-        return BestResponse(player, empty, game.alpha * 0, current_cost, exact, view.size)
-
     if cover_context is None:
         cover_context = max_cover_context(view, backend=backend)
     dist = cover_context.dist
     order = cover_context.order
     forced = cover_context.forced
-    num_nodes = len(order)
+    current_cost = _max_view_cost(cover_context, player, current, game)
+    exact = solver != "greedy"
 
-    best_cost = current_cost
-    best_strategy = current
-    previous_selected: tuple[int, ...] | None = None
-    # A response with eccentricity h costs at least h, so once h reaches the
-    # incumbent cost no better solution can exist.
-    max_h = num_nodes
-    for h in range(1, max_h + 1):
-        if h >= best_cost - COST_EPS:
-            break
-        coverage = dist <= (h - 1)
-        instance = SetCoverInstance(
-            coverage=coverage,
-            forced=forced,
-            candidate_labels=order,
-            element_labels=order,
-        )
-        if warm_start:
-            # Only covers with alpha * size + h < best_cost can beat the
-            # incumbent — anything larger is discarded by the cost check
-            # below — so cap the exact search at the largest useful size.
-            # An "infeasible" result then just means "nothing useful at this
-            # h"; a genuinely feasible cover for the next h's seed is still
-            # tracked through previous_selected.  While best_cost is still
-            # infinite (disconnected incumbent) every size is useful.
-            size_cap = (
-                int(math.ceil((best_cost - COST_EPS - h) / game.alpha))
-                if math.isfinite(best_cost)
-                else None
-            )
-            result = solve_set_cover(
-                instance,
-                method=solver,
-                upper_bound=size_cap,
-                warm_start=previous_selected,
-                backend=backend,
-            )
-        else:
-            result = solve_set_cover(instance, method=solver, backend=backend)
-        if not result.feasible:
-            continue
-        previous_selected = result.selected
-        cost = game.alpha * result.objective + h
-        if cost < best_cost - COST_EPS:
-            best_cost = cost
-            best_strategy = frozenset(result.selected_labels(instance))
-            if not result.optimal:
-                exact = False
+    if solver == "branch_and_bound":
+        reply = resolve_backend(backend).max_reply
+    else:
+        reply = functools.partial(max_reply, method=solver, backend=backend)
+    best_cost, selection = reply(dist, forced, game.alpha, current_cost, warm_start)
+    best_strategy = current if selection is None else frozenset(order[i] for i in selection)
     if game.cost_model.is_finite:
         # Disconnection-tolerant models admit a second regime: abandon the
         # buyer-free components of the reduced view and pay the β penalty
@@ -457,8 +458,9 @@ class _SumEvaluator:
     def __init__(self, view: View, game: GameSpec, context: MaxCoverContext) -> None:
         self.view = view
         self.game = game
+        self.context = context
         self.dist = context.dist
-        self.index = {node: i for i, node in enumerate(context.order)}
+        self.index = context.index
         buyers = list(context.forced)
         self.base = (
             self.dist[buyers].min(axis=0)
@@ -478,17 +480,8 @@ class _SumEvaluator:
         self._costs: dict[frozenset[Node], tuple[float, bool]] = {}
 
     def rows(self, targets) -> list[int]:
-        """Row indices of ``targets``; refuses what ``modified_view_graph`` refuses."""
-        rows = []
-        for target in targets:
-            if target == self.view.player:
-                raise ValueError("a player cannot buy an edge to herself")
-            if target not in self.index:
-                raise ValueError(
-                    f"target {target!r} is outside the player's view and cannot be bought"
-                )
-            rows.append(self.index[target])
-        return rows
+        """Row indices of ``targets`` (see :meth:`MaxCoverContext.rows`)."""
+        return self.context.rows(self.view.player, targets)
 
     def minimum(self, rows: list[int]) -> np.ndarray:
         """Column minimum of ``rows ∪ B``: ``d_{H'}(u, ·) - 1`` over ``H − u``."""

@@ -36,6 +36,7 @@ from repro.core.games import GameSpec, UsageKind
 from repro.core.views import View
 from repro.graphs.graph import Graph, Node
 from repro.graphs.traversal import bfs_distances
+from repro.kernels.common import COST_EPS
 
 __all__ = [
     "modified_view_graph",
@@ -44,10 +45,6 @@ __all__ = [
     "worst_case_delta",
     "is_improving_deviation",
 ]
-
-#: Numerical tolerance when comparing (float) costs.
-COST_EPS: float = 1e-9
-
 
 def modified_view_graph(view: View, new_strategy: frozenset[Node] | set[Node]) -> Graph:
     """Return ``H'``: the view with the player's owned edges replaced.

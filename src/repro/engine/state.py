@@ -57,6 +57,11 @@ class StrategyDelta:
         return bool(self.added_edges or self.removed_edges)
 
 
+def _key_entry(player: Node, targets: frozenset[Node]) -> tuple:
+    """One player's entry of the canonical profile key."""
+    return (player, tuple(sorted(targets, key=repr)))
+
+
 class NetworkState:
     """Mutable mirror of a strategy profile with incremental edge updates.
 
@@ -66,11 +71,17 @@ class NetworkState:
     recomputes in ``O(n)`` per call.
     """
 
-    __slots__ = ("_strategies", "_graph", "_buyers", "_revision")
+    __slots__ = ("_strategies", "_graph", "_buyers", "_revision", "_order", "_keys")
 
     def __init__(self, strategies: dict[Node, frozenset[Node]]) -> None:
         self._strategies = dict(strategies)
         self._revision = 0
+        # canonical_key's parts: the players in repr order, and each
+        # player's entry, re-sorted only when her strategy changes.
+        self._order = sorted(self._strategies, key=repr)
+        self._keys = {
+            player: _key_entry(player, targets) for player, targets in self._strategies.items()
+        }
         graph = Graph(nodes=self._strategies)
         buyers: dict[Node, set[Node]] = {node: set() for node in self._strategies}
         for player, targets in self._strategies.items():
@@ -119,12 +130,7 @@ class NetworkState:
 
     def canonical_key(self) -> tuple:
         """Same canonical form as :meth:`StrategyProfile.canonical_key`."""
-        return tuple(
-            (player, tuple(sorted(targets, key=repr)))
-            for player, targets in sorted(
-                self._strategies.items(), key=lambda kv: repr(kv[0])
-            )
-        )
+        return tuple(map(self._keys.__getitem__, self._order))
 
     def to_profile(self) -> StrategyProfile:
         """Materialise an immutable snapshot of the current strategies."""
@@ -180,6 +186,7 @@ class NetworkState:
                 f"stale delta for player {player!r}: strategy changed since preview"
             )
         self._strategies[player] = delta.new_strategy
+        self._keys[player] = _key_entry(player, delta.new_strategy)
         self._revision += 1
         for target in delta.buyer_changes:
             if target in delta.new_strategy:

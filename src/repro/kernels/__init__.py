@@ -1,15 +1,18 @@
 """Pluggable compiled kernel backends for the hot loops.
 
 Every layer of the code base — views, metrics, robustness, the sweep
-service — bottoms out in three primitives: the multi-source BFS level
+service — bottoms out in four primitives: the multi-source BFS level
 expansion behind :func:`repro.graphs.traversal.batched_bfs_distances`,
 the *fused* BFS reduction behind
 :func:`repro.graphs.traversal.reduce_bfs_distances` (per-source
 eccentricity / finite-distance sum / unreached count / view size, emitted
-without ever materialising a distance row), and the branch-and-bound
+without ever materialising a distance row), the branch-and-bound
 recursion behind
-:func:`repro.solvers.set_cover.branch_and_bound_set_cover`.  This package
-hosts interchangeable implementations of exactly those kernels:
+:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, and the
+MaxNCG best-response loop behind
+:func:`repro.core.best_response.best_response_max`, which runs that
+search once per eccentricity guess.  This package hosts interchangeable
+implementations of exactly those kernels:
 
 ``numpy``
     The reference.  Exactly the chunked-numpy code the repo was built
@@ -22,10 +25,12 @@ hosts interchangeable implementations of exactly those kernels:
 
 **Bit-identity is the contract.**  Whatever backend runs, distance
 matrices (including ``radius`` truncation and ``UNREACHABLE`` marks),
-selected covers (including warm-start tie-break order) and therefore
-entire dynamics trajectories are identical to the numpy reference; the
-equivalence suites in ``tests/graphs/test_kernel_backends.py`` and
-``tests/solvers/test_set_cover.py`` pin this.
+selected covers (including warm-start tie-break order), MaxNCG replies
+and therefore entire dynamics trajectories are identical to the numpy
+reference; the equivalence suites in
+``tests/graphs/test_kernel_backends.py``,
+``tests/solvers/test_set_cover.py`` and ``tests/core/test_max_reply.py``
+pin this.
 
 Selection mirrors ``ENGINE_DEFAULT_SOLVER``: explicit argument >
 session override (:func:`set_default_backend` / :func:`use_backend`) >
@@ -67,12 +72,36 @@ sum_out, unreached_out, view_size_out)``
     matrix, ``order_by_size`` the candidate iteration order, and the
     incumbent to beat; returns the tightened ``(size, selection)``
     (unchanged objects when nothing smaller exists).
+``max_reply(dist, forced, alpha, best_cost, warm_start) -> (best_cost, selection | None)``
+    ``dist`` the ``(n, n)`` int32 distances of a player's view without
+    her (``UNREACHABLE`` marks), ``forced`` the sorted rows of her buyers,
+    ``alpha`` the edge price and ``best_cost`` her incumbent's cost
+    (``inf`` when it disconnects her).  For each eccentricity guess
+    ``h = 1 .. n`` while ``h < best_cost - COST_EPS``: the minimum cover
+    of ``dist <= h - 1`` by the non-forced rows, over the columns no
+    forced row covers, solved exactly as
+    :func:`~repro.solvers.set_cover.branch_and_bound_set_cover` solves
+    it — with ``warm_start``, capped at ``ceil((best_cost - COST_EPS -
+    h) / alpha)`` (in doubles) and seeded with the previous guess's
+    cover; cold, neither.  A cover of size ``s`` replaces the incumbent
+    when ``alpha * s + h < best_cost - COST_EPS``.  Returns the final
+    cost and the last accepted cover's rows in solver order, or the
+    incoming ``best_cost`` and ``None`` when nothing beat it.
+
+Tie-breaks, stated once for ``cover_search`` and ``max_reply``: the
+greedy incumbent takes the first row of maximum gain; a still-covering
+warm start wins ties with greedy, and at the root lower bound it is the
+answer; the search branches on the first uncovered column with the
+fewest covering rows, tries rows in ``np.argsort(-cover_sizes)`` order
+(numpy's default sort, so its order among equal sizes is numpy's), and
+replaces its incumbent only with a strictly smaller cover; a later guess
+replaces the reply only when strictly cheaper by ``COST_EPS``.
 
 To add another backend (Cython, Rust over cffi, …): implement the
 functions above with bit-identical semantics, raise
 :class:`KernelUnavailableError` from the factory when the toolchain is
 missing, and :func:`register_backend` a zero-argument factory for it —
-:mod:`repro.kernels.native_backend` is the worked example.  All three
+:mod:`repro.kernels.native_backend` is the worked example.  All four
 kernels are required.
 """
 
@@ -120,6 +149,7 @@ class KernelBackend:
     bfs: Callable = field(repr=False)
     bfs_reduce: Callable = field(repr=False)
     cover_search: Callable = field(repr=False)
+    max_reply: Callable = field(repr=False)
     compiled: bool = False
     threads: int = 1
 
@@ -132,6 +162,7 @@ def _build_numpy() -> KernelBackend:
         bfs=numpy_backend.bfs,
         bfs_reduce=numpy_backend.bfs_reduce,
         cover_search=numpy_backend.cover_search,
+        max_reply=numpy_backend.max_reply,
         compiled=False,
     )
 
@@ -145,6 +176,7 @@ def _build_native() -> KernelBackend:
         bfs=native_backend.bfs,
         bfs_reduce=native_backend.bfs_reduce,
         cover_search=native_backend.cover_search,
+        max_reply=native_backend.max_reply,
         compiled=True,
     )
 

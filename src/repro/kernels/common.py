@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["UNREACHABLE", "MAX_EXPANSION_INCIDENCES"]
+__all__ = ["UNREACHABLE", "MAX_EXPANSION_INCIDENCES", "COST_EPS"]
 
 #: Sentinel distance used in dense matrices for unreachable pairs.
 UNREACHABLE: int = np.iinfo(np.int32).max
@@ -25,3 +25,8 @@ UNREACHABLE: int = np.iinfo(np.int32).max
 #: before the next chunk expands.  The compiled backends ignore it — their
 #: scratch is O(n) per source by construction.
 MAX_EXPANSION_INCIDENCES: int = 1 << 16
+
+#: Numerical tolerance when comparing (float) costs.  It lives here because
+#: the ``max_reply`` kernels compare reply costs with it;
+#: :mod:`repro.core.deviations` re-exports it for every other caller.
+COST_EPS: float = 1e-9

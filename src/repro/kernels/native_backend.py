@@ -1,13 +1,13 @@
 """Native C kernel backend — the auto-detected default.
 
 The C sources below are compiled once per host with the platform's C
-compiler (``cc``/``gcc``, ``-O2 -shared -fPIC``; ``$CC``
+compiler (``cc``/``gcc``, ``-O2 -shared -fPIC -ffp-contract=off``; ``$CC``
 overrides) into a shared object cached under ``~/.cache/repro-kernels/``
 (override with ``REPRO_KERNEL_CACHE``), keyed by a hash of the source text
 and flags so edits invalidate stale builds, and loaded through
 :mod:`ctypes` — no build-time dependency, no extension-module packaging,
 works from a plain source checkout.  A cold first resolve (the compile)
-costs about 0.2 s; every later process on the host only loads the cached
+costs about 0.4 s; every later process on the host only loads the cached
 object.  Processes racing the first build each compile in a private
 temporary directory and publish by atomic rename, so the loser's rename
 is a cache hit.
@@ -21,7 +21,17 @@ same branching element, same candidate order, same incumbent updates — so
 distances, selected covers and every downstream tie-break are
 bit-identical to the numpy reference (pinned by
 ``tests/graphs/test_kernel_backends.py`` and
-``tests/solvers/test_set_cover.py``).  The fused ``bfs_reduce`` kernel is
+``tests/solvers/test_set_cover.py``).  ``max_reply`` runs a whole MaxNCG
+best response in one call: the eccentricity-guess loop of
+:func:`repro.solvers.set_cover.max_reply` with every branch-and-bound
+step in C, the search reusing ``cover_search``'s recursion (pinned by
+``tests/core/test_max_reply.py``).  The one step it leaves to numpy is
+the search's candidate order, ``np.argsort`` of the negated cover sizes:
+numpy's default sort orders equal sizes its own way (by SIMD sorting
+networks on CPUs that have them), which C cannot reproduce, so the loop
+calls back into its wrapper for that order once per search it runs —
+most guesses end at the greedy incumbent or the root bound and never
+search.  The fused ``bfs_reduce`` kernel is
 free to traverse in a different *order* — it is an MS-BFS, advancing 64
 sources per uint64-bitmask batch through one level-synchronous sweep —
 because its outputs are order-independent aggregates of the unique BFS
@@ -33,7 +43,8 @@ kernel has run.
 
 This module doubles as the template for binding further compiled
 backends (Cython, Rust over cffi): implement ``bfs`` / ``bfs_reduce`` /
-``cover_search`` with the contracts documented in :mod:`repro.kernels`, raise
+``cover_search`` / ``max_reply`` with the contracts documented in
+:mod:`repro.kernels`, raise
 :class:`~repro.kernels.KernelUnavailableError` from the factory when the
 toolchain is missing, and register the factory.
 """
@@ -54,10 +65,13 @@ __all__ = [
     "bfs",
     "bfs_reduce",
     "cover_search",
+    "max_reply",
 ]
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Per-source queue BFS over a CSR adjacency layout.
@@ -285,15 +299,238 @@ int64_t repro_cover_search(const uint8_t *coverage, int64_t num_free,
     cover_recurse(&ctx, 0);
     return ctx.best_len;
 }
+
+/* Greedy cover of a coverable residual: the row covering the most
+ * still-uncovered columns, first such row on ties (numpy's argmax over
+ * the float32 gains, which are exact integer counts).  Returns the pick
+ * count; picks holds row positions in pick order. */
+static int64_t greedy_cover(const uint8_t *cov, int64_t num_free,
+                            int64_t num_elements, uint8_t *remaining,
+                            int32_t *picks) {
+    int64_t left = num_elements, len = 0;
+    memset(remaining, 1, (size_t)num_elements);
+    while (left > 0) {
+        int64_t best = 0, best_gain = -1;
+        for (int64_t c = 0; c < num_free; ++c) {
+            const uint8_t *row = cov + c * num_elements;
+            int64_t gain = 0;
+            for (int64_t e = 0; e < num_elements; ++e)
+                gain += (int64_t)(row[e] & remaining[e]);
+            if (gain > best_gain) {
+                best_gain = gain;
+                best = c;
+            }
+        }
+        picks[len++] = (int32_t)best;
+        const uint8_t *row = cov + best * num_elements;
+        for (int64_t e = 0; e < num_elements; ++e) {
+            if (row[e] && remaining[e]) {
+                remaining[e] = 0;
+                --left;
+            }
+        }
+    }
+    return len;
+}
+
+static int compare_int32(const void *a, const void *b) {
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Callback into the wrapper: write numpy's argsort of the negated first
+ * count cover sizes into the order block of the shared buffer. */
+typedef void (*order_callback)(int64_t count);
+
+/* The whole MaxNCG reply loop over eccentricity guesses h, mirroring
+ * repro.solvers.set_cover.max_reply with the branch-and-bound solver step
+ * for step: residual after the forced rows, uncoverable check, root lower
+ * bound, warm-start positions, greedy incumbent, size cap, capped search
+ * (cover_recurse), strictly-better-by-eps acceptance.
+ *
+ * dist is the (n, n) row-major int32 distance matrix.  buffer holds the
+ * num_forced sorted buyer rows, then three n-entry blocks: the cover
+ * sizes, the search order and the selection.  *best_cost is the
+ * incumbent's cost in, the reply's cost out.  Returns the length of the
+ * accepted cover (its rows in the selection block, in the solver's
+ * order), -1 when nothing beat the incumbent, -2 when scratch memory
+ * cannot be allocated.  The search's candidate order is
+ * numpy's unstable argsort of the negated cover sizes, whose tie order is
+ * numpy's own (SIMD sorting networks on some hosts), so the loop asks the
+ * wrapper for it through sort_sizes, once per search it runs.
+ */
+int64_t repro_max_reply(const int32_t *dist, int64_t n, int64_t *buffer,
+                        int64_t num_forced, double alpha, double eps,
+                        double *best_cost, int64_t warm_start,
+                        order_callback sort_sizes) {
+    const int64_t *forced = buffer;
+    int64_t *sizes = buffer + num_forced, *selection = sizes + 2 * n;
+    const int64_t *order = sizes + n;
+    size_t words = (size_t)(n + 1);
+    int64_t *free_rows = malloc(2 * words * sizeof(int64_t));
+    int32_t *buffers = malloc(5 * words * sizeof(int32_t));
+    uint8_t *bytes = malloc(words + (size_t)n * (size_t)n + (words + 1) * (size_t)n
+                            + words);
+    if (!free_rows || !buffers || !bytes) {
+        free(free_rows);
+        free(buffers);
+        free(bytes);
+        return -2;
+    }
+    int64_t *elements = free_rows + words;
+    int32_t *greedy = buffers, *warm = buffers + words;
+    int32_t *previous = buffers + 2 * words, *chosen = buffers + 3 * words;
+    int32_t *found = buffers + 4 * words;
+    uint8_t *is_forced = bytes, *cov = bytes + words;
+    uint8_t *remaining_stack = cov + (size_t)n * (size_t)n;
+    uint8_t *remaining = remaining_stack + (words + 1) * (size_t)n;
+
+    memset(is_forced, 0, words);
+    for (int64_t i = 0; i < num_forced; ++i)
+        is_forced[forced[i]] = 1;
+    int64_t num_free = 0;
+    for (int64_t c = 0; c < n; ++c)
+        if (!is_forced[c])
+            free_rows[num_free++] = c;
+
+    int64_t accepted = -1, previous_len = -1;
+    for (int64_t h = 1; h <= n; ++h) {
+        if ((double)h >= *best_cost - eps)
+            break;
+        const int32_t limit = (int32_t)(h - 1);
+        /* Residual elements: within h - 1 of no forced row. */
+        int64_t num_elements = 0;
+        for (int64_t e = 0; e < n; ++e) {
+            int hit = 0;
+            for (int64_t i = 0; i < num_forced && !hit; ++i)
+                hit = dist[forced[i] * n + e] <= limit;
+            if (!hit)
+                elements[num_elements++] = e;
+        }
+        const int32_t *cover = greedy;
+        int64_t size = 0;
+        if (num_elements > 0) {
+            if (num_free == 0)
+                continue;
+            int64_t max_size = 0, coverable = 1;
+            for (int64_t c = 0; c < num_free; ++c) {
+                const int32_t *row = dist + free_rows[c] * n;
+                uint8_t *out = cov + c * num_elements;
+                int64_t count = 0;
+                for (int64_t j = 0; j < num_elements; ++j) {
+                    out[j] = row[elements[j]] <= limit;
+                    count += out[j];
+                }
+                sizes[c] = count;
+                if (count > max_size)
+                    max_size = count;
+            }
+            for (int64_t j = 0; j < num_elements && coverable; ++j) {
+                coverable = 0;
+                for (int64_t c = 0; c < num_free && !coverable; ++c)
+                    coverable = cov[c * num_elements + j];
+            }
+            if (!coverable)
+                continue;
+            int64_t lower = (num_elements + max_size - 1) / max_size;
+            int has_cap = warm_start && isfinite(*best_cost);
+            int64_t cap = 0;
+            if (has_cap) {
+                /* Clamped where it can no longer bind: every cover has at
+                 * most num_free <= n rows. */
+                double bound = ceil((*best_cost - eps - (double)h) / alpha);
+                cap = bound > (double)n ? n + 1 : bound < -1.0 ? -1 : (int64_t)bound;
+                if (lower > cap)
+                    continue;
+            }
+            /* The previous cover, as sorted positions, if it still covers. */
+            int64_t warm_len = -1;
+            if (warm_start && previous_len > 0) {
+                memcpy(warm, previous, (size_t)previous_len * sizeof(int32_t));
+                qsort(warm, (size_t)previous_len, sizeof(int32_t), compare_int32);
+                memset(remaining, 1, (size_t)num_elements);
+                int64_t left = num_elements;
+                for (int64_t i = 0; i < previous_len; ++i) {
+                    const uint8_t *row = cov + (int64_t)warm[i] * num_elements;
+                    for (int64_t j = 0; j < num_elements; ++j) {
+                        if (row[j] && remaining[j]) {
+                            remaining[j] = 0;
+                            --left;
+                        }
+                    }
+                }
+                if (left == 0)
+                    warm_len = previous_len;
+            }
+            if (warm_len >= 0 && warm_len == lower) {
+                cover = warm;
+                size = warm_len;
+            } else {
+                int64_t greedy_len = greedy_cover(cov, num_free, num_elements,
+                                                  remaining, greedy);
+                int64_t best_size = greedy_len;
+                if (has_cap && cap < best_size)
+                    best_size = cap;
+                cover = greedy_len <= best_size ? greedy : NULL;
+                size = greedy_len;
+                if (warm_len >= 0 && warm_len <= best_size) {
+                    best_size = warm_len;
+                    cover = warm;
+                    size = warm_len;
+                }
+                if (lower < best_size) {
+                    sort_sizes(num_free);
+                    cover_ctx ctx;
+                    ctx.coverage = cov;
+                    ctx.num_free = num_free;
+                    ctx.num_elements = num_elements;
+                    ctx.order_by_size = order;
+                    ctx.best_size = best_size;
+                    ctx.best_len = -1;
+                    ctx.best_selection = found;
+                    ctx.chosen = chosen;
+                    ctx.remaining_stack = remaining_stack;
+                    memset(remaining_stack, 1, (size_t)num_elements);
+                    cover_recurse(&ctx, 0);
+                    if (ctx.best_len >= 0) {
+                        cover = found;
+                        size = ctx.best_len;
+                    }
+                }
+                if (cover == NULL)
+                    continue;
+            }
+        }
+        /* A feasible cover of size `size` at this h. */
+        memcpy(previous, cover, (size_t)size * sizeof(int32_t));
+        previous_len = size;
+        double cost = alpha * (double)size + (double)h;
+        if (cost < *best_cost - eps) {
+            *best_cost = cost;
+            accepted = size;
+            for (int64_t i = 0; i < size; ++i)
+                selection[i] = free_rows[previous[i]];
+        }
+    }
+    free(free_rows);
+    free(buffers);
+    free(bytes);
+    return accepted;
+}
 """
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_I32 = ctypes.POINTER(ctypes.c_int32)
-_U8 = ctypes.POINTER(ctypes.c_uint8)
-_U64 = ctypes.POINTER(ctypes.c_uint64)
+#: Arrays cross into C as raw addresses (``array.ctypes.data``): a
+#: ``c_void_p`` argument skips the pointer object a
+#: ``data_as(POINTER(...))`` cast builds per call.
+_PTR = ctypes.c_void_p
+_I64 = ctypes.c_int64
 
-#: Compiler flags of the one build.
-_FLAGS = ("-O2", "-shared", "-fPIC")
+#: ``sort_sizes(count)`` of ``repro_max_reply``.
+_ORDER_CALLBACK = ctypes.CFUNCTYPE(None, ctypes.c_int64)
+
+#: Compiler flags of the one build.  No contraction of ``a * b + c`` into
+#: a fused multiply-add, so reply costs round exactly like Python's.
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _library: ctypes.CDLL | None = None
 
@@ -316,7 +553,7 @@ def _compile(cache_dir: Path, target: Path) -> None:
             source.write_text(_SOURCE)
             built = Path(workdir) / target.name
             command = [compiler, *_FLAGS]
-            command += ["-o", str(built), str(source)]
+            command += ["-o", str(built), str(source), "-lm"]
             try:
                 result = subprocess.run(
                     command, capture_output=True, text=True, timeout=120
@@ -362,27 +599,24 @@ def load_library() -> ctypes.CDLL:
             f"native kernel backend: cannot load {target}: {exc}"
         ) from exc
     library.repro_bfs_batch.argtypes = [
-        _I64, _I64, ctypes.c_int64, _I64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int32, _I32, _I32,
+        _PTR, _PTR, _I64, _PTR, _I64, _I64, ctypes.c_int32, _PTR, _PTR,
     ]
     library.repro_bfs_batch.restype = None
     library.repro_bfs_reduce.argtypes = [
-        _I64, _I64, ctypes.c_int64, _I64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64,
-        _I64, _I64, _I64, _I64, _U64,
+        _PTR, _PTR, _I64, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR,
     ]
     library.repro_bfs_reduce.restype = None
     library.repro_cover_search.argtypes = [
-        _U8, ctypes.c_int64, ctypes.c_int64, _I64,
-        ctypes.c_int64, _I32, _I32, _U8,
+        _PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
     ]
-    library.repro_cover_search.restype = ctypes.c_int64
+    library.repro_cover_search.restype = _I64
+    library.repro_max_reply.argtypes = [
+        _PTR, _I64, _PTR, _I64, ctypes.c_double, ctypes.c_double,
+        ctypes.POINTER(ctypes.c_double), _I64, _ORDER_CALLBACK,
+    ]
+    library.repro_max_reply.restype = _I64
     _library = library
     return library
-
-
-def _as_ptr(array: np.ndarray, pointer_type):
-    return array.ctypes.data_as(pointer_type)
 
 
 def bfs(
@@ -402,15 +636,15 @@ def bfs(
     sources = np.ascontiguousarray(sources, dtype=np.int64)
     queue = np.empty(max(n, 1), dtype=np.int32)
     library.repro_bfs_batch(
-        _as_ptr(indptr, _I64),
-        _as_ptr(indices, _I64),
+        indptr.ctypes.data,
+        indices.ctypes.data,
         n,
-        _as_ptr(sources, _I64),
+        sources.ctypes.data,
         sources.size,
         -1 if radius is None else int(radius),
         UNREACHABLE,
-        _as_ptr(dist, _I32),
-        _as_ptr(queue, _I32),
+        dist.ctypes.data,
+        queue.ctypes.data,
     )
     return dist
 
@@ -434,18 +668,18 @@ def bfs_reduce(
     sources = np.ascontiguousarray(sources, dtype=np.int64)
     scratch = np.empty(3 * max(n, 1), dtype=np.uint64)
     library.repro_bfs_reduce(
-        _as_ptr(indptr, _I64),
-        _as_ptr(indices, _I64),
+        indptr.ctypes.data,
+        indices.ctypes.data,
         n,
-        _as_ptr(sources, _I64),
+        sources.ctypes.data,
         sources.size,
         -1 if radius is None else int(radius),
         -1 if view_radius is None else int(view_radius),
-        _as_ptr(ecc_out, _I64),
-        _as_ptr(sum_out, _I64),
-        _as_ptr(unreached_out, _I64),
-        _as_ptr(view_size_out, _I64),
-        _as_ptr(scratch, _U64),
+        ecc_out.ctypes.data,
+        sum_out.ctypes.data,
+        unreached_out.ctypes.data,
+        view_size_out.ctypes.data,
+        scratch.ctypes.data,
     )
 
 
@@ -465,16 +699,63 @@ def cover_search(
     remaining_stack = np.empty((num_free + 2) * num_elements, dtype=np.uint8)
     found = int(
         library.repro_cover_search(
-            _as_ptr(cover_bytes, _U8),
+            cover_bytes.ctypes.data,
             num_free,
             num_elements,
-            _as_ptr(order, _I64),
+            order.ctypes.data,
             int(best_size),
-            _as_ptr(selection, _I32),
-            _as_ptr(chosen, _I32),
-            _as_ptr(remaining_stack, _U8),
+            selection.ctypes.data,
+            chosen.ctypes.data,
+            remaining_stack.ctypes.data,
         )
     )
     if found < 0:
         return best_size, best_selection
     return found, [int(idx) for idx in selection[:found]]
+
+
+def max_reply(
+    dist: np.ndarray,
+    forced: tuple[int, ...],
+    alpha: float,
+    best_cost: float,
+    warm_start: bool,
+) -> tuple[float, tuple[int, ...] | None]:
+    """The whole eccentricity-guess loop in one C call; same contract as the
+    numpy backend."""
+    from repro.kernels.common import COST_EPS
+
+    library = load_library()
+    n = dist.shape[0]
+    dist = np.ascontiguousarray(dist, dtype=np.int32)
+    # One buffer, one pointer: the forced rows, then the cover sizes, the
+    # search order and the selection, n entries each.  Zeroed, so the order
+    # block holds valid rows even if a callback fails before writing it.
+    num_forced = len(forced)
+    buffer = np.zeros(num_forced + 3 * n, dtype=np.int64)
+    buffer[:num_forced] = forced
+    sizes = buffer[num_forced:num_forced + n]
+    order = buffer[num_forced + n:num_forced + 2 * n]
+    errors: list[BaseException] = []
+
+    def sort_sizes(count: int) -> None:
+        # ctypes swallows a callback's exception: keep it for the caller.
+        try:
+            order[:count] = np.argsort(-sizes[:count])
+        except BaseException as exc:
+            errors.append(exc)
+
+    callback = _ORDER_CALLBACK(sort_sizes)
+    cost = ctypes.c_double(best_cost)
+    found = library.repro_max_reply(
+        dist.ctypes.data, n, buffer.ctypes.data, num_forced, alpha, COST_EPS,
+        ctypes.byref(cost), bool(warm_start), callback,
+    )
+    if errors:
+        raise errors[0]
+    if found == -2:
+        raise MemoryError("native max_reply: cannot allocate its scratch")
+    if found < 0:
+        return best_cost, None
+    start = num_forced + 2 * n
+    return cost.value, tuple(buffer[start:start + found].tolist())

@@ -2,9 +2,11 @@
 
 These are exactly the pure-Python-over-numpy hot loops the rest of the
 code base was built on: the chunked multi-source frontier expansion behind
-:func:`repro.graphs.traversal.batched_bfs_distances` and the
+:func:`repro.graphs.traversal.batched_bfs_distances`, the
 branch-and-bound recursion behind
-:func:`repro.solvers.set_cover.branch_and_bound_set_cover`.  Every other
+:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, and the
+MaxNCG reply loop :func:`repro.solvers.set_cover.max_reply` that drives
+it once per eccentricity guess.  Every other
 backend is measured against this module: *bit-identical outputs, faster
 machinery*.  The wrappers in the graph/solver layers own all argument
 validation and corner cases; the kernels here assume validated inputs
@@ -16,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.common import MAX_EXPANSION_INCIDENCES, UNREACHABLE
+from repro.solvers import set_cover
 
-__all__ = ["bfs", "bfs_reduce", "cover_search"]
+__all__ = ["bfs", "bfs_reduce", "cover_search", "max_reply"]
 
 
 def bfs(
@@ -290,3 +293,15 @@ def cover_search(
 
     recurse(np.ones(coverage.shape[1], dtype=bool), [])
     return best_size, best_selection
+
+
+def max_reply(
+    dist: np.ndarray,
+    forced: tuple[int, ...],
+    alpha: float,
+    best_cost: float,
+    warm_start: bool,
+) -> tuple[float, tuple[int, ...] | None]:
+    """The one Python implementation of the eccentricity-guess loop,
+    :func:`repro.solvers.set_cover.max_reply`, searching on this backend."""
+    return set_cover.max_reply(dist, forced, alpha, best_cost, warm_start, backend="numpy")

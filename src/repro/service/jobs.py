@@ -330,8 +330,7 @@ class JobManager:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._next_seq = 1
         #: Daemon-lifetime counters — registry-backed so ``/stats`` and
-        #: ``/metrics`` read the same live values (the read-through
-        #: properties below keep the historical attribute names).
+        #: ``/metrics`` read the same live values.
         registry = get_telemetry().registry
         self._m_jobs_submitted = registry.counter(
             "repro_daemon_jobs_submitted_total",
@@ -354,22 +353,6 @@ class JobManager:
             "repro_daemon_cache_entries",
             "Entries in the content-addressed result cache.",
         ).labels().set_function(lambda: len(self.cache))
-
-    @property
-    def jobs_submitted(self) -> int:
-        return self._m_jobs_submitted.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._m_cache_hits.value
-
-    @property
-    def journal_hits(self) -> int:
-        return self._m_journal_hits.value
-
-    @property
-    def engine_executions(self) -> int:
-        return self._m_engine_executions.value
 
     def bind_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
@@ -657,14 +640,14 @@ class JobManager:
     # -- stats ----------------------------------------------------------
     def stats(self) -> dict:
         return {
-            "jobs_submitted": self.jobs_submitted,
+            "jobs_submitted": self._m_jobs_submitted.value,
             "jobs_total": len(self.jobs),
             "queue_depth": self.queue.qsize(),
             "queue_size": self.queue_size,
             "cache_entries": len(self.cache),
-            "cache_hits": self.cache_hits,
-            "journal_hits": self.journal_hits,
-            "engine_executions": self.engine_executions,
+            "cache_hits": self._m_cache_hits.value,
+            "journal_hits": self._m_journal_hits.value,
+            "engine_executions": self._m_engine_executions.value,
         }
 
     def close(self) -> None:

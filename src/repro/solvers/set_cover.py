@@ -11,11 +11,13 @@ towards the player was bought by the *other* endpoint (the player cannot
 remove it but also does not pay for it).
 
 Three solvers with a common interface are provided; see the package
-docstring for the rationale.
+docstring for the rationale.  :func:`max_reply` runs them over every
+eccentricity guess of a MaxNCG best response.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kernels import KernelBackend, resolve_backend
+from repro.kernels.common import COST_EPS
 
 __all__ = [
     "SetCoverInstance",
@@ -31,6 +34,7 @@ __all__ = [
     "branch_and_bound_set_cover",
     "milp_set_cover",
     "solve_set_cover",
+    "max_reply",
     "SOLVERS",
     "WARM_START_SOLVERS",
 ]
@@ -408,3 +412,63 @@ def solve_set_cover(
             stacklevel=2,
         )
     return solver(instance, upper_bound=upper_bound, warm_start=warm_start, backend=backend)
+
+
+def max_reply(
+    dist: np.ndarray,
+    forced: tuple[int, ...],
+    alpha: float,
+    best_cost: float,
+    warm_start: bool,
+    method: str = "branch_and_bound",
+    backend: str | KernelBackend | None = None,
+) -> tuple[float, tuple[int, ...] | None]:
+    """The MaxNCG best-response loop over eccentricity guesses ``h``.
+
+    ``dist`` holds the distances of the player's view without her and
+    ``forced`` the rows of her buyers.  A reply with eccentricity ``h``
+    buys a cover of ``dist <= h - 1`` on top of the forced rows and costs
+    ``alpha * |cover| + h``; each guess solves that cover with ``method``
+    and replaces the incumbent (cost ``best_cost``) only when strictly
+    better by ``COST_EPS``.  ``warm_start`` seeds each solve with the
+    previous guess's cover (coverage grows with ``h``, so it stays
+    feasible) and caps it at the largest size that could still win.
+    Returns the final cost and the winning cover's rows, or ``None`` when
+    nothing beat ``best_cost``.
+
+    This is the ``max_reply`` kernel of the numpy backend (see
+    :mod:`repro.kernels` for the contract) and the loop the ``milp`` and
+    ``greedy`` ablation solvers run.
+    """
+    best_selection = None
+    previous: tuple[int, ...] | None = None
+    # A reply with eccentricity h costs at least h, so once h reaches the
+    # incumbent cost no better solution can exist.
+    for h in range(1, dist.shape[0] + 1):
+        if h >= best_cost - COST_EPS:
+            break
+        instance = SetCoverInstance(coverage=dist <= (h - 1), forced=forced)
+        if warm_start:
+            # Only covers with alpha * size + h < best_cost can win, so the
+            # search is capped at the largest useful size; "infeasible" then
+            # means "nothing useful at this h".  While best_cost is infinite
+            # (a disconnected incumbent) every size is useful.
+            size_cap = (
+                int(math.ceil((best_cost - COST_EPS - h) / alpha))
+                if math.isfinite(best_cost)
+                else None
+            )
+            result = solve_set_cover(
+                instance, method=method, upper_bound=size_cap,
+                warm_start=previous, backend=backend,
+            )
+        else:
+            result = solve_set_cover(instance, method=method, backend=backend)
+        if not result.feasible:
+            continue
+        previous = result.selected
+        cost = alpha * result.objective + h
+        if cost < best_cost - COST_EPS:
+            best_cost = cost
+            best_selection = result.selected
+    return best_cost, best_selection

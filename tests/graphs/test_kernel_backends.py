@@ -247,6 +247,7 @@ class TestRegistry:
                 bfs=reference.bfs,
                 bfs_reduce=reference.bfs_reduce,
                 cover_search=reference.cover_search,
+                max_reply=reference.max_reply,
             ),
         )
         assert resolve_backend("custom").name == "custom"
