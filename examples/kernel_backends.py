@@ -2,7 +2,9 @@
 """Kernel backends: pick the machinery, keep the bits.
 
 The hot loops of every experiment — the batched BFS level expansion, its
-fused statistics fold, the set-cover branch-and-bound search, and the
+fused statistics fold, the one-player ``view`` (a player's visible nodes,
+their distances and the CSR of her view without her: how the engine
+settles every view), the set-cover branch-and-bound search, and the
 MaxNCG best-response loop that runs that search once per eccentricity
 guess (``max_reply``, one C call per reply on native) — run on pluggable
 backends (:mod:`repro.kernels`): the ``native`` C/ctypes backend, compiled once
@@ -18,7 +20,9 @@ semantics knob.  This example
 4. times the *fused* ``bfs_reduce`` (per-source eccentricity / distance
    sum / unreached / view size, no distance matrix) against
    materialise-then-fold, identical vectors asserted,
-5. shows the selection chain: explicit argument > ``use_backend`` scope
+5. settles every player's radius-``k`` view with the ``view`` kernel on
+   each backend, identical arrays asserted,
+6. shows the selection chain: explicit argument > ``use_backend`` scope
    > ``REPRO_KERNEL_BACKEND`` > auto-detect, with silent numpy fallback
    for unavailable backends.
 
@@ -34,8 +38,9 @@ import time
 
 import numpy as np
 
-from repro import MaxNCG, best_response_dynamics, random_owned_tree
+from repro import MaxNCG, StrategyProfile, best_response_dynamics, random_owned_tree
 from repro.graphs.generators.smallworld import owned_barabasi_albert
+from repro.engine.state import NetworkState
 from repro.graphs.traversal import batched_bfs_distances, reduce_bfs_distances
 from repro.kernels import (
     available_backends,
@@ -110,6 +115,30 @@ def main(n: int = 32, alpha: float = 0.5, k: int = 2) -> None:
         for name in names
     )
     print("  -> identical eccentricity/sum/unreached/view-size vectors")
+
+    # ------------------------------------------------------------------
+    # The view kernel: every player's view, as the engine settles it.
+    # ------------------------------------------------------------------
+    state = NetworkState.from_profile(
+        StrategyProfile.from_owned_graph(random_owned_tree(big, seed=0))
+    )
+    view_csr = state.csr()
+    print(f"\nview kernel, all {big} radius-{k} views of a random tree:")
+    views = {}
+    for name in names:
+        start = time.perf_counter()
+        view = resolve_backend(name).view
+        views[name] = [view(*view_csr, p, k) for p in range(big)]
+        print(f"  {name:>6}: {time.perf_counter() - start:7.4f} s")
+    assert all(
+        all(
+            np.array_equal(a, b)
+            for got, want in zip(views[names[0]], views[name])
+            for a, b in zip(got, want)
+        )
+        for name in names
+    )
+    print("  -> identical nodes/distances/sub-CSR arrays")
 
     # ------------------------------------------------------------------
     # Selection chain.

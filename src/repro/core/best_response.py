@@ -67,9 +67,9 @@ import numpy as np
 from repro.core.deviations import COST_EPS
 from repro.core.games import GameSpec, UsageKind
 from repro.core.strategies import StrategyProfile
-from repro.core.views import View, extract_view
+from repro.core.views import ArrayView, View, extract_view
 from repro.graphs.graph import Node
-from repro.graphs.traversal import distance_matrix
+from repro.graphs.traversal import batched_bfs_distances, distance_matrix
 from repro.kernels import KernelBackend, resolve_backend
 from repro.kernels.common import UNREACHABLE
 from repro.solvers.set_cover import (
@@ -129,8 +129,9 @@ class BestResponse:
     def improvement(self) -> float:
         return self.current_view_cost - self.view_cost
 
-    @property
+    @functools.cached_property
     def is_improving(self) -> bool:
+        # Cached: a memoised reply is asked once per activation, every round.
         return self.improvement > COST_EPS
 
 
@@ -199,14 +200,25 @@ def max_cover_context(
     """Build the best-response context of ``view`` (pure function of content).
 
     Distances inside the view with the player removed: these are the
-    distances available to reach each vertex after the first hop.
-    ``backend`` selects the BFS kernel backend (bit-identical across
-    backends, so the context content never depends on it).
+    distances available to reach each vertex after the first hop.  An
+    :class:`~repro.core.views.ArrayView` (the engine's) already holds the
+    CSR of ``H − u`` and its buyers' rows, so this is one all-pairs ``bfs``
+    kernel call on it; any other view is copied without the player and
+    exported first — the reference path.  ``backend`` selects the BFS
+    kernel backend (bit-identical across backends, so the context content
+    never depends on it).
     """
-    reduced = view.subgraph.without_node(view.player)
-    dist, order = distance_matrix(reduced, backend=backend)
-    index = {node: i for i, node in enumerate(order)}
-    forced = tuple(sorted(index[buyer] for buyer in view.buyers if buyer in index))
+    if not isinstance(view, ArrayView):
+        reduced = view.subgraph.without_node(view.player)
+        dist, order = distance_matrix(reduced, backend=backend)
+        index = {node: i for i, node in enumerate(order)}
+        forced = tuple(sorted(index[buyer] for buyer in view.buyers if buyer in index))
+    else:
+        nodes, _, indptr, indices, rows = view.arrays
+        order = [view.labels[i] for i in nodes.tolist()]
+        dist = batched_bfs_distances(indptr, indices, None, backend=backend)
+        index = dict(zip(order, range(len(order))))
+        forced = tuple(rows.tolist())
     return MaxCoverContext(order=order, dist=dist, forced=forced, index=index)
 
 
@@ -470,13 +482,19 @@ class _SumEvaluator:
         # The veto fires when 1 + minimum > reference, i.e. minimum >
         # reference - 1 (UNREACHABLE exceeds every finite limit).  Frontier
         # vertices are visible and never the player, so all sit in H - u.
-        self.frontier_columns = np.array(
-            [self.index[vertex] for vertex in view.frontier], dtype=np.intp
-        )
-        self.frontier_limits = np.array(
-            [view.distances.get(vertex, view.k) - 1 for vertex in view.frontier],
-            dtype=np.float64,
-        )
+        if not isinstance(view, ArrayView):
+            self.frontier_columns = np.array(
+                [self.index[vertex] for vertex in view.frontier], dtype=np.intp
+            )
+            self.frontier_limits = np.array(
+                [view.distances.get(vertex, view.k) - 1 for vertex in view.frontier],
+                dtype=np.float64,
+            )
+        else:
+            # An array view's rows are its node positions, and its frontier
+            # is the nodes at distance k (none under full knowledge).
+            self.frontier_columns = np.flatnonzero(view.arrays[1] == view.k)
+            self.frontier_limits = np.full(self.frontier_columns.size, view.k - 1.0)
         self._costs: dict[frozenset[Node], tuple[float, bool]] = {}
 
     def rows(self, targets) -> list[int]:

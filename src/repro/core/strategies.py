@@ -52,6 +52,19 @@ class StrategyProfile:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    def from_validated(cls, strategies: dict[Node, frozenset[Node]]) -> "StrategyProfile":
+        """Wrap strategies already checked by ``__init__``'s rules, unchecked.
+
+        For :meth:`repro.engine.state.NetworkState.to_profile`, whose every
+        strategy passed the same checks on the way in; the mapping is taken
+        over, not copied.
+        """
+        profile = cls.__new__(cls)
+        profile._strategies = strategies
+        profile._graph_cache = None
+        return profile
+
+    @classmethod
     def from_owned_graph(cls, owned: OwnedGraph) -> "StrategyProfile":
         """Build a profile from a generator output (graph + ownership)."""
         strategies = {node: set() for node in owned.graph}

@@ -327,7 +327,8 @@ class DynamicsEngine:
         One sweep over all players that shows no improving deviation exists —
         the LKE certificate for finite ``game.k``, the NE certificate under
         full knowledge.  The sweep rides the engine caches: views settle
-        through one blocked batched BFS and every player whose (view token,
+        up front (one ``view`` kernel call each, or a store adoption) and
+        every player whose (view token,
         strategy) pair is unchanged since her last evaluation is answered
         from the best-response memo, so certifying a freshly converged run
         costs no additional solver calls at all, and certifying after a
@@ -411,8 +412,7 @@ class DynamicsEngine:
             if self.collect_metrics
             else None
         )
-        # Bulk-build all views with one batched CSR BFS instead of n
-        # sequential Python traversals.
+        # Settle every view up front (shared-store adoptions included).
         self.views.refresh_dirty()
         round_records: list[RoundRecord] = []
         seen_profiles: dict[tuple, int] = {self.state.canonical_key(): 0}

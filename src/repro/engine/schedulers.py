@@ -191,8 +191,8 @@ class ParallelBatchScheduler(Scheduler):
 
     def run_round(self, engine: "DynamicsEngine", round_index: int) -> int:
         players = engine.base_order
-        # Settle every dirty view in one blocked batched BFS up front: the
-        # memo validity test below needs settled tokens.
+        # Settle every dirty view up front: the memo validity test below
+        # needs settled tokens.
         engine.views.refresh_dirty()
         responses: dict[Node, BestResponse] = {}
         stale: list[Node] = []

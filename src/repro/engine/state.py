@@ -5,8 +5,11 @@ as the single source of truth and rebuilt the induced graph from scratch
 after every strategy change.  :class:`NetworkState` inverts that: it keeps
 *one* mutable :class:`~repro.graphs.graph.Graph` alive for the whole run and
 applies strategy changes as edge-level deltas, relying on the graph's
-monotone ``version`` counter so downstream caches (views, CSR exports) can
-detect staleness cheaply.
+monotone ``version`` counter so downstream caches can detect staleness
+cheaply.  Next to the graph (kept for the dict consumers) it keeps one CSR
+adjacency over the players in ``repr`` order, each row sorted, which every
+delta patches in place of a rebuild: :mod:`repro.engine.views` settles
+every view with one kernel call on it.
 
 Edge semantics follow the game: the undirected edge ``(u, v)`` is present
 iff ``v ∈ σ_u`` or ``u ∈ σ_v``, so dropping a target only removes the edge
@@ -17,7 +20,12 @@ leaves the topology untouched (and is reported through
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
+
+import numpy as np
 
 from repro.core.strategies import StrategyProfile
 from repro.graphs.graph import Edge, Graph, Node
@@ -66,19 +74,28 @@ class NetworkState:
     """Mutable mirror of a strategy profile with incremental edge updates.
 
     Holds the strategies, the induced graph (mutated in place, never
-    rebuilt) and the reverse ``buyers`` index ``{player: set of buyers}``
-    that :meth:`repro.core.strategies.StrategyProfile.buyers_of` otherwise
+    rebuilt), its CSR (:meth:`csr`, patched, never rebuilt) and the
+    reverse ``buyers`` index ``{player: set of buyers}`` that
+    :meth:`repro.core.strategies.StrategyProfile.buyers_of` otherwise
     recomputes in ``O(n)`` per call.
+
+    ``order`` lists the players in ``repr`` order (CSR row ``i`` is
+    ``order[i]``) and ``index`` maps each player to her row; the player
+    set is fixed, so both are shared for the state's life — do not mutate
+    them.
     """
 
-    __slots__ = ("_strategies", "_graph", "_buyers", "_revision", "_order", "_keys")
+    __slots__ = (
+        "_strategies", "_graph", "_buyers", "_revision", "_keys", "order", "index",
+        "_indptr", "_indices",
+    )
 
     def __init__(self, strategies: dict[Node, frozenset[Node]]) -> None:
         self._strategies = dict(strategies)
         self._revision = 0
         # canonical_key's parts: the players in repr order, and each
         # player's entry, re-sorted only when her strategy changes.
-        self._order = sorted(self._strategies, key=repr)
+        self.order = sorted(self._strategies, key=repr)
         self._keys = {
             player: _key_entry(player, targets) for player, targets in self._strategies.items()
         }
@@ -90,6 +107,13 @@ class NetworkState:
                 buyers[target].add(player)
         self._graph = graph
         self._buyers = buyers
+        self.index = {node: i for i, node in enumerate(self.order)}
+        rows = [sorted(map(self.index.__getitem__, graph.neighbors(node))) for node in self.order]
+        self._indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=self._indptr[1:])
+        self._indices = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(self._indptr[-1])
+        )
 
     @classmethod
     def from_profile(cls, profile: StrategyProfile) -> "NetworkState":
@@ -118,6 +142,15 @@ class NetworkState:
         """
         return self._revision
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the live network over :attr:`order`.
+
+        Each row is sorted.  Every applied delta replaces the arrays rather
+        than writing into them, so a caller's pair stays a consistent
+        snapshot.
+        """
+        return self._indptr, self._indices
+
     def players(self) -> list[Node]:
         return list(self._strategies)
 
@@ -130,11 +163,11 @@ class NetworkState:
 
     def canonical_key(self) -> tuple:
         """Same canonical form as :meth:`StrategyProfile.canonical_key`."""
-        return tuple(map(self._keys.__getitem__, self._order))
+        return tuple(map(self._keys.__getitem__, self.order))
 
     def to_profile(self) -> StrategyProfile:
         """Materialise an immutable snapshot of the current strategies."""
-        return StrategyProfile(dict(self._strategies))
+        return StrategyProfile.from_validated(dict(self._strategies))
 
     # ------------------------------------------------------------------
     # Mutation
@@ -197,6 +230,42 @@ class NetworkState:
             self._graph.remove_edge(u, v)
         for u, v in delta.added_edges:
             self._graph.add_edge(u, v)
+        if delta.removed_edges:
+            self._patch_csr(delta.removed_edges, insert=False)
+        if delta.added_edges:
+            self._patch_csr(delta.added_edges, insert=True)
+
+    def _patch_csr(self, edges: tuple[Edge, ...], insert: bool) -> None:
+        """Insert or delete both directions of ``edges``, keeping rows sorted.
+
+        One concatenation of the ``indices`` runs between the bisected
+        positions of the entries (a memmove, no Python loop over nodes), and
+        one slice increment of ``indptr`` per touched row.
+        """
+        index, indptr, indices = self.index, self._indptr.copy(), self._indices
+        entries = sorted(
+            (index[a], index[b]) for u, v in edges for a, b in ((u, v), (v, u))
+        )
+        positions = [
+            bisect_left(indices, column, int(indptr[row]), int(indptr[row + 1]))
+            for row, column in entries
+        ]
+        step = 1 if insert else -1
+        for row, group in groupby(entries, key=itemgetter(0)):
+            indptr[row + 1:] += step * len(list(group))
+        # Entries sorted by (row, column) leave sorted rows behind even when
+        # several new ones share a gap.
+        columns = np.array([column for _, column in entries], dtype=np.int64)
+        pieces, start = [], 0
+        for i, position in enumerate(positions):
+            pieces.append(indices[start:position])
+            if insert:
+                pieces.append(columns[i:i + 1])
+                start = position
+            else:
+                start = position + 1
+        pieces.append(indices[start:])
+        self._indptr, self._indices = indptr, np.concatenate(pieces)
 
     def set_strategy(self, player: Node, new_targets: frozenset[Node]) -> StrategyDelta:
         """Preview-and-apply in one step; returns the applied delta."""

@@ -23,6 +23,11 @@ Everything outside the region keeps its cached ``View`` object untouched,
 which also lets the engine reuse memoised best responses (a best response
 is a pure function of view content and current strategy).
 
+A view is settled by one ``view`` kernel call over the state's CSR (see
+:mod:`repro.kernels` for its contract) and stored as index arrays
+(:class:`repro.core.views.ArrayView`): no per-view Python graph is built,
+and content equality is one array comparison.
+
 Per-player *tokens* (bumped on invalidation) give downstream caches an O(1)
 staleness test without comparing view contents.
 """
@@ -35,17 +40,11 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.games import FULL_KNOWLEDGE
-from repro.core.views import View
+from repro.core.views import ArrayView
 from repro.engine.state import NetworkState, StrategyDelta
-from repro.graphs.graph import Node
-from repro.graphs.traversal import (
-    ball,
-    bfs_distances,
-    bfs_distances_within,
-    iter_blocked_bfs_distances,
-)
-from repro.kernels import KernelBackend
-from repro.kernels.common import UNREACHABLE
+from repro.graphs.graph import Edge, Node
+from repro.graphs.traversal import bfs_distances_within
+from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import Telemetry, get_telemetry
 
 __all__ = ["IncrementalViewCache", "ViewStore", "DEFAULT_VIEW_STORE_CAPACITY"]
@@ -56,16 +55,6 @@ __all__ = ["IncrementalViewCache", "ViewStore", "DEFAULT_VIEW_STORE_CAPACITY"]
 DEFAULT_VIEW_STORE_CAPACITY = 8192
 
 
-def _views_equal(a: View, b: View) -> bool:
-    """Content equality of two views of the same player at the same radius."""
-    return (
-        a.distances == b.distances
-        and a.frontier == b.frontier
-        and a.buyers == b.buyers
-        and a.subgraph == b.subgraph
-    )
-
-
 class ViewStore:
     """Cross-session LRU cache of refreshed views, shared between engines.
 
@@ -74,8 +63,8 @@ class ViewStore:
     profile, which determines topology *and* buyer sets.  Multiple
     :class:`~repro.engine.core.DynamicsEngine` sessions over the same
     instance (an α-grid, a robustness battery) hand the same store to their
-    view caches and skip every BFS another session already paid for at the
-    same network snapshot.
+    view caches and skip every view build another session already paid for
+    at the same network snapshot.
 
     Tokens are drawn from a single store-global monotone counter, so token
     equality implies content equality *across* every engine attached to the
@@ -104,7 +93,7 @@ class ViewStore:
     ) -> None:
         if capacity < 1:
             raise ValueError("ViewStore capacity must be >= 1")
-        self._entries: OrderedDict[tuple, tuple[View, int]] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[ArrayView, int]] = OrderedDict()
         self._capacity = capacity
         self._next_token = 1
         # Ad-hoc counters migrated onto the metrics registry: each store
@@ -145,7 +134,7 @@ class ViewStore:
         self._next_token += 1
         return token
 
-    def get(self, signature: bytes, k: float, player: Node) -> tuple[View, int] | None:
+    def get(self, signature: bytes, k: float, player: Node) -> tuple[ArrayView, int] | None:
         """Published ``(view, token)`` for a player at a network snapshot."""
         entry = self._entries.get((signature, k, player))
         if entry is None:
@@ -155,7 +144,7 @@ class ViewStore:
         self._m_hits.inc()
         return entry
 
-    def put(self, signature: bytes, k: float, player: Node, view: View, token: int) -> None:
+    def put(self, signature: bytes, k: float, player: Node, view: ArrayView, token: int) -> None:
         """Publish a settled view under its content token (first write wins)."""
         key = (signature, k, player)
         if key in self._entries:
@@ -182,10 +171,11 @@ class IncrementalViewCache:
     __slots__ = (
         "_state",
         "_k",
+        "_radius",
         "_views",
         "_tokens",
         "_dirty",
-        "_kernel_backend",
+        "_kernel",
         "_store",
         "_sig_cache",
         "_m_views_built",
@@ -203,10 +193,11 @@ class IncrementalViewCache:
     ) -> None:
         self._state = state
         self._k = k
-        # Backend for the bulk refresh's blocked BFS (bit-identical across
-        # backends; the single-player refresh path stays on dict BFS).
-        self._kernel_backend = kernel_backend
-        self._views: dict[Node, View] = {}
+        self._radius = None if k == FULL_KNOWLEDGE else int(k)
+        # Backend of the view and region kernels (bit-identical across
+        # backends), resolved once for the cache's lifetime.
+        self._kernel = resolve_backend(kernel_backend)
+        self._views: dict[Node, ArrayView] = {}
         self._tokens: dict[Node, int] = {player: 0 for player in state.players()}
         self._dirty: set[Node] = set(state.players())
         self._store = store
@@ -217,15 +208,15 @@ class IncrementalViewCache:
             help="Per-player views settled by the incremental cache",
             labelnames=("source",),
         )
-        # Views actually constructed by BFS in this cache (both the bulk
-        # and the single-player path) — store adoptions count separately.
+        # Views actually constructed by a kernel call in this cache —
+        # store adoptions count separately.
         self._m_views_built = views.child(source="built")
         self._m_shared_hits = views.child(source="shared")
         self._span = telemetry.span
 
     @property
     def views_built(self) -> int:
-        """Views constructed by BFS here — store adoptions do not count."""
+        """Views constructed by a kernel call here — store adoptions do not count."""
         return self._m_views_built.value
 
     @property
@@ -255,16 +246,18 @@ class IncrementalViewCache:
     def is_dirty(self, player: Node) -> bool:
         return player in self._dirty
 
-    def get(self, player: Node) -> View:
+    def get(self, player: Node) -> ArrayView:
         """Return the current view of ``player``, refreshing it if stale."""
-        if player in self._dirty or player not in self._views:
-            self._install(player, self._build_single(player))
-        return self._views[player]
+        view = self._views.get(player)
+        if view is None or player in self._dirty:
+            self._install(player, self._build(player))
+            view = self._views[player]
+        return view
 
-    def _install(self, player: Node, view: View) -> None:
+    def _install(self, player: Node, view: ArrayView) -> None:
         """Store a freshly built view, bumping the token only on real change."""
         old = self._views.get(player)
-        if old is None or not _views_equal(old, view):
+        if old is None or not old.same_arrays(view):
             self._views[player] = view
             # With a shared store attached every token must stay globally
             # unique (token equality ⇒ content equality across engines), so
@@ -276,7 +269,7 @@ class IncrementalViewCache:
                 self._tokens[player] += 1
         self._dirty.discard(player)
 
-    def _install_shared(self, player: Node, view: View, token: int) -> None:
+    def _install_shared(self, player: Node, view: ArrayView, token: int) -> None:
         """Adopt a store-published view, carrying its published token.
 
         When the current content already equals the published view the old
@@ -286,7 +279,7 @@ class IncrementalViewCache:
         recorded the last time it sat at this snapshot.
         """
         old = self._views.get(player)
-        if old is None or not _views_equal(old, view):
+        if old is None or not old.same_arrays(view):
             self._views[player] = view
             self._tokens[player] = token
         self._dirty.discard(player)
@@ -303,19 +296,17 @@ class IncrementalViewCache:
         return signature
 
     # ------------------------------------------------------------------
-    # Bulk refresh (batched CSR BFS)
+    # Bulk refresh
     # ------------------------------------------------------------------
     def refresh_dirty(self) -> int:
-        """Rebuild every stale view with blocked batched multi-source BFS.
+        """Settle every stale view; used at engine start-up (everything is
+        dirty) and by schedulers that need all views at once.
 
-        Returns the number of views settled (rebuilt by BFS or adopted from
-        the shared :class:`ViewStore` when one is attached — adopted views
-        skip the BFS entirely).  One CSR export plus one
-        batched kernel call per source block (at most
-        :data:`~repro.graphs.traversal.DEFAULT_BLOCK_SIZE` dirty players'
-        distance rows live at once) replaces ``len(dirty)`` independent
-        Python BFS runs; used at engine start-up (everything is dirty) and
-        by schedulers that need all views at once.
+        Returns the number of views settled: adopted from the shared
+        :class:`ViewStore` when one is attached and a sibling session
+        already settled it at this exact network snapshot, else built by
+        one ``view`` kernel call each — the same path as :meth:`get` — and
+        published to the store.
         """
         dirty = [p for p in self._state.players() if p in self._dirty or p not in self._views]
         if not dirty:
@@ -325,14 +316,14 @@ class IncrementalViewCache:
 
     def _refresh_dirty(self, dirty: list[Node], span) -> int:
         settled = len(dirty)
-        signature: bytes | None = None
-        if self._store is not None:
-            # Adopt everything a sibling session already refreshed at this
-            # exact network snapshot; only the remainder pays for BFS.
+        store = self._store
+        if store is not None:
+            # Adopt everything a sibling session already settled at this
+            # exact network snapshot; only the remainder pays for a build.
             signature = self._state_signature()
             remaining: list[Node] = []
             for player in dirty:
-                entry = self._store.get(signature, self._k, player)
+                entry = store.get(signature, self._k, player)
                 if entry is None:
                     remaining.append(player)
                 else:
@@ -340,58 +331,11 @@ class IncrementalViewCache:
                     self._m_shared_hits.inc()
             span.set(adopted=settled - len(remaining))
             dirty = remaining
-            if not dirty:
-                return settled
-        graph = self._state.graph
-        indptr, indices, order = graph.to_csr_arrays()
-        # node -> row map and object-dtype node array (nodes may be tuples,
-        # which np.asarray would splat) come version-cached off the graph —
-        # rebuilt only when the topology actually changed.
-        index = graph.csr_node_index()
-        order_array = graph.csr_order_array()
-        radius = None if self._k == FULL_KNOWLEDGE else int(self._k)
-        sources = np.fromiter((index[p] for p in dirty), dtype=np.int64, count=len(dirty))
-        full_visible: set[Node] = set(order) if radius is None else set()
-        blocks = 0
-        for start, _, dist in iter_blocked_bfs_distances(
-            indptr, indices, sources, radius=radius, backend=self._kernel_backend
-        ):
-            blocks += 1
-            # One vectorised extraction pass per block instead of three
-            # full-width mask scans per row: all reached (row, node) pairs
-            # at once, then row-segment splits at the searchsorted
-            # boundaries (np.nonzero scans in C order, so rows_idx is
-            # already sorted).
-            rows_idx, cols_idx = np.nonzero(dist != UNREACHABLE)
-            boundaries = np.searchsorted(rows_idx, np.arange(1, dist.shape[0]))
-            node_segments = np.split(order_array[cols_idx], boundaries)
-            value_segments = np.split(dist[rows_idx, cols_idx], boundaries)
-            for row in range(dist.shape[0]):
-                player = dirty[start + row]
-                row_nodes = node_segments[row].tolist()
-                row_values = value_segments[row]
-                distances = dict(zip(row_nodes, row_values.tolist()))
-                if radius is None:
-                    frontier: set[Node] = set()
-                    visible: set[Node] = full_visible
-                else:
-                    frontier = set(
-                        node_segments[row][row_values == radius].tolist()
-                    )
-                    visible = set(row_nodes)
-                self._install(
-                    player, self._assemble(player, visible, distances, frontier)
-                )
-                self._m_views_built.inc()
-                if self._store is not None and signature is not None:
-                    self._store.put(
-                        signature,
-                        self._k,
-                        player,
-                        self._views[player],
-                        self._tokens[player],
-                    )
-        span.set(built=len(dirty), blocks=blocks)
+        for player in dirty:
+            self._install(player, self._build(player))
+            if store is not None:
+                store.put(signature, self._k, player, self._views[player], self._tokens[player])
+        span.set(built=len(dirty))
         return settled
 
     # ------------------------------------------------------------------
@@ -405,15 +349,7 @@ class IncrementalViewCache:
         """
         if not delta.removed_edges:
             return set()
-        if self._k == FULL_KNOWLEDGE:
-            return set(self._state.players())
-        graph = self._state.graph
-        radius = int(self._k)
-        region: set[Node] = set()
-        for u, v in delta.removed_edges:
-            region |= ball(graph, u, radius)
-            region |= ball(graph, v, radius)
-        return region
+        return self._region(delta.removed_edges)
 
     def region_after_apply(self, delta: StrategyDelta) -> set[Node]:
         """Players whose view may change due to ``delta``'s added edges.
@@ -424,13 +360,24 @@ class IncrementalViewCache:
         """
         region: set[Node] = set(delta.buyer_changes)
         if delta.added_edges:
-            if self._k == FULL_KNOWLEDGE:
-                return set(self._state.players())
-            graph = self._state.graph
-            radius = int(self._k)
-            for u, v in delta.added_edges:
-                region |= ball(graph, u, radius)
-                region |= ball(graph, v, radius)
+            region |= self._region(delta.added_edges)
+        return region
+
+    def _region(self, edges: tuple[Edge, ...]) -> set[Node]:
+        """The union of the radius-``k`` balls around the endpoints of
+        ``edges`` in the current network.
+
+        A dict BFS on the live graph: it costs O(ball), while a ``bfs``
+        kernel call pays a fixed dispatch cost (about 25 µs on a 2-vCPU
+        host) and an O(n) distance row per endpoint — several times the
+        ball on the small radii the game uses.
+        """
+        if self._radius is None:
+            return set(self._state.players())
+        graph = self._state.graph
+        region: set[Node] = set()
+        for node in {node for edge in edges for node in edge}:
+            region.update(bfs_distances_within(graph, node, self._radius))
         return region
 
     def invalidate(self, players: set[Node]) -> None:
@@ -442,34 +389,18 @@ class IncrementalViewCache:
     # ------------------------------------------------------------------
     # View construction (content-identical to ``extract_view``)
     # ------------------------------------------------------------------
-    def _build_single(self, player: Node) -> View:
+    def _build(self, player: Node) -> ArrayView:
+        """One ``view`` kernel call over the state CSR, plus the buyer rows."""
         self._m_views_built.inc()
-        graph = self._state.graph
-        if self._k == FULL_KNOWLEDGE:
-            distances = bfs_distances(graph, player)
-            frontier: set[Node] = set()
-            visible: set[Node] = set(graph.nodes())
-        else:
-            radius = int(self._k)
-            distances = bfs_distances_within(graph, player, radius)
-            frontier = {node for node, d in distances.items() if d == radius}
-            visible = set(distances)
-        return self._assemble(player, visible, dict(distances), frontier)
-
-    def _assemble(
-        self,
-        player: Node,
-        visible: set[Node],
-        distances: dict[Node, int],
-        frontier: set[Node],
-    ) -> View:
-        subgraph = self._state.graph.induced_subgraph(visible)
-        buyers = {b for b in self._state.buyers_of(player) if b in visible}
-        return View(
-            player=player,
-            k=self._k,
-            subgraph=subgraph,
-            distances=distances,
-            frontier=frontier,
-            buyers=buyers,
+        state = self._state
+        index = state.index
+        indptr, indices = state.csr()
+        nodes, dist, sub_indptr, sub_indices = self._kernel.view(
+            indptr, indices, index[player], self._radius
+        )
+        # Buyers sit at distance 1, so they are always visible.
+        buyers = sorted(map(index.__getitem__, state.buyers_of(player)))
+        forced = np.searchsorted(nodes, np.array(buyers, dtype=np.int64))
+        return ArrayView(
+            player, self._k, state.order, nodes, dist, sub_indptr, sub_indices, forced
         )

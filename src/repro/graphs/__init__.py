@@ -17,13 +17,11 @@ from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     bfs_distances,
     bfs_distances_within,
-    ball,
     connected_components,
     is_connected,
     shortest_path,
     all_pairs_distances,
     batched_bfs_distances,
-    iter_blocked_bfs_distances,
     reduce_bfs_distances,
     distance_matrix,
 )
@@ -63,13 +61,11 @@ __all__ = [
     "Graph",
     "bfs_distances",
     "bfs_distances_within",
-    "ball",
     "connected_components",
     "is_connected",
     "shortest_path",
     "all_pairs_distances",
     "batched_bfs_distances",
-    "iter_blocked_bfs_distances",
     "reduce_bfs_distances",
     "distance_matrix",
     "eccentricity",

@@ -2,46 +2,42 @@
 
 All game-theoretic quantities in the paper (eccentricity, status, views,
 best responses) reduce to unweighted shortest-path distances, so BFS is the
-single hot primitive of the whole code base.  It comes in four forms:
+single hot primitive of the whole code base.  It comes in three forms:
 
 * a plain ``collections.deque`` BFS used for single sources and bounded
-  explorations (lazy view refreshes);
+  explorations over the dict graph (reference views, discovery models,
+  the engine's dirty regions);
 * a batched multi-source frontier BFS over a CSR adjacency layout
-  (:func:`batched_bfs_distances`), which keeps the inner loop in NumPy and
-  backs both :func:`distance_matrix` (all sources) and the incremental
-  engine's bulk view extraction (many sources, bounded radius);
-* a blocked/streaming driver on top of it
-  (:func:`iter_blocked_bfs_distances`) for workloads whose source set is
-  too large to materialise a dense ``(len(sources), n)`` distance matrix
-  at once, and
+  (:func:`batched_bfs_distances`), which keeps the inner loop in a kernel
+  and backs :func:`distance_matrix` (all sources) and the engine's cover
+  contexts (the engine settles the views themselves with the ``view``
+  kernel, see :mod:`repro.engine.views`), and
 * a fused sweep (:func:`reduce_bfs_distances`) that folds each source's
   distances into per-source reductions inside the kernel, never
   materialising a distance row at all.
 
-Memory model of the blocked driver
-----------------------------------
+Memory model of the fused sweep
+-------------------------------
 ``batched_bfs_distances`` over ``s`` sources allocates the full
 ``(s, n)`` int32 distance matrix up front — ~400 MB for an all-pairs sweep
-at ``n = 10^4``, quadratic beyond that.  The blocked driver instead cuts the
-source set into blocks of at most ``block_size`` sources and runs one batched
-BFS per block, so peak memory is ``O(block_size * n)`` int32 for the live
-distance rows plus ``O(frontier incidences)`` transient scratch inside the
-kernel, *independent of the total number of sources*.  Every consumer that
-only needs per-source reductions (eccentricity, usage sums, view sizes,
-diameter — see :func:`repro.core.metrics.compute_profile_metrics`) should go
-through :func:`reduce_bfs_distances` instead of :func:`distance_matrix`.
+at ``n = 10^4``, quadratic beyond that.  Every consumer that only needs
+per-source reductions (eccentricity, usage sums, view sizes, diameter — see
+:func:`repro.core.metrics.compute_profile_metrics`) goes through
+:func:`reduce_bfs_distances` instead, which cuts the source set into blocks
+of at most ``block_size`` sources and keeps ``O(n)`` scratch (compiled) or
+one boolean ``(block_size, n)`` visited matrix (numpy reference) live.
 
 The ``block_size`` knob trades Python-level loop overhead (one kernel call
 per block) against peak memory; :data:`DEFAULT_BLOCK_SIZE` (1024 source
-rows, i.e. ~40 MB of live rows at ``n = 10^4``) is a good default for
-anything from laptops to CI runners.  Results are bit-identical for every
-block size because each source's BFS is independent of its batch-mates.
+rows) is a good default for anything from laptops to CI runners.  Results
+are bit-identical for every block size because each source's BFS is
+independent of its batch-mates.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -49,50 +45,51 @@ from repro.graphs.graph import Graph, Node
 from repro.kernels import KernelBackend, resolve_backend
 from repro.kernels.common import UNREACHABLE
 from repro.obs import get_telemetry
-from repro.obs.metrics import CounterFamily, default_registry
+from repro.obs.metrics import Counter, default_registry
 
 __all__ = [
     "bfs_distances",
     "bfs_distances_within",
-    "ball",
     "connected_components",
     "is_connected",
     "shortest_path",
     "all_pairs_distances",
     "batched_bfs_distances",
-    "iter_blocked_bfs_distances",
     "reduce_bfs_distances",
     "distance_matrix",
     "DEFAULT_BLOCK_SIZE",
 ]
 
-#: Default number of source rows processed per blocked-BFS kernel call.
-#: Peak live memory of a blocked sweep is ``DEFAULT_BLOCK_SIZE * n`` int32
-#: entries (~40 MB at n = 10^4) regardless of the total source count.
+#: Default number of source rows processed per fused-sweep kernel call.
 DEFAULT_BLOCK_SIZE: int = 1024
 
 # Kernel-call metrics live on the process default registry (the dispatch
 # wrappers are module functions with no instance to hang a handle off);
-# lazily bound so importing this module never races registry setup.
-_KERNEL_CALLS: CounterFamily | None = None
-_KERNEL_SOURCES: CounterFamily | None = None
+# each (kernel, backend) pair's two series are bound on first use, so a
+# dispatch pays two increments and no label lookup.
+_KERNEL_SERIES: dict[tuple[str, str], tuple[Counter, Counter]] = {}
 
 
-def _kernel_metrics() -> tuple[CounterFamily, CounterFamily]:
-    global _KERNEL_CALLS, _KERNEL_SOURCES
-    if _KERNEL_CALLS is None:
+def _kernel_metrics(kernel: str, backend: str) -> tuple[Counter, Counter]:
+    """The ``(calls, sources)`` series of one kernel on one backend."""
+    series = _KERNEL_SERIES.get((kernel, backend))
+    if series is None:
         registry = default_registry()
-        _KERNEL_CALLS = registry.counter(
+        calls = registry.counter(
             "repro_kernel_calls_total",
             help="Kernel dispatches through the traversal wrappers",
             labelnames=("kernel", "backend"),
         )
-        _KERNEL_SOURCES = registry.counter(
+        sources = registry.counter(
             "repro_kernel_sources_total",
             help="BFS source rows (frontier batch width) fed to kernels",
             labelnames=("kernel", "backend"),
         )
-    return _KERNEL_CALLS, _KERNEL_SOURCES
+        series = _KERNEL_SERIES[(kernel, backend)] = (
+            calls.labels(kernel=kernel, backend=backend),
+            sources.labels(kernel=kernel, backend=backend),
+        )
+    return series
 
 
 def bfs_distances(graph: Graph, source: Node) -> dict[Node, int]:
@@ -138,11 +135,6 @@ def bfs_distances_within(graph: Graph, source: Node, radius: int) -> dict[Node, 
                 dist[neighbour] = d + 1
                 queue.append(neighbour)
     return dist
-
-
-def ball(graph: Graph, center: Node, radius: int) -> set[Node]:
-    """Return the closed ball ``B_radius(center)`` (the paper's β_{G,h}(v))."""
-    return set(bfs_distances_within(graph, center, radius))
 
 
 def shortest_path(graph: Graph, source: Node, target: Node) -> list[Node] | None:
@@ -198,7 +190,7 @@ def all_pairs_distances(graph: Graph) -> dict[Node, dict[Node, int]]:
 def batched_bfs_distances(
     indptr: np.ndarray,
     indices: np.ndarray,
-    sources: Sequence[int] | np.ndarray,
+    sources: Sequence[int] | np.ndarray | None,
     radius: int | None = None,
     backend: str | KernelBackend | None = None,
 ) -> np.ndarray:
@@ -210,7 +202,8 @@ def batched_bfs_distances(
         CSR arrays as produced by :meth:`Graph.to_csr_arrays`:
         ``indices[indptr[i]:indptr[i + 1]]`` are the neighbours of node ``i``.
     sources:
-        Node indices to run BFS from (one row of output per source).
+        Node indices to run BFS from (one row of output per source), or
+        ``None`` for every node in index order (all pairs).
     radius:
         Optional truncation depth; nodes farther than ``radius`` from a
         source keep the :data:`UNREACHABLE` marker in that source's row.
@@ -237,17 +230,21 @@ def batched_bfs_distances(
     unique, so the traversal strategy cannot show in the output.
     """
     n = len(indptr) - 1
-    source_array = np.asarray(sources, dtype=np.int64)
+    if sources is None:
+        source_array = np.arange(n, dtype=np.int64)
+    else:
+        source_array = np.asarray(sources, dtype=np.int64)
+        if source_array.size and (source_array.min() < 0 or source_array.max() >= n):
+            raise IndexError("source index out of range")
     num_sources = source_array.size
-    dist = np.full((num_sources, n), UNREACHABLE, dtype=np.int32)
+    dist = np.empty((num_sources, n), dtype=np.int32)
+    dist.fill(UNREACHABLE)
     if num_sources == 0 or n == 0:
         return dist
-    if source_array.size and (source_array.min() < 0 or source_array.max() >= n):
-        raise IndexError("source index out of range")
     kernel = resolve_backend(backend)
-    calls, srcs = _kernel_metrics()
-    calls.labels(kernel="bfs", backend=kernel.name).inc()
-    srcs.labels(kernel="bfs", backend=kernel.name).inc(num_sources)
+    calls, srcs = _kernel_metrics("bfs", kernel.name)
+    calls.inc()
+    srcs.inc(num_sources)
     tracer = get_telemetry().tracer
     if tracer.enabled:
         with tracer.span(
@@ -259,52 +256,6 @@ def batched_bfs_distances(
         ):
             return kernel.bfs(indptr, indices, source_array, radius, dist)
     return kernel.bfs(indptr, indices, source_array, radius, dist)
-
-
-def iter_blocked_bfs_distances(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: Sequence[int] | np.ndarray,
-    radius: int | None = None,
-    block_size: int | None = None,
-    backend: str | KernelBackend | None = None,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Stream :func:`batched_bfs_distances` results block by block.
-
-    Yields ``(start, source_block, dist_block)`` triples where
-    ``source_block = sources[start:start + dist_block.shape[0]]`` and
-    ``dist_block`` is the corresponding ``(block, n)`` int32 slice of the
-    conceptual full distance matrix.  Concatenating the blocks in order is
-    bit-identical to one unblocked :func:`batched_bfs_distances` call: each
-    source's BFS never interacts with its batch-mates, so blocking changes
-    memory usage only (see the module docstring for the memory model).
-
-    ``block_size`` caps the number of source rows live at once and defaults
-    to :data:`DEFAULT_BLOCK_SIZE`; it must be positive.  An empty source set
-    yields nothing.  Argument validation happens at call time (not on first
-    ``next``), so a bad block size or out-of-range source raises at the
-    call site.
-    """
-    if block_size is None:
-        block_size = DEFAULT_BLOCK_SIZE
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    source_array = np.asarray(sources, dtype=np.int64)
-    n = len(indptr) - 1
-    if source_array.size and (source_array.min() < 0 or source_array.max() >= n):
-        raise IndexError("source index out of range")
-    # Resolve once at call time so every block runs on the same backend even
-    # if the process-wide default changes mid-sweep.
-    kernel = resolve_backend(backend)
-
-    def blocks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        for start in range(0, source_array.size, block_size):
-            block = source_array[start : start + block_size]
-            yield start, block, batched_bfs_distances(
-                indptr, indices, block, radius=radius, backend=kernel
-            )
-
-    return blocks()
 
 
 def reduce_bfs_distances(
@@ -351,7 +302,7 @@ def reduce_bfs_distances(
     if num_sources == 0 or n == 0:
         return ecc, sums, unreached, view_sizes
     kernel = resolve_backend(backend)
-    calls, srcs = _kernel_metrics()
+    calls, srcs = _kernel_metrics("bfs_reduce", kernel.name)
     tracer = get_telemetry().tracer
     sweep_span = (
         tracer.span(
@@ -365,8 +316,8 @@ def reduce_bfs_distances(
     )
     for start in range(0, num_sources, block_size):
         stop = min(start + block_size, num_sources)
-        calls.labels(kernel="bfs_reduce", backend=kernel.name).inc()
-        srcs.labels(kernel="bfs_reduce", backend=kernel.name).inc(stop - start)
+        calls.inc()
+        srcs.inc(stop - start)
         # Sliced views of the output vectors are contiguous, so the
         # kernel fills the final arrays in place, block by block.
         kernel.bfs_reduce(
@@ -435,7 +386,4 @@ def distance_matrix(
     n = len(order)
     if n == 0:
         return np.full((0, 0), UNREACHABLE, dtype=np.int32), order
-    dist = batched_bfs_distances(
-        indptr, indices, np.arange(n, dtype=np.int64), backend=backend
-    )
-    return dist, order
+    return batched_bfs_distances(indptr, indices, None, backend=backend), order

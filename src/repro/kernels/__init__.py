@@ -1,12 +1,15 @@
 """Pluggable compiled kernel backends for the hot loops.
 
 Every layer of the code base — views, metrics, robustness, the sweep
-service — bottoms out in four primitives: the multi-source BFS level
+service — bottoms out in five primitives: the multi-source BFS level
 expansion behind :func:`repro.graphs.traversal.batched_bfs_distances`,
 the *fused* BFS reduction behind
 :func:`repro.graphs.traversal.reduce_bfs_distances` (per-source
 eccentricity / finite-distance sum / unreached count / view size, emitted
-without ever materialising a distance row), the branch-and-bound
+without ever materialising a distance row), the one-player view behind
+:class:`repro.engine.views.IncrementalViewCache` (a player's visible
+nodes, their distances and the CSR of her view without her, in one call
+— how the engine settles every view), the branch-and-bound
 recursion behind
 :func:`repro.solvers.set_cover.branch_and_bound_set_cover`, and the
 MaxNCG best-response loop behind
@@ -25,7 +28,7 @@ implementations of exactly those kernels:
 
 **Bit-identity is the contract.**  Whatever backend runs, distance
 matrices (including ``radius`` truncation and ``UNREACHABLE`` marks),
-selected covers (including warm-start tie-break order), MaxNCG replies
+views, selected covers (including warm-start tie-break order), MaxNCG replies
 and therefore entire dynamics trajectories are identical to the numpy
 reference; the equivalence suites in
 ``tests/graphs/test_kernel_backends.py``,
@@ -67,6 +70,15 @@ sum_out, unreached_out, view_size_out)``
     by definition, to folding the rows ``bfs`` would have produced
     (``radius`` truncation counts truncated nodes as unreached,
     exactly like the materialised fold).
+``view(indptr, indices, player, radius) -> (nodes, dist, sub_indptr, sub_indices)``
+    CSR ``indptr``/``indices`` (int64) whose rows are sorted, ``player``
+    a vertex id, ``radius`` int or None.  Returns four int64 arrays:
+    the vertices within ``radius`` of ``player`` other than her (every
+    other vertex when ``radius`` is None), ascending; their distances
+    from her (``UNREACHABLE`` for the unreached, which only ``None``
+    lists); and the CSR of the subgraph they induce, in their positions,
+    rows sorted.  All three are unique given sorted input rows, so any
+    traversal matches the reference.
 ``cover_search(coverage, order_by_size, best_size, best_selection)``
     ``coverage`` a ``(num_candidates, num_elements)`` boolean/uint8
     matrix, ``order_by_size`` the candidate iteration order, and the
@@ -101,7 +113,7 @@ To add another backend (Cython, Rust over cffi, …): implement the
 functions above with bit-identical semantics, raise
 :class:`KernelUnavailableError` from the factory when the toolchain is
 missing, and :func:`register_backend` a zero-argument factory for it —
-:mod:`repro.kernels.native_backend` is the worked example.  All four
+:mod:`repro.kernels.native_backend` is the worked example.  All five
 kernels are required.
 """
 
@@ -148,6 +160,7 @@ class KernelBackend:
     name: str
     bfs: Callable = field(repr=False)
     bfs_reduce: Callable = field(repr=False)
+    view: Callable = field(repr=False)
     cover_search: Callable = field(repr=False)
     max_reply: Callable = field(repr=False)
     compiled: bool = False
@@ -161,6 +174,7 @@ def _build_numpy() -> KernelBackend:
         name="numpy",
         bfs=numpy_backend.bfs,
         bfs_reduce=numpy_backend.bfs_reduce,
+        view=numpy_backend.view,
         cover_search=numpy_backend.cover_search,
         max_reply=numpy_backend.max_reply,
         compiled=False,
@@ -175,6 +189,7 @@ def _build_native() -> KernelBackend:
         name="native",
         bfs=native_backend.bfs,
         bfs_reduce=native_backend.bfs_reduce,
+        view=native_backend.view,
         cover_search=native_backend.cover_search,
         max_reply=native_backend.max_reply,
         compiled=True,

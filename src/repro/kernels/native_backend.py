@@ -35,7 +35,11 @@ search.  The fused ``bfs_reduce`` kernel is
 free to traverse in a different *order* — it is an MS-BFS, advancing 64
 sources per uint64-bitmask batch through one level-synchronous sweep —
 because its outputs are order-independent aggregates of the unique BFS
-distance function; the same parity suites pin its bit-identity.
+distance function; the same parity suites pin its bit-identity.  ``view``
+settles one player's view in one call: a queue BFS from her, then a scan
+collecting the visible nodes in index order and the rows of the H − u
+sub-CSR; its outputs are unique given sorted input rows, so they match the
+numpy reference by construction.
 
 The kernels run on the calling thread and start no threads, so the
 fork-based worker pools of the sweep service stay safe to start after a
@@ -43,7 +47,7 @@ kernel has run.
 
 This module doubles as the template for binding further compiled
 backends (Cython, Rust over cffi): implement ``bfs`` / ``bfs_reduce`` /
-``cover_search`` / ``max_reply`` with the contracts documented in
+``view`` / ``cover_search`` / ``max_reply`` with the contracts documented in
 :mod:`repro.kernels`, raise
 :class:`~repro.kernels.KernelUnavailableError` from the factory when the
 toolchain is missing, and register the factory.
@@ -64,6 +68,7 @@ __all__ = [
     "load_library",
     "bfs",
     "bfs_reduce",
+    "view",
     "cover_search",
     "max_reply",
 ]
@@ -193,6 +198,68 @@ void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
             view_size_out[b + i] = in_view[i];
         }
     }
+}
+
+/* One player's view over a CSR whose rows are sorted: a queue BFS from
+ * player (bounded by radius, unbounded when radius < 0), then the visible
+ * nodes other than player in ascending order (every node when radius < 0),
+ * their distances, and the H - u sub-CSR: each visible node's row keeps
+ * its visible neighbours other than player, renumbered to their positions
+ * (a monotone renumbering, so the rows stay sorted).
+ *
+ * buffer holds, in order: the nodes (n), the distances (n), the sub-CSR
+ * indptr (n + 1) and indices (indptr[n]), then 3 * n scratch words (BFS
+ * marks, positions, queue).  Returns the number of visible nodes other
+ * than player; the sub-CSR ends at its indptr entry of that index.
+ */
+int64_t repro_view(const int64_t *indptr, const int64_t *indices, int64_t n,
+                   int64_t player, int64_t radius, int64_t unreachable,
+                   int64_t *buffer) {
+    int64_t *nodes = buffer, *dist = buffer + n, *sub_indptr = buffer + 2 * n;
+    int64_t *sub_indices = sub_indptr + n + 1;
+    int64_t *mark = sub_indices + indptr[n], *position = mark + n;
+    int64_t *queue = position + n;
+    for (int64_t v = 0; v < n; ++v) {
+        mark[v] = unreachable;
+        position[v] = -1;
+    }
+    int64_t head = 0, tail = 0;
+    mark[player] = 0;
+    queue[tail++] = player;
+    while (head < tail) {
+        int64_t node = queue[head++];
+        int64_t d = mark[node];
+        if (radius >= 0 && d >= radius)
+            continue;
+        int64_t estop = indptr[node + 1];
+        for (int64_t e = indptr[node]; e < estop; ++e) {
+            int64_t nb = indices[e];
+            if (mark[nb] == unreachable) {
+                mark[nb] = d + 1;
+                queue[tail++] = nb;
+            }
+        }
+    }
+    int64_t m = 0;
+    for (int64_t v = 0; v < n; ++v) {
+        if (v == player || (radius >= 0 && mark[v] == unreachable))
+            continue;
+        position[v] = m;
+        dist[m] = mark[v];
+        nodes[m++] = v;
+    }
+    int64_t count = 0;
+    sub_indptr[0] = 0;
+    for (int64_t i = 0; i < m; ++i) {
+        int64_t estop = indptr[nodes[i] + 1];
+        for (int64_t e = indptr[nodes[i]]; e < estop; ++e) {
+            int64_t local = position[indices[e]];
+            if (local >= 0)
+                sub_indices[count++] = local;
+        }
+        sub_indptr[i + 1] = count;
+    }
+    return m;
 }
 
 /* Branch-and-bound set-cover recursion, mirroring the numpy reference
@@ -519,7 +586,7 @@ int64_t repro_max_reply(const int32_t *dist, int64_t n, int64_t *buffer,
 }
 """
 
-#: Arrays cross into C as raw addresses (``array.ctypes.data``): a
+#: Arrays cross into C as raw addresses (see :func:`_address`): a
 #: ``c_void_p`` argument skips the pointer object a
 #: ``data_as(POINTER(...))`` cast builds per call.
 _PTR = ctypes.c_void_p
@@ -533,6 +600,20 @@ _ORDER_CALLBACK = ctypes.CFUNCTYPE(None, ctypes.c_int64)
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _library: ctypes.CDLL | None = None
+
+
+def _address(array: np.ndarray) -> int:
+    """The data address of a C-contiguous array.
+
+    ``ctypes.addressof`` of a one-byte ctypes view of the buffer costs a
+    third of ``array.ctypes.data``, which builds a helper object per call
+    and dominated the small calls of the engine's hot path; read-only and
+    empty arrays, which ``from_buffer`` refuses, take the slow path.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError, BufferError):
+        return array.ctypes.data
 
 
 def _cache_dir() -> Path:
@@ -606,6 +687,8 @@ def load_library() -> ctypes.CDLL:
         _PTR, _PTR, _I64, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR,
     ]
     library.repro_bfs_reduce.restype = None
+    library.repro_view.argtypes = [_PTR, _PTR, _I64, _I64, _I64, _I64, _PTR]
+    library.repro_view.restype = _I64
     library.repro_cover_search.argtypes = [
         _PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR,
     ]
@@ -636,15 +719,15 @@ def bfs(
     sources = np.ascontiguousarray(sources, dtype=np.int64)
     queue = np.empty(max(n, 1), dtype=np.int32)
     library.repro_bfs_batch(
-        indptr.ctypes.data,
-        indices.ctypes.data,
+        _address(indptr),
+        _address(indices),
         n,
-        sources.ctypes.data,
+        _address(sources),
         sources.size,
         -1 if radius is None else int(radius),
         UNREACHABLE,
-        dist.ctypes.data,
-        queue.ctypes.data,
+        _address(dist),
+        _address(queue),
     )
     return dist
 
@@ -668,19 +751,51 @@ def bfs_reduce(
     sources = np.ascontiguousarray(sources, dtype=np.int64)
     scratch = np.empty(3 * max(n, 1), dtype=np.uint64)
     library.repro_bfs_reduce(
-        indptr.ctypes.data,
-        indices.ctypes.data,
+        _address(indptr),
+        _address(indices),
         n,
-        sources.ctypes.data,
+        _address(sources),
         sources.size,
         -1 if radius is None else int(radius),
         -1 if view_radius is None else int(view_radius),
-        ecc_out.ctypes.data,
-        sum_out.ctypes.data,
-        unreached_out.ctypes.data,
-        view_size_out.ctypes.data,
-        scratch.ctypes.data,
+        _address(ecc_out),
+        _address(sum_out),
+        _address(unreached_out),
+        _address(view_size_out),
+        _address(scratch),
     )
+
+
+def view(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    player: int,
+    radius: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One player's view in one C call; same contract as the numpy backend.
+
+    The four outputs are slices of one buffer, so a caller that keeps them
+    copies what it keeps.
+    """
+    from repro.kernels.common import UNREACHABLE
+
+    library = load_library()
+    n = len(indptr) - 1
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    buffer = np.empty(6 * n + 1 + indices.size, dtype=np.int64)
+    m = library.repro_view(
+        _address(indptr),
+        _address(indices),
+        n,
+        int(player),
+        -1 if radius is None else int(radius),
+        UNREACHABLE,
+        _address(buffer),
+    )
+    sub_indptr = buffer[2 * n:2 * n + m + 1]
+    start = 3 * n + 1
+    return buffer[:m], buffer[n:n + m], sub_indptr, buffer[start:start + int(sub_indptr[m])]
 
 
 def cover_search(
@@ -699,14 +814,14 @@ def cover_search(
     remaining_stack = np.empty((num_free + 2) * num_elements, dtype=np.uint8)
     found = int(
         library.repro_cover_search(
-            cover_bytes.ctypes.data,
+            _address(cover_bytes),
             num_free,
             num_elements,
-            order.ctypes.data,
+            _address(order),
             int(best_size),
-            selection.ctypes.data,
-            chosen.ctypes.data,
-            remaining_stack.ctypes.data,
+            _address(selection),
+            _address(chosen),
+            _address(remaining_stack),
         )
     )
     if found < 0:
@@ -748,7 +863,7 @@ def max_reply(
     callback = _ORDER_CALLBACK(sort_sizes)
     cost = ctypes.c_double(best_cost)
     found = library.repro_max_reply(
-        dist.ctypes.data, n, buffer.ctypes.data, num_forced, alpha, COST_EPS,
+        _address(dist), n, _address(buffer), num_forced, alpha, COST_EPS,
         ctypes.byref(cost), bool(warm_start), callback,
     )
     if errors:

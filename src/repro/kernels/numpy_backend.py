@@ -2,7 +2,8 @@
 
 These are exactly the pure-Python-over-numpy hot loops the rest of the
 code base was built on: the chunked multi-source frontier expansion behind
-:func:`repro.graphs.traversal.batched_bfs_distances`, the
+:func:`repro.graphs.traversal.batched_bfs_distances` (whose one-source
+row, sliced, is the ``view`` kernel), the
 branch-and-bound recursion behind
 :func:`repro.solvers.set_cover.branch_and_bound_set_cover`, and the
 MaxNCG reply loop :func:`repro.solvers.set_cover.max_reply` that drives
@@ -20,7 +21,7 @@ import numpy as np
 from repro.kernels.common import MAX_EXPANSION_INCIDENCES, UNREACHABLE
 from repro.solvers import set_cover
 
-__all__ = ["bfs", "bfs_reduce", "cover_search", "max_reply"]
+__all__ = ["bfs", "bfs_reduce", "view", "cover_search", "max_reply"]
 
 
 def bfs(
@@ -242,6 +243,45 @@ def bfs_reduce(
             frontier_row = np.concatenate(next_rows)
             frontier_node = np.concatenate(next_nodes)
     unreached_out[:] = n - reached
+
+
+def view(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    player: int,
+    radius: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One player's view: the :func:`bfs` row of ``player``, then slicing.
+
+    The visible nodes other than ``player`` are the reached columns (every
+    column when ``radius`` is None), already in ascending order; the H − u
+    sub-CSR keeps, of each visible node's row, the visible neighbours
+    other than ``player``, renumbered to their positions.  Renumbering is
+    monotone, so rows sorted in the input stay sorted.
+    """
+    n = len(indptr) - 1
+    row = bfs(
+        indptr,
+        indices,
+        np.array([player], dtype=np.int64),
+        radius,
+        np.full((1, n), UNREACHABLE, dtype=np.int32),
+    )[0].astype(np.int64)
+    visible = np.arange(n) if radius is None else np.flatnonzero(row != UNREACHABLE)
+    nodes = visible[visible != player]
+    position = np.full(n, -1, dtype=np.int64)
+    position[nodes] = np.arange(nodes.size)
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    offsets = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    local = position[indices[np.repeat(starts, counts) + offsets]]
+    keep = local >= 0
+    sub_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+    owners = np.repeat(np.arange(nodes.size), counts)[keep]
+    np.cumsum(np.bincount(owners, minlength=nodes.size), out=sub_indptr[1:])
+    return nodes.astype(np.int64), row[nodes], sub_indptr, local[keep]
 
 
 def cover_search(

@@ -246,6 +246,7 @@ class TestRegistry:
                 name="custom",
                 bfs=reference.bfs,
                 bfs_reduce=reference.bfs_reduce,
+                view=reference.view,
                 cover_search=reference.cover_search,
                 max_reply=reference.max_reply,
             ),

@@ -1,24 +1,17 @@
 """Tests for BFS traversals and distance computations."""
 
-import random
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.graphs.generators.erdos_renyi import gnp_random_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     all_pairs_distances,
-    ball,
     batched_bfs_distances,
     bfs_distances,
     bfs_distances_within,
     connected_components,
     distance_matrix,
     is_connected,
-    iter_blocked_bfs_distances,
     shortest_path,
 )
 from repro.kernels.common import UNREACHABLE
@@ -62,10 +55,6 @@ class TestBoundedBfs:
         full = bfs_distances(petersen, 0)
         bounded = bfs_distances_within(petersen, 0, 10)
         assert bounded == full
-
-    def test_ball(self, path5):
-        assert ball(path5, 2, 1) == {1, 2, 3}
-        assert ball(path5, 0, 0) == {0}
 
 
 class TestShortestPath:
@@ -184,63 +173,9 @@ class TestBatchedBfs:
         assert (dist != UNREACHABLE).sum() == 1
         assert dist[0, 2] == 0
 
-
-@st.composite
-def bfs_workloads(draw, max_nodes: int = 14):
-    """(graph, sources, radius, block_size) covering the blocked-BFS space.
-
-    Graphs are arbitrary G(n, p) samples, frequently disconnected at the
-    low-p end; source lists may be empty, repeat nodes and come in any
-    order; block sizes run from degenerate (1) past the source count.
-    """
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    p = draw(st.floats(min_value=0.0, max_value=0.6))
-    graph = gnp_random_graph(n, p, random.Random(seed))
-    sources = draw(
-        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=0, max_size=2 * n)
-    )
-    radius = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n)))
-    block_size = draw(st.integers(min_value=1, max_value=2 * n + 2))
-    return graph, sources, radius, block_size
-
-
-class TestBlockedBfsProperties:
-    @given(bfs_workloads())
-    @settings(max_examples=60, deadline=None)
-    def test_blocked_equals_unblocked_equals_naive(self, workload):
-        graph, sources, radius, block_size = workload
-        indptr, indices, order = graph.to_csr_arrays()
-        reference = batched_bfs_distances(indptr, indices, sources, radius=radius)
-        stacked = np.full_like(reference, UNREACHABLE)
-        for start, block_sources, block in iter_blocked_bfs_distances(
-            indptr, indices, sources, radius=radius, block_size=block_size
-        ):
-            assert block.shape == (len(block_sources), len(order))
-            assert len(block_sources) <= block_size
-            stacked[start : start + block.shape[0]] = block
-        assert np.array_equal(stacked, reference)
-        # Naive per-source dict BFS agrees entry by entry (including the
-        # UNREACHABLE marker on disconnected graphs).
-        for row, source in enumerate(sources):
-            expected = (
-                bfs_distances(graph, order[source])
-                if radius is None
-                else bfs_distances_within(graph, order[source], radius)
-            )
-            for column, node in enumerate(order):
-                assert reference[row, column] == expected.get(node, UNREACHABLE)
-
-    def test_empty_sources_yield_no_blocks(self, path5):
-        indptr, indices, _ = path5.to_csr_arrays()
-        assert list(iter_blocked_bfs_distances(indptr, indices, [])) == []
-
-    def test_invalid_block_size_rejected_at_call_time(self, path5):
-        indptr, indices, _ = path5.to_csr_arrays()
-        with pytest.raises(ValueError):
-            iter_blocked_bfs_distances(indptr, indices, [0], block_size=0)
-
-    def test_out_of_range_source_rejected_at_call_time(self, path5):
-        indptr, indices, _ = path5.to_csr_arrays()
-        with pytest.raises(IndexError):
-            iter_blocked_bfs_distances(indptr, indices, [99], block_size=2)
+    def test_none_sources_is_all_pairs(self, petersen):
+        indptr, indices, order = petersen.to_csr_arrays()
+        every = batched_bfs_distances(indptr, indices, None, radius=2)
+        assert np.array_equal(
+            every, batched_bfs_distances(indptr, indices, range(len(order)), radius=2)
+        )
