@@ -25,7 +25,7 @@ import timeit
 
 from repro.experiments.runner import RunSpec, run_spec_on_instance
 from repro.graphs.generators import random_owned_tree
-from repro.obs import NULL_TRACER, Telemetry
+from repro.obs import NULL_TRACER, Telemetry, set_telemetry
 from repro.service.api import ServiceConfig, run_spec_sweep
 from repro.service.tasks import strip_timing_fields
 
@@ -43,12 +43,21 @@ SWEEP_SPECS = [
 ]
 
 
+def _run_engine(owned, telemetry) -> None:
+    """One run of the smoke spec with ``telemetry`` installed (``None``: default)."""
+    previous = set_telemetry(telemetry)
+    try:
+        run_spec_on_instance(ENGINE_SPEC, owned)
+    finally:
+        set_telemetry(previous)
+
+
 def _time_engine_run(owned, telemetry, repeats: int = 3) -> float:
     """Best wall clock over ``repeats`` runs of the smoke spec."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        run_spec_on_instance(ENGINE_SPEC, owned, telemetry=telemetry)
+        _run_engine(owned, telemetry)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -70,7 +79,7 @@ def _run_benchmark() -> dict:
 
     # Leg 1: how many instrumented sites does the smoke run actually hit?
     traced_handle = Telemetry(tracing=True)
-    run_spec_on_instance(ENGINE_SPEC, owned, telemetry=traced_handle)
+    _run_engine(owned, traced_handle)
     span_count = len(traced_handle.drain_events())
 
     # Leg 2: bound the no-op tax analytically — site count x null-call cost

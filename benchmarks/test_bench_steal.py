@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import time
 
-from repro.engine.views import ViewStore
 from repro.experiments.config import FULL_KNOWLEDGE_K
 from repro.experiments.runner import RunSpec, run_single
 from repro.service.api import ServiceConfig, orchestrate
@@ -121,7 +120,7 @@ def _run_benchmark() -> dict:
     # Leg 4: α-sweep over one instance through a single runtime — every
     # session after the first adopts its startup views from the store.
     view_tasks = compile_run_specs(VIEW_SWEEP_SPECS)
-    runtime = WorkerRuntime(view_store=ViewStore())
+    runtime = WorkerRuntime()
     sweep_rows = [decode_result(t.kind, encode_result(t, runtime.execute(t))) for t in view_tasks]
     sweep_serial = [run_single(spec) for spec in VIEW_SWEEP_SPECS]
 

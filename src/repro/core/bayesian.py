@@ -54,7 +54,6 @@ __all__ = [
     "GeometricGrowthBelief",
     "expected_cost",
     "bayesian_delta",
-    "is_bayesian_improving",
     "bayesian_best_response",
     "is_bayesian_equilibrium",
 ]
@@ -215,17 +214,6 @@ def bayesian_delta(
     if math.isinf(old_cost) and math.isinf(new_cost):
         return 0.0
     return new_cost - old_cost
-
-
-def is_bayesian_improving(
-    view: View,
-    current_strategy: frozenset[Node] | set[Node],
-    new_strategy: frozenset[Node] | set[Node],
-    game: GameSpec,
-    belief,
-) -> bool:
-    """Whether the switch strictly lowers the expected cost."""
-    return bayesian_delta(view, current_strategy, new_strategy, game, belief) < -COST_EPS
 
 
 # ----------------------------------------------------------------------

@@ -647,7 +647,7 @@ def best_response_sum_exhaustive(
     evaluator = _SumEvaluator(view, game, cover_context)
     current_cost = evaluator.cost(current)[0]
     num_others = len(candidates)
-    num_buyers = len(view.buyers)
+    num_buyers = len(cover_context.forced)
     # Any node not adjacent after the move sits at distance >= 2 if reached,
     # or costs the unreachable penalty beta >= 1 — so min(2, beta) lower
     # bounds its contribution (= 2 under the strict model).
@@ -909,7 +909,6 @@ def best_response(
     view: View | None = None,
     current_strategy: frozenset[Node] | None = None,
     cover_context: MaxCoverContext | None = None,
-    sum_restarts: int = 1,
     backend: str | KernelBackend | None = None,
 ) -> BestResponse:
     """Dispatch to the appropriate best-response routine for the game kind.
@@ -929,14 +928,9 @@ def best_response(
     content.  ``cover_context`` injects the view's :class:`MaxCoverContext`
     for either game: MaxNCG builds its set-cover instances from it, and the
     SumNCG routines price every candidate strategy from its distance
-    matrix.  Without it the context is built here.
-    ``sum_restarts`` is forwarded to
-    :func:`best_response_sum_local_search` on the heuristic (above-limit)
-    SumNCG path only: extra deterministic multi-seed climbs that can only
-    improve the reply; the exact path ignores it (enumeration already
-    proves optimality).  ``backend`` selects the kernel backend of the
-    context's BFS and of the MaxNCG cover search (bit-identical across
-    backends, so it never changes the reply).
+    matrix.  Without it the context is built here.  ``backend`` selects the
+    kernel backend of the context's BFS and of the MaxNCG cover search
+    (bit-identical across backends, so it never changes the reply).
     """
     if game.usage is UsageKind.MAX:
         return best_response_max(
@@ -960,6 +954,5 @@ def best_response(
         game,
         view=view,
         current_strategy=current_strategy,
-        restarts=sum_restarts,
         cover_context=cover_context,
     )

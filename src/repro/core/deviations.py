@@ -39,11 +39,11 @@ from repro.graphs.traversal import bfs_distances
 from repro.kernels.common import COST_EPS
 
 __all__ = [
+    "COST_EPS",
     "modified_view_graph",
     "view_cost",
     "deviation_is_forbidden_sum",
     "worst_case_delta",
-    "is_improving_deviation",
 ]
 
 def modified_view_graph(view: View, new_strategy: frozenset[Node] | set[Node]) -> Graph:
@@ -146,12 +146,3 @@ def worst_case_delta(
         return 0.0
     return new_cost - old_cost
 
-
-def is_improving_deviation(
-    view: View,
-    current_strategy: frozenset[Node] | set[Node],
-    new_strategy: frozenset[Node] | set[Node],
-    game: GameSpec,
-) -> bool:
-    """Whether the switch is a worst-case strict improvement (``∆ < 0``)."""
-    return worst_case_delta(view, current_strategy, new_strategy, game) < -COST_EPS

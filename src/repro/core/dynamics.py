@@ -115,10 +115,8 @@ def best_response_dynamics(
     seed: int | None = None,
     player_order: list[Node] | None = None,
     sum_exhaustive_limit: int | None = None,
-    sum_restarts: int = 1,
     kernel_backend: str | None = None,
     view_store: "ViewStore | None" = None,
-    telemetry=None,
 ) -> DynamicsResult:
     """Run the best-response dynamics until convergence.
 
@@ -154,20 +152,18 @@ def best_response_dynamics(
         SumNCG exact/heuristic dispatch threshold (``None`` keeps
         :data:`repro.core.best_response.SUM_EXHAUSTIVE_LIMIT`); ignored by
         MaxNCG games.
-    sum_restarts:
-        Multi-seed climbs of the heuristic SumNCG local search above the
-        exhaustive limit (``1`` = single incumbent climb; ignored by MaxNCG
-        games and by the exact dispatch).
     kernel_backend:
         Kernel backend running the BFS / cover-search hot loops (see
         :mod:`repro.kernels`); ``None`` follows the
         ``REPRO_KERNEL_BACKEND``/auto-detect chain.  Backends are
         bit-identical, so trajectories never depend on this.
-    telemetry:
-        Optional :class:`repro.obs.Telemetry` handle for the engine's
-        metrics and trace spans (``None`` uses the process-wide handle,
-        whose tracer is off).  Trajectories are bit-identical with or
-        without tracing.
+    view_store:
+        Optional :class:`repro.engine.ViewStore` shared across runs over
+        the same instance (bit-identical trajectories with or without).
+
+    Metrics and trace spans go to the process-wide handle
+    (:func:`repro.obs.get_telemetry`); trajectories are bit-identical with
+    or without tracing.
     """
     from repro.core.best_response import SUM_EXHAUSTIVE_LIMIT
     from repro.engine.core import DynamicsEngine
@@ -189,10 +185,8 @@ def best_response_dynamics(
         sum_exhaustive_limit=(
             SUM_EXHAUSTIVE_LIMIT if sum_exhaustive_limit is None else sum_exhaustive_limit
         ),
-        sum_restarts=sum_restarts,
         kernel_backend=kernel_backend,
         view_store=view_store,
-        telemetry=telemetry,
     )
     return engine.run()
 

@@ -46,7 +46,7 @@ from repro.engine.views import IncrementalViewCache, ViewStore
 from repro.graphs.generators.base import OwnedGraph
 from repro.graphs.graph import Node
 from repro.kernels import KernelBackend, resolve_backend
-from repro.obs import Telemetry, get_telemetry
+from repro.obs import get_telemetry
 from repro.solvers.set_cover import WARM_START_SOLVERS
 
 __all__ = ["coerce_profile", "DynamicsEngine"]
@@ -85,10 +85,8 @@ class DynamicsEngine:
         seed: int | None = None,
         player_order: list[Node] | None = None,
         sum_exhaustive_limit: int = SUM_EXHAUSTIVE_LIMIT,
-        sum_restarts: int = 1,
         kernel_backend: str | KernelBackend | None = None,
         view_store: ViewStore | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         profile = coerce_profile(initial)
         self.game = game
@@ -104,10 +102,6 @@ class DynamicsEngine:
         #: :data:`repro.core.best_response.SUM_EXHAUSTIVE_LIMIT`).  Ignored
         #: by MaxNCG games.
         self.sum_exhaustive_limit = sum_exhaustive_limit
-        #: Multi-seed climbs of the heuristic SumNCG local search above the
-        #: exhaustive limit (deterministic; ``1`` = the single incumbent
-        #: climb).  Ignored by MaxNCG games and by the exact dispatch.
-        self.sum_restarts = sum_restarts
         if (
             game.usage is UsageKind.MAX
             and solver not in WARM_START_SOLVERS
@@ -137,11 +131,11 @@ class DynamicsEngine:
         #: content tokens) are shared.  Trajectories are bit-identical with
         #: or without a store.
         self.view_store = view_store
-        #: Telemetry handle: metrics always record (into the registry the
-        #: handle carries — the process default unless injected); trace
-        #: spans only when the handle's tracer is enabled.  The tracer is
+        #: Telemetry handle, read from the process state at construction:
+        #: metrics always record into the default registry; trace spans
+        #: only when the handle's tracer is enabled.  The tracer is
         #: pre-bound so the disabled path is one attribute lookup.
-        self.telemetry = telemetry or get_telemetry()
+        self.telemetry = get_telemetry()
         self._tracer = self.telemetry.tracer
         responses = self.telemetry.registry.counter(
             "repro_engine_responses_total",
@@ -158,7 +152,6 @@ class DynamicsEngine:
             game.k,
             kernel_backend=self.kernel_backend,
             store=view_store,
-            telemetry=self.telemetry,
         )
         base_order = (
             list(player_order) if player_order is not None else profile.players()
@@ -270,7 +263,6 @@ class DynamicsEngine:
             view=view,
             current_strategy=strategy,
             cover_context=cover_context,
-            sum_restarts=self.sum_restarts,
             backend=self.kernel_backend,
         )
 

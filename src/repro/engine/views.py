@@ -45,7 +45,7 @@ from repro.engine.state import NetworkState, StrategyDelta
 from repro.graphs.graph import Edge, Node
 from repro.graphs.traversal import bfs_distances_within
 from repro.kernels import KernelBackend, resolve_backend
-from repro.obs import Telemetry, get_telemetry
+from repro.obs import get_telemetry
 
 __all__ = ["IncrementalViewCache", "ViewStore", "DEFAULT_VIEW_STORE_CAPACITY"]
 
@@ -86,11 +86,7 @@ class ViewStore:
         "_m_entries",
     )
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_VIEW_STORE_CAPACITY,
-        telemetry: Telemetry | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_VIEW_STORE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("ViewStore capacity must be >= 1")
         self._entries: OrderedDict[tuple, tuple[ArrayView, int]] = OrderedDict()
@@ -99,7 +95,7 @@ class ViewStore:
         # Ad-hoc counters migrated onto the metrics registry: each store
         # owns private children (per-instance reads keep their meaning)
         # that mirror into the process-wide aggregate series.
-        registry = (telemetry or get_telemetry()).registry
+        registry = get_telemetry().registry
         ops = registry.counter(
             "repro_view_store_ops_total",
             help="Shared view-store lookups and publishes",
@@ -189,7 +185,6 @@ class IncrementalViewCache:
         k: float,
         kernel_backend: str | KernelBackend | None = None,
         store: ViewStore | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         self._state = state
         self._k = k
@@ -202,7 +197,7 @@ class IncrementalViewCache:
         self._dirty: set[Node] = set(state.players())
         self._store = store
         self._sig_cache: tuple[int, bytes] | None = None
-        telemetry = telemetry or get_telemetry()
+        telemetry = get_telemetry()
         views = telemetry.registry.counter(
             "repro_views_total",
             help="Per-player views settled by the incremental cache",

@@ -14,7 +14,7 @@ import math
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
-__all__ = ["write_csv", "write_json", "format_table", "rows_to_columns"]
+__all__ = ["write_csv", "write_json", "format_table"]
 
 
 def _normalise(value):
@@ -59,15 +59,6 @@ def write_json(rows: Sequence[Mapping], path: str | Path) -> Path:
     ]
     target.write_text(json.dumps(payload, indent=2, default=str))
     return target
-
-
-def rows_to_columns(rows: Sequence[Mapping]) -> dict[str, list]:
-    """Transpose a row list into a column dictionary (used by the tests)."""
-    columns: dict[str, list] = {}
-    for row in rows:
-        for key, value in row.items():
-            columns.setdefault(key, []).append(value)
-    return columns
 
 
 def format_table(rows: Sequence[Mapping], title: str | None = None, float_digits: int = 2) -> str:

@@ -175,7 +175,6 @@ def run_spec_on_instance(
     initial,
     collect_round_metrics: bool = False,
     view_store=None,
-    telemetry=None,
 ) -> RunResult:
     """Execute ``spec``'s dynamics on a pre-built initial instance.
 
@@ -185,8 +184,8 @@ def run_spec_on_instance(
     cached copy); the result is identical either way.
     ``view_store`` optionally shares refreshed BFS views across runs over
     the same instance (an α-grid) — trajectories are bit-identical with or
-    without it.  ``telemetry`` is an optional :class:`repro.obs.Telemetry`
-    handle; tracing never changes trajectories either.
+    without it.  Tracing (the process-wide :func:`repro.obs.get_telemetry`
+    handle) never changes trajectories either.
     """
     game = spec.game()
     result = best_response_dynamics(
@@ -198,7 +197,6 @@ def run_spec_on_instance(
         ordering=spec.ordering,
         seed=spec.seed,
         view_store=view_store,
-        telemetry=telemetry,
     )
     return RunResult(
         spec=spec,
@@ -249,32 +247,3 @@ def run_sweep(
         ),
     )
 
-
-def specs_for_cell(
-    family: str,
-    n: int,
-    alpha: float,
-    k: int,
-    settings: SweepSettings,
-    p: float | None = None,
-    usage: str = "max",
-    ordering: str = "fixed",
-    ownership: str = "fair_coin",
-) -> list[RunSpec]:
-    """The ``num_seeds`` independent specs of one parameter cell."""
-    return [
-        RunSpec(
-            family=family,
-            n=n,
-            p=p,
-            alpha=alpha,
-            k=k,
-            seed=settings.base_seed + seed,
-            usage=usage,
-            solver=settings.solver,
-            max_rounds=settings.max_rounds,
-            ordering=ordering,
-            ownership=ownership,
-        )
-        for seed in range(settings.num_seeds)
-    ]

@@ -32,9 +32,6 @@ __all__ = [
     "spanning_tree",
     "is_bipartite",
     "bipartition",
-    "greedy_maximal_independent_set",
-    "greedy_vertex_coloring",
-    "k_core",
     "degeneracy_ordering",
 ]
 
@@ -336,55 +333,6 @@ def bipartition(graph: Graph) -> tuple[set[Node], set[Node]] | None:
     side_a = {node for node, c in colour.items() if c == 0}
     side_b = {node for node, c in colour.items() if c == 1}
     return side_a, side_b
-
-
-def greedy_maximal_independent_set(graph: Graph) -> set[Node]:
-    """Greedy (minimum-degree-first) maximal independent set.
-
-    Not necessarily maximum; used by the high-girth generator tests and by
-    the discovery experiments as a cheap "spread-out landmark" selector.
-    """
-    remaining = graph.copy()
-    independent: set[Node] = set()
-    while remaining.number_of_nodes() > 0:
-        node = min(remaining.nodes(), key=lambda x: (remaining.degree(x), repr(x)))
-        independent.add(node)
-        to_remove = {node} | set(remaining.neighbors(node))
-        for victim in to_remove:
-            remaining.remove_node(victim)
-    return independent
-
-
-def greedy_vertex_coloring(graph: Graph) -> dict[Node, int]:
-    """Greedy colouring in degeneracy order; returns ``node -> colour index``.
-
-    The number of colours used is at most ``degeneracy + 1``, which for the
-    sparse equilibrium graphs of the paper is a small constant.
-    """
-    ordering = degeneracy_ordering(graph)
-    colouring: dict[Node, int] = {}
-    for node in reversed(ordering):
-        used = {colouring[neighbour] for neighbour in graph.neighbors(node) if neighbour in colouring}
-        colour = 0
-        while colour in used:
-            colour += 1
-        colouring[node] = colour
-    return colouring
-
-
-def k_core(graph: Graph, k: int) -> Graph:
-    """Return the maximal subgraph in which every node has degree >= ``k``."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    core = graph.copy()
-    changed = True
-    while changed:
-        changed = False
-        for node in list(core.nodes()):
-            if core.degree(node) < k:
-                core.remove_node(node)
-                changed = True
-    return core
 
 
 def degeneracy_ordering(graph: Graph) -> list[Node]:

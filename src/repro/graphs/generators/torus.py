@@ -38,7 +38,6 @@ __all__ = [
     "open_stretched_torus",
     "torus_parameters_for_theorem_3_12",
     "torus_parameters_for_lemma_4_1",
-    "torus_lower_bound_distance",
 ]
 
 Coordinate = tuple[int, ...]
@@ -220,20 +219,6 @@ def open_stretched_torus(params: TorusParameters) -> Graph:
             for left, right in zip(path, path[1:]):
                 graph.add_edge(left, right)
     return graph
-
-
-def torus_lower_bound_distance(params: TorusParameters, x: Coordinate, y: Coordinate) -> int:
-    """The distance lower bound of Lemma 3.3.
-
-    ``d(x, y) >= max_i min(|x_i - y_i|, 2 δ_i ℓ - |x_i - y_i|)`` in the
-    closed construction (strict if one endpoint is an intersection vertex).
-    """
-    best = 0
-    for axis in range(params.dimensions):
-        modulus = params.modulus(axis)
-        diff = abs(x[axis] - y[axis]) % modulus
-        best = max(best, min(diff, modulus - diff))
-    return best
 
 
 def torus_parameters_for_theorem_3_12(alpha: float, k: int, n_target: int) -> TorusParameters:

@@ -2,17 +2,21 @@
 
 The observability layer has three pieces:
 
-* :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
-  with labeled children, collected by a :class:`MetricsRegistry` that
-  renders the Prometheus text exposition format.
+* :mod:`repro.obs.metrics` — counters and gauges with labeled children,
+  collected by a :class:`MetricsRegistry` that renders the Prometheus text
+  exposition format.
 * :mod:`repro.obs.tracing` — context-manager spans on the monotonic clock
   with parent links, drained as Chrome ``trace_event`` dicts.
-* the :class:`Telemetry` handle — the one object threaded through the
-  engine, view cache, kernels dispatch and the service layer.
+* the :class:`Telemetry` handle — process state, like the kernel backend:
+  the engine, view caches, kernel dispatch and service layer each read
+  :func:`get_telemetry` when they are built, and
+  :meth:`repro.service.workers.WorkerRuntime.execute_traced` is the one
+  place that installs a tracing handle (for the duration of one task).
 
-Metrics are always on (a counter bump is two integer adds); tracing is
-opt-in.  The disabled tracing path is a single attribute lookup on a
-preallocated null span factory — pinned by ``benchmarks/test_bench_obs.py``.
+Metrics are always on (a counter bump is two integer adds) and always land
+in the process-wide :func:`default_registry`; tracing is opt-in.  The
+disabled tracing path is a single attribute lookup on a preallocated null
+span factory — pinned by ``benchmarks/test_bench_obs.py``.
 
 Everything here is stdlib-only so any layer (including the kernels
 dispatch wrappers) can import it without cycles.
@@ -21,7 +25,6 @@ dispatch wrappers) can import it without cycles.
 from __future__ import annotations
 
 from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     default_registry,
     render_prometheus,
@@ -35,7 +38,6 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -51,26 +53,22 @@ __all__ = [
 
 
 class Telemetry:
-    """Handle bundling a metrics registry and a tracer.
+    """Handle bundling the default metrics registry and a tracer.
 
-    Components accept ``telemetry=None`` and fall back to the process-wide
-    handle (:func:`get_telemetry`), whose tracer is the no-op
-    :data:`NULL_TRACER`.  Hot paths bind ``telemetry.span`` once so the
-    disabled path costs one attribute lookup plus a constant-returning
-    call.
+    The handle is process state: components take no handle parameter but
+    read :func:`get_telemetry` once, when they are built.  The default
+    handle's tracer is the no-op :data:`NULL_TRACER`; a
+    ``Telemetry(tracing=True)`` installed with :func:`set_telemetry`
+    records spans for every component built while it is installed.  Hot
+    paths bind ``telemetry.span`` once so the disabled path costs one
+    attribute lookup plus a constant-returning call.
     """
 
     __slots__ = ("registry", "tracer", "span", "event")
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | NullTracer | None = None,
-        tracing: bool = False,
-    ) -> None:
-        self.registry = registry if registry is not None else default_registry()
-        if tracer is None:
-            tracer = Tracer() if tracing else NULL_TRACER
+    def __init__(self, tracing: bool = False) -> None:
+        self.registry = default_registry()
+        tracer = Tracer() if tracing else NULL_TRACER
         self.tracer = tracer
         # Pre-bound recorder methods: one attribute lookup at the call site.
         self.span = tracer.span
@@ -94,9 +92,15 @@ def get_telemetry() -> Telemetry:
 
 
 def set_telemetry(telemetry: Telemetry | None) -> Telemetry:
-    """Swap the process-wide handle (``None`` restores the default).
+    """Swap the process-wide handle (``None`` installs a fresh default).
 
-    Returns the previous handle so callers can restore it.
+    Returns the previous handle so callers can restore it::
+
+        previous = set_telemetry(Telemetry(tracing=True))
+        try:
+            ...  # components built here trace into the installed handle
+        finally:
+            set_telemetry(previous)
     """
     global _GLOBAL_TELEMETRY
     previous = _GLOBAL_TELEMETRY

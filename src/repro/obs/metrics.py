@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges, histograms, and their registry.
+"""Metrics primitives: counters, gauges, and their registry.
 
 Design notes
 ------------
@@ -24,34 +24,12 @@ from typing import Callable, Iterable
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "CounterFamily",
     "GaugeFamily",
-    "HistogramFamily",
     "MetricsRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
     "default_registry",
     "render_prometheus",
 ]
-
-#: Seconds-scale latency buckets (engine rounds to whole sweeps).
-DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
-    0.0005,
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    30.0,
-)
 
 
 class Counter:
@@ -92,15 +70,6 @@ class Gauge:
         if sink is not None:
             sink._value += delta
 
-    def inc(self, amount: int | float = 1) -> None:
-        self._value += amount
-        sink = self._sink
-        if sink is not None:
-            sink._value += amount
-
-    def dec(self, amount: int | float = 1) -> None:
-        self.inc(-amount)
-
     def set_function(self, fn: Callable[[], int | float] | None) -> None:
         """Read ``value`` live from ``fn`` at collection time."""
         self._fn = fn
@@ -112,53 +81,6 @@ class Gauge:
         return self._value
 
 
-class Histogram:
-    """Fixed-bucket histogram (cumulative at render time, like Prometheus)."""
-
-    __slots__ = ("_bounds", "_counts", "_sum", "_count", "_sink")
-
-    def __init__(
-        self,
-        bounds: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-        sink: "Histogram | None" = None,
-    ) -> None:
-        self._bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)  # final slot is +Inf
-        self._sum = 0.0
-        self._count = 0
-        self._sink = sink
-
-    def observe(self, value: float) -> None:
-        index = len(self._bounds)
-        for i, bound in enumerate(self._bounds):
-            if value <= bound:
-                index = i
-                break
-        self._counts[index] += 1
-        self._sum += value
-        self._count += 1
-        sink = self._sink
-        if sink is not None:
-            sink._counts[index] += 1
-            sink._sum += value
-            sink._count += 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def bounds(self) -> tuple[float, ...]:
-        return self._bounds
-
-    def bucket_counts(self) -> list[int]:
-        return list(self._counts)
-
-
 class _Family:
     """One metric name with labeled series."""
 
@@ -168,12 +90,10 @@ class _Family:
         self,
         name: str,
         help: str = "",
-        unit: str = "",
         labelnames: tuple[str, ...] = (),
     ) -> None:
         self.name = name
         self.help = help
-        self.unit = unit
         self.labelnames = tuple(labelnames)
         self._series: dict[tuple, object] = {}
         self._lock = threading.Lock()
@@ -237,30 +157,6 @@ class GaugeFamily(_Family):
         self.labels(**labels).set(value)
 
 
-class HistogramFamily(_Family):
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        unit: str = "",
-        labelnames: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-    ) -> None:
-        super().__init__(name, help=help, unit=unit, labelnames=labelnames)
-        self.buckets = tuple(sorted(buckets))
-
-    def _make(self) -> Histogram:
-        return Histogram(bounds=self.buckets)
-
-    def _attach(self, aggregate: Histogram) -> Histogram:
-        return Histogram(bounds=self.buckets, sink=aggregate)
-
-    def observe(self, value: float, **labels) -> None:
-        self.labels(**labels).observe(value)
-
-
 class MetricsRegistry:
     """Process-wide (or injected) collection of metric families."""
 
@@ -280,11 +176,10 @@ class MetricsRegistry:
         self,
         name: str,
         help: str = "",
-        unit: str = "",
         labelnames: tuple[str, ...] = (),
     ) -> CounterFamily:
         family = self._get_or_create(
-            name, lambda: CounterFamily(name, help, unit, tuple(labelnames))
+            name, lambda: CounterFamily(name, help, tuple(labelnames))
         )
         if family.kind != "counter":
             raise ValueError(f"{name} already registered as {family.kind}")
@@ -294,29 +189,12 @@ class MetricsRegistry:
         self,
         name: str,
         help: str = "",
-        unit: str = "",
         labelnames: tuple[str, ...] = (),
     ) -> GaugeFamily:
         family = self._get_or_create(
-            name, lambda: GaugeFamily(name, help, unit, tuple(labelnames))
+            name, lambda: GaugeFamily(name, help, tuple(labelnames))
         )
         if family.kind != "gauge":
-            raise ValueError(f"{name} already registered as {family.kind}")
-        return family  # type: ignore[return-value]
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        unit: str = "",
-        labelnames: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-    ) -> HistogramFamily:
-        family = self._get_or_create(
-            name,
-            lambda: HistogramFamily(name, help, unit, tuple(labelnames), buckets),
-        )
-        if family.kind != "histogram":
             raise ValueError(f"{name} already registered as {family.kind}")
         return family  # type: ignore[return-value]
 
@@ -325,17 +203,12 @@ class MetricsRegistry:
             return sorted(self._families.values(), key=lambda f: f.name)
 
     def snapshot(self) -> dict[str, int | float]:
-        """Flat ``name{labels}`` → value map (histograms as ``_count``/``_sum``)."""
-        flat: dict[str, int | float] = {}
-        for family in self.collect():
-            for key, series in family.samples():
-                suffix = _label_suffix(family.labelnames, key)
-                if family.kind == "histogram":
-                    flat[f"{family.name}_count{suffix}"] = series.count
-                    flat[f"{family.name}_sum{suffix}"] = series.sum
-                else:
-                    flat[f"{family.name}{suffix}"] = series.value
-        return flat
+        """Flat ``name{labels}`` → value map."""
+        return {
+            f"{family.name}{_label_suffix(family.labelnames, key)}": series.value
+            for family in self.collect()
+            for key, series in family.samples()
+        }
 
     def render_prometheus(self) -> str:
         return render_prometheus(self)
@@ -345,10 +218,8 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _label_suffix(labelnames: tuple[str, ...], values: tuple, extra: str = "") -> str:
+def _label_suffix(labelnames: tuple[str, ...], values: tuple) -> str:
     pairs = [f'{n}="{_escape(v)}"' for n, v in zip(labelnames, values)]
-    if extra:
-        pairs.append(extra)
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
@@ -374,23 +245,8 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             lines.append(f"# HELP {family.name} {_escape(family.help)}")
         lines.append(f"# TYPE {family.name} {family.kind}")
         for key, series in family.samples():
-            if family.kind == "histogram":
-                cumulative = 0
-                counts = series.bucket_counts()
-                bounds = [*series.bounds, float("inf")]
-                for bound, count in zip(bounds, counts):
-                    cumulative += count
-                    le = "+Inf" if bound == float("inf") else _format_value(bound)
-                    suffix = _label_suffix(
-                        family.labelnames, key, extra=f'le="{le}"'
-                    )
-                    lines.append(f"{family.name}_bucket{suffix} {cumulative}")
-                suffix = _label_suffix(family.labelnames, key)
-                lines.append(f"{family.name}_sum{suffix} {_format_value(series.sum)}")
-                lines.append(f"{family.name}_count{suffix} {series.count}")
-            else:
-                suffix = _label_suffix(family.labelnames, key)
-                lines.append(f"{family.name}{suffix} {_format_value(series.value)}")
+            suffix = _label_suffix(family.labelnames, key)
+            lines.append(f"{family.name}{suffix} {_format_value(series.value)}")
     return "\n".join(lines) + "\n"
 
 

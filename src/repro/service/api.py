@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.config import resolve_workers
-from repro.obs import Telemetry
 from repro.service.journal import SweepJournal
 from repro.service.tasks import (
     SweepTask,
@@ -163,9 +162,9 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
                 for shard in shards:
                     # One fresh runtime per shard mirrors one worker per
                     # shard: the same cache boundaries, deterministically.
-                    WorkerRuntime(
-                        telemetry=Telemetry(tracing=True) if config.telemetry else None
-                    ).run_tasks(shard, on_result, on_telemetry=on_telemetry)
+                    WorkerRuntime(tracing=config.telemetry).run_tasks(
+                        shard, on_result, on_telemetry=on_telemetry
+                    )
             else:
                 pool = PersistentWorkerPool(
                     workers=workers, telemetry=config.telemetry

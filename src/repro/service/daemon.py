@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.obs import Telemetry
 from repro.obs.metrics import default_registry, render_prometheus
 from repro.service.jobs import (
     TERMINAL_STATUSES,
@@ -103,9 +102,7 @@ class ServiceDaemon:
         self.config = config
         self.manager = JobManager(config.store_dir, queue_size=config.queue_size)
         if config.in_process:
-            self.executor = WorkerRuntime(
-                telemetry=Telemetry(tracing=True) if config.telemetry else None
-            )
+            self.executor = WorkerRuntime(tracing=config.telemetry)
         else:
             self.executor = PersistentWorkerPool(
                 workers=config.workers, telemetry=config.telemetry

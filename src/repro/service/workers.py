@@ -81,27 +81,22 @@ class WorkerRuntime:
     calling process, keeping the caches warm across calls.
     """
 
-    def __init__(
-        self,
-        view_store: ViewStore | None = None,
-        telemetry: Telemetry | None = None,
-    ) -> None:
+    def __init__(self, tracing: bool = False) -> None:
         self._instances: OrderedDict[str, object] = OrderedDict()
         self._sessions: OrderedDict[str, object] = OrderedDict()
-        self.telemetry = telemetry if telemetry is not None else get_telemetry()
+        # The handle :meth:`execute_traced` installs around each task, or
+        # ``None`` when tracing is off (components then keep reading the
+        # process default).
+        self._telemetry = Telemetry(tracing=True) if tracing else None
         #: Cross-session view store shared by every engine this runtime
         #: builds: an α-grid's sessions over one instance adopt each other's
         #: refreshed BFS views instead of re-sweeping (keyed by full state
         #: content, so distinct instances never collide).  Bit-identical.
-        self.view_store = (
-            view_store
-            if view_store is not None
-            else ViewStore(telemetry=self.telemetry)
-        )
+        self.view_store = ViewStore()
         #: Instrumentation (read by tests and the benchmark harness) —
         #: registry-backed, so /metrics aggregates every runtime's caches
         #: while the read-through properties keep per-runtime counts.
-        cache_ops = self.telemetry.registry.counter(
+        cache_ops = get_telemetry().registry.counter(
             "repro_worker_cache_total",
             "Worker runtime cache activity by cache and event.",
             labelnames=("cache", "event"),
@@ -164,10 +159,7 @@ class WorkerRuntime:
 
             (spec,) = task.payload
             return run_spec_on_instance(
-                spec,
-                self._instance(task),
-                view_store=self.view_store,
-                telemetry=self.telemetry,
+                spec, self._instance(task), view_store=self.view_store
             )
         if task.kind == "sum":
             from repro.experiments.extensions.sum_dynamics import run_sum_task
@@ -234,16 +226,16 @@ class WorkerRuntime:
 
         With tracing off the summary is ``None`` and the call is exactly
         :meth:`execute` plus the result codec.  With tracing on the task
-        runs under a root ``task.execute`` span with the runtime's
-        telemetry installed process-globally for the duration — so sum
-        and robustness engines (built deep inside their extension
-        modules) and the kernel dispatch wrappers pick it up without any
-        parameter threading — then the tracer is drained into a summary
-        dict and the wall-clock :data:`~repro.service.tasks.
-        TELEMETRY_SUMMARY_FIELDS` are stamped onto row-shaped payloads.
+        runs under a root ``task.execute`` span with the runtime's tracing
+        handle installed process-wide for the duration — the one place a
+        handle is installed, so every engine, view cache and kernel
+        dispatch wrapper built for the task reads it — then the tracer is
+        drained into a summary dict and the wall-clock
+        :data:`~repro.service.tasks.TELEMETRY_SUMMARY_FIELDS` are stamped
+        onto row-shaped payloads.
         """
-        telemetry = self.telemetry
-        if not telemetry.tracing:
+        telemetry = self._telemetry
+        if telemetry is None:
             return encode_result(task, self.execute(task)), None
         previous = set_telemetry(telemetry)
         start = time.perf_counter()
@@ -318,7 +310,7 @@ def _service_worker_main(
     what ``--resume`` exists for) would otherwise leave workers burning CPU
     on results nobody collects, concurrently with the resumed run.
     """
-    runtime = WorkerRuntime(telemetry=Telemetry(tracing=True) if telemetry else None)
+    runtime = WorkerRuntime(tracing=telemetry)
     while True:
         try:
             item = inbox.get(timeout=1.0)

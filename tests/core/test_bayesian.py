@@ -13,9 +13,8 @@ from repro.core.bayesian import (
     bayesian_delta,
     expected_cost,
     is_bayesian_equilibrium,
-    is_bayesian_improving,
 )
-from repro.core.deviations import view_cost, worst_case_delta
+from repro.core.deviations import COST_EPS, view_cost, worst_case_delta
 from repro.core.equilibria import is_equilibrium
 from repro.core.games import MaxNCG, SumNCG
 from repro.core.strategies import StrategyProfile
@@ -147,9 +146,9 @@ class TestBayesianDeltaAndImprovement:
         target = sorted(view.frontier, key=repr)[0]
         richer = current | {target}
         assert worst_case_delta(view, current, richer, game) > 0
-        assert not is_bayesian_improving(view, current, richer, game, EmptyWorldBelief())
+        assert bayesian_delta(view, current, richer, game, EmptyWorldBelief()) >= -COST_EPS
         heavy = PessimisticBelief(eta=20.0, extra_distance=1.0)
-        assert is_bayesian_improving(view, current, richer, game, heavy)
+        assert bayesian_delta(view, current, richer, game, heavy) < -COST_EPS
 
     def test_both_infinite_costs_give_zero_delta(self, cycle_profile):
         game = SumNCG(alpha=1.0, k=2)

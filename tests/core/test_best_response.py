@@ -211,19 +211,6 @@ class TestSumLocalSearchRestarts:
                 assert multi.view_cost <= single.view_cost + 1e-9
                 assert not multi.exact
 
-    def test_restarts_threaded_through_dispatch(self):
-        # Above the exhaustive limit the dispatch must hand the knob to the
-        # local search: forcing a tiny limit routes a small view through the
-        # heuristic path, where restarts must reproduce the direct call.
-        profile, game = self._profile_and_game(n=14)
-        player = list(profile)[0]
-        via_dispatch = best_response(
-            profile, player, game, sum_exhaustive_limit=2, sum_restarts=5
-        )
-        direct = best_response_sum_local_search(profile, player, game, restarts=5)
-        assert via_dispatch.strategy == direct.strategy
-        assert not via_dispatch.exact
-
     def test_invalid_restarts_rejected(self):
         profile, game = self._profile_and_game()
         with pytest.raises(ValueError, match="restarts"):

@@ -154,11 +154,11 @@ def _reference_local_search(view, game, current, seed_strategy=None, restarts=1)
     return best_strategy, best_cost, current_cost, False
 
 
-def _reference_dispatch(view, game, current, limit=SUM_EXHAUSTIVE_LIMIT, restarts=1):
+def _reference_dispatch(view, game, current, limit=SUM_EXHAUSTIVE_LIMIT):
     if len(view.strategy_space) <= limit:
         seed = _reference_local_search(view, game, current)[0]
         return _reference_exhaustive(view, game, current, warm_start=seed)
-    return _reference_local_search(view, game, current, restarts=restarts)
+    return _reference_local_search(view, game, current)
 
 
 def _bits(value):
@@ -296,11 +296,9 @@ class TestRepliesEqualTheReference:
     def test_dispatch(self, case, limit):
         profile, game, player = case
         view = extract_view(profile, player, game.k)
-        response = best_response(
-            profile, player, game, sum_exhaustive_limit=limit, sum_restarts=2
-        )
+        response = best_response(profile, player, game, sum_exhaustive_limit=limit)
         assert _reply(response) == _expected(
-            _reference_dispatch(view, game, profile.strategy(player), limit, restarts=2)
+            _reference_dispatch(view, game, profile.strategy(player), limit)
         )
 
 
@@ -380,13 +378,13 @@ class TestNoReferenceFallback:
             SumNCG(1.0, k=FULL_KNOWLEDGE),
         ]
         expected = [
-            DynamicsEngine(owned, game, max_rounds=20, sum_restarts=2).run()
+            DynamicsEngine(owned, game, max_rounds=20).run()
             for game in games
         ]
         monkeypatch.setattr(deviations, "worst_case_delta", _refuse)
         monkeypatch.setattr(deviations, "modified_view_graph", _refuse)
         for game, reference in zip(games, expected):
-            result = DynamicsEngine(owned, game, max_rounds=20, sum_restarts=2).run()
+            result = DynamicsEngine(owned, game, max_rounds=20).run()
             assert result.total_changes > 0
             assert (result.rounds, result.converged) == (reference.rounds, reference.converged)
             assert _strategies(result.final_profile) == _strategies(reference.final_profile)

@@ -17,7 +17,7 @@ from repro.experiments.config import (
     SweepSettings,
     resolve_workers,
 )
-from repro.experiments.io import format_table, rows_to_columns, write_csv, write_json
+from repro.experiments.io import format_table, write_csv, write_json
 
 
 class TestPaperGrids:
@@ -95,11 +95,6 @@ class TestIo:
         data = json.loads(path.read_text())
         assert data[0]["label"] == "a"
         assert data[1]["quality"] == "inf"
-
-    def test_rows_to_columns(self):
-        columns = rows_to_columns(self.ROWS)
-        assert columns["alpha"] == [1.0, 2.0]
-        assert columns["extra"] == [7]
 
     def test_format_table_alignment(self):
         text = format_table(self.ROWS, title="demo")

@@ -12,10 +12,17 @@ from repro.experiments.runner import (
     build_instance,
     run_single,
     run_sweep,
-    specs_for_cell,
 )
 from repro.graphs.properties import is_tree
 from repro.graphs.traversal import is_connected
+
+
+def cell_specs(alpha: float, settings: SweepSettings) -> list[RunSpec]:
+    """The ``num_seeds`` specs of one 10-node tree cell at k = 2."""
+    return [
+        RunSpec(family="tree", n=10, alpha=alpha, k=2, seed=seed, solver=settings.solver)
+        for seed in range(settings.num_seeds)
+    ]
 
 
 def tree_spec(**overrides) -> RunSpec:
@@ -118,15 +125,9 @@ class TestRunSingle:
 
 
 class TestSweep:
-    def test_specs_for_cell(self):
-        settings = SweepSettings(num_seeds=4, solver="greedy")
-        specs = specs_for_cell("tree", 10, 1.0, 2, settings)
-        assert len(specs) == 4
-        assert {spec.seed for spec in specs} == {0, 1, 2, 3}
-
     def test_run_sweep_parallel_workers(self):
         settings = SweepSettings(num_seeds=3, solver="greedy", workers=2)
-        specs = specs_for_cell("tree", 10, 1.0, 2, settings)
+        specs = cell_specs(1.0, settings)
         parallel = run_sweep(specs, settings)
         serial = [run_single(spec) for spec in specs]
         assert [r.final_metrics for r in parallel] == [r.final_metrics for r in serial]
@@ -135,9 +136,7 @@ class TestSweep:
 class TestAggregation:
     def _results(self):
         settings = SweepSettings(num_seeds=3, solver="greedy")
-        specs = specs_for_cell("tree", 10, 1.0, 2, settings) + specs_for_cell(
-            "tree", 10, 2.0, 2, settings
-        )
+        specs = cell_specs(1.0, settings) + cell_specs(2.0, settings)
         return run_sweep(specs, settings)
 
     def test_group_by(self):

@@ -29,7 +29,6 @@ from repro.experiments.figures import (
     generate_figure9,
     generate_figure10,
 )
-from repro.experiments.io import rows_to_columns
 from repro.experiments.tables import (
     Table1Config,
     Table2Config,
@@ -71,10 +70,9 @@ class TestRegionFigures:
         rows = generate_figure3(Figure3Config.smoke())
         cfg = Figure3Config.smoke()
         assert len(rows) == cfg.alpha_points * cfg.k_points
-        columns = rows_to_columns(rows)
-        assert all(value >= 1.0 for value in columns["lower_bound"])
-        assert all(value > 0 for value in columns["upper_bound"])
-        assert "NE≡LKE" in set(columns["region"])
+        assert all(row["lower_bound"] >= 1.0 for row in rows)
+        assert all(row["upper_bound"] > 0 for row in rows)
+        assert "NE≡LKE" in {row["region"] for row in rows}
 
     def test_figure3_upper_bounds_dominate_lower_bounds(self):
         for row in generate_figure3(Figure3Config.smoke()):
@@ -95,8 +93,7 @@ class TestSimulationFigures:
 
     def test_figure5_view_size_monotone_in_k(self):
         rows = generate_figure5(Figure5Config.smoke())
-        columns = rows_to_columns(rows)
-        assert set(columns["k"]) == {2, 3, FULL_KNOWLEDGE_K}
+        assert {row["k"] for row in rows} == {2, 3, FULL_KNOWLEDGE_K}
         by_cell = {(row["k"], row["alpha"]): row for row in rows}
         for alpha in {row["alpha"] for row in rows}:
             full = by_cell[(FULL_KNOWLEDGE_K, alpha)]

@@ -1,4 +1,4 @@
-"""Tests for the structural graph algorithms (bridges, centers, colouring, ...)."""
+"""Tests for the structural graph algorithms (bridges, centers, ...)."""
 
 import random
 
@@ -17,10 +17,7 @@ from repro.graphs.algorithms import (
     graph_center,
     graph_median,
     graph_periphery,
-    greedy_maximal_independent_set,
-    greedy_vertex_coloring,
     is_bipartite,
-    k_core,
     spanning_tree,
 )
 from repro.graphs.generators.classic import (
@@ -258,60 +255,7 @@ class TestBipartite:
         assert is_bipartite(graph) == nx.is_bipartite(graph.to_networkx())
 
 
-class TestIndependentSetAndColoring:
-    def test_independent_set_is_independent(self, petersen):
-        independent = greedy_maximal_independent_set(petersen)
-        for u in independent:
-            for v in independent:
-                if u != v:
-                    assert not petersen.has_edge(u, v)
-
-    def test_independent_set_is_maximal(self, petersen):
-        independent = greedy_maximal_independent_set(petersen)
-        for node in petersen.nodes():
-            if node in independent:
-                continue
-            assert any(neigh in independent for neigh in petersen.neighbors(node))
-
-    def test_coloring_is_proper(self, petersen):
-        colouring = greedy_vertex_coloring(petersen)
-        for u, v in petersen.edges():
-            assert colouring[u] != colouring[v]
-
-    def test_coloring_of_bipartite_graph_uses_two_colors(self, cycle6):
-        colouring = greedy_vertex_coloring(cycle6)
-        assert len(set(colouring.values())) <= 2
-
-    def test_complete_graph_needs_n_colors(self):
-        clique = complete_graph(5)
-        colouring = greedy_vertex_coloring(clique)
-        assert len(set(colouring.values())) == 5
-
-    def test_empty_graph(self):
-        assert greedy_maximal_independent_set(Graph()) == set()
-        assert greedy_vertex_coloring(Graph()) == {}
-
-
 class TestCoreAndDegeneracy:
-    def test_k_core_of_clique(self):
-        clique = complete_graph(6)
-        assert set(k_core(clique, 5).nodes()) == set(range(6))
-        assert k_core(clique, 6).number_of_nodes() == 0
-
-    def test_k_core_strips_leaves(self, path5):
-        core = k_core(path5, 2)
-        assert core.number_of_nodes() == 0
-
-    def test_k_core_negative_raises(self, path5):
-        with pytest.raises(ValueError):
-            k_core(path5, -1)
-
-    def test_k_core_matches_networkx(self):
-        graph = connected_gnp_graph(20, 0.25, random.Random(4))
-        for k in (1, 2, 3):
-            expected = set(nx.k_core(graph.to_networkx(), k).nodes())
-            assert set(k_core(graph, k).nodes()) == expected
-
     def test_degeneracy_ordering_is_permutation(self, petersen):
         order = degeneracy_ordering(petersen)
         assert sorted(order, key=repr) == sorted(petersen.nodes(), key=repr)

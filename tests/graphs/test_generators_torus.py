@@ -6,7 +6,6 @@ from repro.graphs.generators.torus import (
     TorusParameters,
     open_stretched_torus,
     stretched_torus,
-    torus_lower_bound_distance,
     torus_parameters_for_lemma_4_1,
     torus_parameters_for_theorem_3_12,
 )
@@ -76,15 +75,6 @@ class TestStretchedTorus:
         params = TorusParameters(stretch=2, deltas=(3, 6))
         owned = stretched_torus(params)
         assert diameter(owned.graph) >= params.diameter_lower_bound
-
-    def test_lemma_3_3_distance_lower_bound(self):
-        params = TorusParameters(stretch=2, deltas=(3, 4))
-        owned = stretched_torus(params)
-        graph = owned.graph
-        origin = (0, 0)
-        distances = bfs_distances(graph, origin)
-        for target, dist in distances.items():
-            assert dist >= torus_lower_bound_distance(params, origin, target)
 
     def test_total_edge_count(self):
         params = TorusParameters(stretch=2, deltas=(3, 4))

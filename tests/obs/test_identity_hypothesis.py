@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.core.dynamics import best_response_dynamics
 from repro.experiments.runner import RunSpec, run_spec_on_instance
 from repro.graphs.generators import random_owned_tree
-from repro.obs import Telemetry
+from repro.obs import Telemetry, set_telemetry
 from repro.service.tasks import TIMING_FIELDS
 
 
@@ -32,6 +32,15 @@ def _trajectory(result):
 
 def _strip(row: dict) -> dict:
     return {k: v for k, v in row.items() if k not in TIMING_FIELDS}
+
+
+def _traced(run, handle: Telemetry):
+    """``run()`` with ``handle`` installed process-wide, then the previous one."""
+    previous = set_telemetry(handle)
+    try:
+        return run()
+    finally:
+        set_telemetry(previous)
 
 
 @st.composite
@@ -55,19 +64,18 @@ class TestTracingIdentity:
         owned = random_owned_tree(n, seed=seed)
         game = spec.game()
 
-        def run(telemetry):
+        def run():
             return best_response_dynamics(
                 owned,
                 game,
                 max_rounds=30,
                 ordering=ordering,
                 seed=seed,
-                telemetry=telemetry,
             )
 
-        plain = run(None)
+        plain = run()
         traced_handle = Telemetry(tracing=True)
-        traced = run(traced_handle)
+        traced = _traced(run, traced_handle)
         assert _trajectory(traced) == _trajectory(plain)
         # The traced run actually recorded something — the equality above
         # must not hold because tracing silently degraded to a no-op.
@@ -82,7 +90,7 @@ class TestTracingIdentity:
         )
         owned = random_owned_tree(n, seed=seed)
         plain = run_spec_on_instance(spec, owned)
-        traced = run_spec_on_instance(
-            spec, owned, telemetry=Telemetry(tracing=True)
+        traced = _traced(
+            lambda: run_spec_on_instance(spec, owned), Telemetry(tracing=True)
         )
         assert _strip(traced.as_row()) == _strip(plain.as_row())

@@ -65,13 +65,6 @@ class TestGaugeFamily:
         a.set(7)  # delta -3
         assert family.labels(shard="0").value == 11  # 7 + 4
 
-    def test_inc_dec(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g", "help").labels()
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value == 3
-
     def test_set_function_live_read(self):
         registry = MetricsRegistry()
         backing = {"n": 1}
@@ -80,28 +73,6 @@ class TestGaugeFamily:
         assert gauge.value == 1
         backing["n"] = 9
         assert gauge.value == 9
-
-
-class TestHistogramFamily:
-    def test_observe_buckets(self):
-        registry = MetricsRegistry()
-        family = registry.histogram("h", "help", buckets=(1.0, 5.0))
-        series = family.labels()
-        for value in (0.5, 0.9, 3.0, 100.0):
-            series.observe(value)
-        assert series.bucket_counts() == [2, 1, 1]  # <=1, <=5, +Inf
-        assert series.count == 4
-        assert series.sum == pytest.approx(104.4)
-
-    def test_child_mirrors(self):
-        registry = MetricsRegistry()
-        family = registry.histogram("h", "help", buckets=(1.0,))
-        child = family.child()
-        child.observe(0.5)
-        child.observe(2.0)
-        aggregate = family.labels()
-        assert aggregate.count == 2
-        assert aggregate.bucket_counts() == [1, 1]
 
 
 class TestRegistry:
@@ -119,12 +90,9 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("c_total", labelnames=("op",)).inc(op="hit")
         registry.gauge("g").labels().set(2)
-        registry.histogram("h", buckets=(1.0,)).labels().observe(0.5)
         snap = registry.snapshot()
         assert snap['c_total{op="hit"}'] == 1
         assert snap["g"] == 2
-        assert snap["h_count"] == 1
-        assert snap["h_sum"] == 0.5
 
     def test_default_registry_is_singleton(self):
         assert default_registry() is default_registry()
@@ -144,18 +112,6 @@ class TestPrometheusRender:
         assert "# TYPE g gauge" in text
         assert "g 7" in text
         assert text.endswith("\n")
-
-    def test_histogram_cumulative_buckets(self):
-        registry = MetricsRegistry()
-        family = registry.histogram("h", "hist", buckets=(1.0, 5.0))
-        series = family.labels()
-        for value in (0.5, 3.0, 100.0):
-            series.observe(value)
-        text = render_prometheus(registry)
-        assert 'h_bucket{le="1.0"} 1' in text
-        assert 'h_bucket{le="5.0"} 2' in text
-        assert 'h_bucket{le="+Inf"} 3' in text
-        assert "h_count 3" in text
 
     def test_label_escaping(self):
         registry = MetricsRegistry()

@@ -35,8 +35,7 @@ from repro.experiments.extensions.sum_dynamics import (
 from repro.experiments.runner import RunSpec, run_single
 from repro.experiments.store import ExperimentStore
 from repro.graphs.generators.trees import random_owned_tree
-from repro.obs import Telemetry
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import default_registry
 from repro.service.api import (
     ServiceConfig,
     map_calls,
@@ -490,14 +489,16 @@ class TestWorkerInstances:
         assert runtime.instances_reused == 1
 
     def test_cache_counter_has_only_built_and_reused_events(self):
-        registry = MetricsRegistry()
-        runtime = WorkerRuntime(telemetry=Telemetry(registry=registry))
+        runtime = WorkerRuntime()
+        family = default_registry().counter("repro_worker_cache_total")
+        before = {key: series.value for key, series in family.samples()}
         tasks = compile_run_specs(_specs())
         for task in tasks:
             runtime.execute(task)
         groups = len({task.instance_key for task in tasks})
-        family = registry.counter("repro_worker_cache_total")
-        assert {key: series.value for key, series in family.samples()} == {
+        assert {
+            key: series.value - before.get(key, 0) for key, series in family.samples()
+        } == {
             ("instance", "built"): groups,
             ("instance", "reused"): len(tasks) - groups,
             ("session", "built"): 0,
