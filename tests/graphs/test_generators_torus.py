@@ -13,6 +13,16 @@ from repro.graphs.properties import diameter
 from repro.graphs.traversal import bfs_distances, is_connected
 
 
+def lemma_3_3_bound(params: TorusParameters, x, y) -> int:
+    """Lemma 3.3: ``d(x, y) >= max_i min(|x_i - y_i|, 2 δ_i ℓ - |x_i - y_i|)``."""
+    best = 0
+    for axis in range(params.dimensions):
+        modulus = params.modulus(axis)
+        diff = abs(x[axis] - y[axis]) % modulus
+        best = max(best, min(diff, modulus - diff))
+    return best
+
+
 class TestTorusParameters:
     def test_counts_match_paper_formulas(self):
         params = TorusParameters(stretch=2, deltas=(3, 4))
@@ -75,6 +85,16 @@ class TestStretchedTorus:
         params = TorusParameters(stretch=2, deltas=(3, 6))
         owned = stretched_torus(params)
         assert diameter(owned.graph) >= params.diameter_lower_bound
+
+    def test_lemma_3_3_distance_lower_bound(self):
+        params = TorusParameters(stretch=2, deltas=(3, 4))
+        owned = stretched_torus(params)
+        graph = owned.graph
+        origin = (0, 0)
+        distances = bfs_distances(graph, origin)
+        assert len(distances) == graph.number_of_nodes()
+        for target, dist in distances.items():
+            assert dist >= lemma_3_3_bound(params, origin, target)
 
     def test_total_edge_count(self):
         params = TorusParameters(stretch=2, deltas=(3, 4))

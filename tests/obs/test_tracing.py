@@ -102,6 +102,17 @@ class TestTelemetryHandle:
             set_telemetry(previous)
         assert get_telemetry() is previous
 
+    def test_set_none_installs_a_fresh_default(self):
+        previous = set_telemetry(None)
+        try:
+            installed = get_telemetry()
+            assert installed is not previous
+            assert installed.tracing is False
+            assert installed.span("x") is NULL_SPAN
+        finally:
+            set_telemetry(previous)
+        assert get_telemetry() is previous
+
     def test_drain_events(self):
         handle = Telemetry(tracing=True)
         with handle.span("x"):

@@ -10,7 +10,10 @@ Pins the telemetry wiring through the daemon and orchestrator:
 * telemetry journal records are additive: a telemetry-on journal resumes
   to the exact rows of a telemetry-off one, old journals (no telemetry
   records) stay valid, and ``python -m repro trace`` renders the records
-  into a schema-valid Chrome trace.
+  into a schema-valid Chrome trace;
+* :meth:`WorkerRuntime.execute_traced` is the one place a handle is
+  installed: a tracing runtime installs its handle for one task and
+  restores the previous one, even when the task raises.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.runner import RunSpec
+from repro.obs import get_telemetry
 from repro.service.api import ServiceConfig, run_spec_sweep
 from repro.service.client import SweepClient
 from repro.service.daemon import DaemonConfig, ServiceDaemon
@@ -36,8 +40,10 @@ from repro.service.journal import (
 from repro.service.tasks import (
     TELEMETRY_SUMMARY_FIELDS,
     TIMING_FIELDS,
+    compile_calls,
     strip_timing_fields,
 )
+from repro.service.workers import WorkerRuntime
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -56,6 +62,17 @@ def _specs(alphas=(0.5, 2.0), seeds=2, n=10) -> list[RunSpec]:
         for alpha in alphas
         for seed in range(seeds)
     ]
+
+
+def _seen_handle(_item):
+    """Call-task body: the identity and tracing flag of the installed handle."""
+    handle = get_telemetry()
+    return [id(handle), handle.tracing]
+
+
+def _failing_task(_item):
+    with get_telemetry().span("inside.failing_task"):
+        raise ValueError("task failed")
 
 
 @pytest.fixture()
@@ -251,3 +268,36 @@ class TestTraceExport:
         )
         assert completed.returncode != 0
         assert "--telemetry" in completed.stderr
+
+
+class TestRuntimeHandle:
+    def test_tracing_runtime_installs_its_handle_for_the_task_only(self):
+        previous = get_telemetry()
+        (task,) = compile_calls(_seen_handle, [0])
+        payload, summary = WorkerRuntime(tracing=True).execute_traced(task)
+        handle_id, tracing = payload
+        assert tracing is True
+        assert handle_id != id(previous)
+        assert get_telemetry() is previous
+        assert summary["span_count"] == 1
+        assert summary["events"][0]["name"] == "task.execute"
+
+    def test_tracing_runtime_restores_the_handle_when_a_task_raises(self):
+        previous = get_telemetry()
+        runtime = WorkerRuntime(tracing=True)
+        (failing,) = compile_calls(_failing_task, [0])
+        with pytest.raises(ValueError, match="task failed"):
+            runtime.execute_traced(failing)
+        assert get_telemetry() is previous
+        # The failed task's spans were dropped, not carried into the next.
+        (task,) = compile_calls(_seen_handle, [1])
+        _, summary = runtime.execute_traced(task)
+        assert [event["name"] for event in summary["events"]] == ["task.execute"]
+
+    def test_untraced_runtime_installs_no_handle(self):
+        previous = get_telemetry()
+        (task,) = compile_calls(_seen_handle, [0])
+        payload, summary = WorkerRuntime().execute_traced(task)
+        assert payload == [id(previous), previous.tracing]
+        assert summary is None
+        assert get_telemetry() is previous
