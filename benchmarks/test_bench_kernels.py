@@ -11,6 +11,10 @@ Writes ``BENCH_kernels.json`` under ``benchmarks/out/`` with four sections:
   the kernel vs materialising the distance rows with the *same* compiled
   ``bfs`` kernel and folding them in numpy, fused speedup asserted ≥ 2×;
   all four vectors asserted equal to the numpy reference's fused output.
+  A high-diameter case rides along with no gate of its own: the same sweep
+  on a uniform random tree of ``n = 5000`` (diameter in the hundreds, where
+  the batches' locality order and frontier lists matter), fused seconds
+  next to the numpy reference's, identity asserted.
 * **cover** — solver-bound branch-and-bound set-cover instances: identical
   selections asserted, compiled speedup ≥ 2×.
 * **dynamics** — one full best-response dynamics run per backend on a
@@ -33,6 +37,7 @@ from repro.core.dynamics import best_response_dynamics
 from repro.core.games import MaxNCG
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.smallworld import owned_barabasi_albert
+from repro.graphs.generators.trees import random_owned_tree
 from repro.graphs.traversal import (
     batched_bfs_distances,
     reduce_bfs_distances,
@@ -155,6 +160,18 @@ def _bench_bfs_reduce(compiled) -> dict:
     )
     identical_fold = all(np.array_equal(f, m) for f, m in zip(fused, folded))
     identical_reference = all(np.array_equal(f, r) for f, r in zip(fused, reference))
+    tree = random_owned_tree(BFS_N, seed=0).graph
+    indptr, indices, _ = tree.to_csr_arrays()
+    start = time.perf_counter()
+    tree_fused = reduce_bfs_distances(
+        indptr, indices, sources, view_radius=view_radius, backend=compiled
+    )
+    tree_fused_s = time.perf_counter() - start
+    start = time.perf_counter()
+    tree_reference = reduce_bfs_distances(
+        indptr, indices, sources, view_radius=view_radius, backend="numpy"
+    )
+    tree_reference_s = time.perf_counter() - start
     return {
         "family": "barabasi-albert(m=2)",
         "n": BFS_N,
@@ -165,6 +182,18 @@ def _bench_bfs_reduce(compiled) -> dict:
         "speedup": round(folded_s / fused_s, 2),
         "identical_to_fold": identical_fold,
         "identical_to_numpy_reference": identical_reference,
+        "high_diameter": {
+            "family": "random tree",
+            "n": BFS_N,
+            "sources": BFS_SOURCES,
+            "max_eccentricity": int(tree_fused[0].max()),
+            "fused_s": round(tree_fused_s, 4),
+            "numpy_reference_s": round(tree_reference_s, 4),
+            "speedup": round(tree_reference_s / tree_fused_s, 2),
+            "identical_to_numpy_reference": all(
+                np.array_equal(f, r) for f, r in zip(tree_fused, tree_reference)
+            ),
+        },
     }
 
 
@@ -270,6 +299,7 @@ def test_bench_kernels(benchmark, emit_report):
     assert report["bfs"]["identical_distances"]
     assert report["bfs_reduce"]["identical_to_fold"]
     assert report["bfs_reduce"]["identical_to_numpy_reference"]
+    assert report["bfs_reduce"]["high_diameter"]["identical_to_numpy_reference"]
     assert report["cover"]["identical_selections"]
     assert report["dynamics"]["identical_trajectories"]
     # The acceptance gates.

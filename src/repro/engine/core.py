@@ -388,7 +388,9 @@ class DynamicsEngine:
         bookending every run are O(n · edges) regardless of how local the
         dynamics were — ``collect_metrics=False`` skips them (the result's
         ``initial_metrics`` / ``final_metrics`` are ``None``), which is what
-        keeps a warm replay after a localized shock at O(dirty ball).
+        keeps a warm replay after a localized shock at O(dirty ball).  A run
+        that ends on the profile it started from reuses the opening sweep's
+        metrics instead of running the closing one.
         """
         game = self.game
         run_span = self.telemetry.span(
@@ -407,7 +409,8 @@ class DynamicsEngine:
         # Settle every view up front (shared-store adoptions included).
         self.views.refresh_dirty()
         round_records: list[RoundRecord] = []
-        seen_profiles: dict[tuple, int] = {self.state.canonical_key(): 0}
+        initial_key = self.state.canonical_key()
+        seen_profiles: dict[tuple, int] = {initial_key: 0}
         total_changes = 0
         converged = False
         certified = False
@@ -462,6 +465,16 @@ class DynamicsEngine:
                     break
                 seen_profiles[key] = round_index
         final_profile = self.state.to_profile()
+        # The key encodes every player's strategy, so an unchanged key means
+        # an unchanged profile and the opening sweep's metrics are exact.
+        if not self.collect_metrics:
+            final_metrics = None
+        elif self.state.canonical_key() == initial_key:
+            final_metrics = initial_metrics
+        else:
+            final_metrics = compute_profile_metrics(
+                final_profile, game, backend=self.kernel_backend
+            )
         run_span.finish(
             rounds=rounds_run,
             converged=converged,
@@ -480,9 +493,5 @@ class DynamicsEngine:
             certified_exact=certified_exact,
             round_records=round_records,
             initial_metrics=initial_metrics,
-            final_metrics=(
-                compute_profile_metrics(final_profile, game, backend=self.kernel_backend)
-                if self.collect_metrics
-                else None
-            ),
+            final_metrics=final_metrics,
         )

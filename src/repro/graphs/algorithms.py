@@ -32,7 +32,6 @@ __all__ = [
     "spanning_tree",
     "is_bipartite",
     "bipartition",
-    "degeneracy_ordering",
 ]
 
 
@@ -334,17 +333,3 @@ def bipartition(graph: Graph) -> tuple[set[Node], set[Node]] | None:
     side_b = {node for node, c in colour.items() if c == 1}
     return side_a, side_b
 
-
-def degeneracy_ordering(graph: Graph) -> list[Node]:
-    """Return a degeneracy ordering (repeatedly remove a minimum-degree node).
-
-    The list is in removal order, so the *last* nodes are the densest core.
-    Deterministic: ties are broken by ``repr`` of the node label.
-    """
-    remaining = graph.copy()
-    order: list[Node] = []
-    while remaining.number_of_nodes() > 0:
-        node = min(remaining.nodes(), key=lambda x: (remaining.degree(x), repr(x)))
-        order.append(node)
-        remaining.remove_node(node)
-    return order

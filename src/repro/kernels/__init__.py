@@ -65,11 +65,17 @@ sum_out, unreached_out, view_size_out)``
     ``(len(sources), n)`` distance matrix is ever materialised.
     Because the outputs are order-independent aggregates of the unique
     BFS distance function, implementations may traverse however they
-    like — the native backend runs an MS-BFS (64 sources per uint64
-    bitmask batch; Then et al., VLDB 2015) — yet stay bit-identical,
-    by definition, to folding the rows ``bfs`` would have produced
+    like and visit the sources in any order, as long as each source's
+    four values land at its own position — yet stay bit-identical, by
+    definition, to folding the rows ``bfs`` would have produced
     (``radius`` truncation counts truncated nodes as unreached,
-    exactly like the materialised fold).
+    exactly like the materialised fold).  The native backend runs an
+    MS-BFS (64 sources per uint64 bitmask batch; Then et al., VLDB
+    2015): it orders the sources by a BFS rank of their nodes so that
+    each batch of 64 sits close together and shares its frontier,
+    expands only the listed frontier nodes, and per level scans either
+    the touched nodes or all ``n`` for fresh bits, whichever the level's
+    expansion work makes cheaper.
 ``view(indptr, indices, player, radius) -> (nodes, dist, sub_indptr, sub_indices)``
     CSR ``indptr``/``indices`` (int64) whose rows are sorted, ``player``
     a vertex id, ``radius`` int or None.  Returns four int64 arrays:

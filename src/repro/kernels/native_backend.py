@@ -33,9 +33,12 @@ calls back into its wrapper for that order once per search it runs —
 most guesses end at the greedy incumbent or the root bound and never
 search.  The fused ``bfs_reduce`` kernel is
 free to traverse in a different *order* — it is an MS-BFS, advancing 64
-sources per uint64-bitmask batch through one level-synchronous sweep —
+sources per uint64-bitmask batch through one level-synchronous sweep,
+the batches taken in a locality order of the sources and each level
+expanding only its listed frontier nodes —
 because its outputs are order-independent aggregates of the unique BFS
-distance function; the same parity suites pin its bit-identity.  ``view``
+distance function, each written to its source's own position; the same
+parity suites pin its bit-identity.  ``view``
 settles one player's view in one call: a queue BFS from her, then a scan
 collecting the visible nodes in index order and the rows of the H − u
 sub-CSR; its outputs are unique given sorted input rows, so they match the
@@ -113,6 +116,40 @@ void repro_bfs_batch(const int64_t *indptr, const int64_t *indices,
     }
 }
 
+/* A level whose expansion work (the summed degrees of its frontier) times
+ * this factor stays below n takes its fresh bits from the nodes it touched;
+ * any other level scans all n nodes.  Best of 8 interleaved all-source
+ * sweeps on one core of a 2-core x86-64 host, at factors 1 / 2 / 4 / 8
+ * (ms): random tree(1536) 14.4 / 19.0 / 23.1 / 24.2, tree(5000)
+ * 191 / 229 / 351 / 412, G(3000, 0.002) 26.3 / 26.9 / 26.8 / 27.2,
+ * G(2000, 0.01) 11.2 / 10.7 / 10.8 / 10.8, BA(5000, m=2) with 1024
+ * sources 10.9 / 11.2 / 11.8 / 11.9.  Taking the touched nodes on every
+ * level instead saves the trees about 10% and costs the G(n, p) and BA
+ * graphs 15-25%; scanning all n on every level doubles the trees' time.
+ */
+#define REDUCE_SPARSE_FACTOR 1
+
+/* Collect node v's fresh bits after a level's expansion: clear its next
+ * word, make the fresh bits its frontier word, mark them visited, count
+ * them per source and list v in the new frontier.  Returns the new
+ * frontier length. */
+static inline int64_t repro_settle(int64_t v, uint64_t *cur, uint64_t *next,
+                                   uint64_t *visited, int32_t *frontier,
+                                   int64_t width, int64_t *cnt) {
+    uint64_t fresh = next[v] & ~visited[v];
+    next[v] = 0;
+    if (!fresh)
+        return width;
+    cur[v] = fresh;
+    visited[v] |= fresh;
+    frontier[width++] = (int32_t)v;
+    do {
+        ++cnt[__builtin_ctzll(fresh)];
+        fresh &= fresh - 1;
+    } while (fresh);
+    return width;
+}
+
 /* Fused multi-source BFS + statistics fold: eccentricity,
  * finite-distance sum, unreached count and radius-view_radius view
  * size, emitted straight from the traversal — no distance matrix.
@@ -120,17 +157,36 @@ void repro_bfs_batch(const int64_t *indptr, const int64_t *indices,
  * The traversal is an MS-BFS (Then et al., "The More the Merrier",
  * VLDB 2015): 64 sources advance together through one level-synchronous
  * sweep, their frontiers packed into one uint64 bitmask per node, so a
- * level costs O(m) word-ORs for the whole batch instead of one queue
- * traversal per source.  Per-source statistics fall out of the newly
- * set bits at each level.  The traversal *order* differs from the queue
- * BFS, but the outputs are order-independent aggregates of the (unique)
- * BFS distance function, so they stay bit-identical to the numpy
- * reference — pinned by the parity suites.
+ * level costs one word-OR per frontier edge for the whole batch instead
+ * of one queue traversal per source.  Per-source statistics fall out of
+ * the newly set bits at each level.  Three choices keep a batch's
+ * frontiers shared and its levels cheap on sparse, high-diameter graphs:
  *
- * scratch is a 3 * n uint64 buffer: the current frontier, next frontier
- * and visited bitmasks.  radius < 0 means unbounded (nodes beyond a
- * non-negative radius count as unreached); view_radius < 0 means "no
- * view counting" (view sizes report 0).
+ *   - Locality order.  One BFS over the whole graph (roots in index
+ *     order, every component) ranks the nodes; a stable counting sort
+ *     orders the source positions by their node's rank, and batches of
+ *     64 are taken in that order.  Sources that sit close together share
+ *     most of their frontier nodes, so a level touches few distinct
+ *     words.  A single batch needs no order and skips this step.
+ *   - Frontier lists.  A level expands only the nodes whose frontier
+ *     word is non-zero, listed by the level before.
+ *   - The fresh-bit pass per level.  When the expansion work is small
+ *     next to n (REDUCE_SPARSE_FACTOR), only the touched nodes are
+ *     scanned for fresh bits; otherwise all n are, with no list upkeep.
+ *
+ * The traversal *order* differs from the queue BFS, and so does the
+ * order of the batches, but every output is an order-independent
+ * aggregate of one source's (unique) BFS distance function and is
+ * written back to that source's own position, so the outputs stay
+ * bit-identical to the numpy reference — pinned by the parity suites.
+ *
+ * scratch holds 3 * n uint64 words (the current frontier, next frontier
+ * and visited bitmasks), then 4 * n + 1 + num_sources int32 entries:
+ * the node ranks, the ranking queue (reused for the counting sort's
+ * offsets), the frontier list, the touched list (n + 1) and the source
+ * permutation.  radius < 0 means unbounded (nodes beyond a non-negative
+ * radius count as unreached); view_radius < 0 means "no view counting"
+ * (view sizes report 0).
  */
 void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
                       int64_t n, const int64_t *sources, int64_t num_sources,
@@ -139,13 +195,58 @@ void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
                       int64_t *unreached_out, int64_t *view_size_out,
                       uint64_t *scratch) {
     uint64_t *cur = scratch, *next = scratch + n, *visited = scratch + 2 * n;
+    int32_t *rank = (int32_t *)(scratch + 3 * n), *queue = rank + n;
+    int32_t *frontier = queue + n, *touched = frontier + n;
+    int32_t *perm = touched + n + 1;
+    if (num_sources > 64) {
+        for (int64_t v = 0; v < n; ++v)
+            rank[v] = -1;
+        int64_t head = 0, tail = 0;
+        for (int64_t root = 0; root < n; ++root) {
+            if (rank[root] >= 0)
+                continue;
+            rank[root] = (int32_t)tail;
+            queue[tail++] = (int32_t)root;
+            while (head < tail) {
+                int32_t v = queue[head++];
+                int64_t estop = indptr[v + 1];
+                for (int64_t e = indptr[v]; e < estop; ++e) {
+                    int64_t u = indices[e];
+                    if (rank[u] < 0) {
+                        rank[u] = (int32_t)tail;
+                        queue[tail++] = (int32_t)u;
+                    }
+                }
+            }
+        }
+        int32_t *offset = queue;
+        memset(offset, 0, (size_t)n * sizeof(int32_t));
+        for (int64_t p = 0; p < num_sources; ++p)
+            ++offset[rank[sources[p]]];
+        int32_t start = 0;
+        for (int64_t r = 0; r < n; ++r) {
+            int32_t count = offset[r];
+            offset[r] = start;
+            start += count;
+        }
+        for (int64_t p = 0; p < num_sources; ++p)
+            perm[offset[rank[sources[p]]]++] = (int32_t)p;
+    } else {
+        for (int64_t p = 0; p < num_sources; ++p)
+            perm[p] = (int32_t)p;
+    }
+    memset(next, 0, (size_t)n * sizeof(uint64_t));
     for (int64_t b = 0; b < num_sources; b += 64) {
         int64_t batch = num_sources - b < 64 ? num_sources - b : 64;
-        memset(cur, 0, (size_t)n * sizeof(uint64_t));
         memset(visited, 0, (size_t)n * sizeof(uint64_t));
         int64_t ecc[64], total[64], in_view[64], reached[64];
+        int64_t width = 0;
         for (int64_t i = 0; i < batch; ++i) {
-            int64_t src = sources[b + i];
+            int64_t src = sources[perm[b + i]];
+            if (!visited[src]) {
+                frontier[width++] = (int32_t)src;
+                cur[src] = 0;
+            }
             cur[src] |= (uint64_t)1 << i;
             visited[src] |= (uint64_t)1 << i;
             ecc[i] = 0;
@@ -154,32 +255,46 @@ void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
             in_view[i] = view_radius >= 0 ? 1 : 0;
         }
         int64_t level = 0;
-        int nonempty = 1;
-        while (nonempty && (radius < 0 || level < radius)) {
+        while (width && (radius < 0 || level < radius)) {
             ++level;
-            memset(next, 0, (size_t)n * sizeof(uint64_t));
-            for (int64_t v = 0; v < n; ++v) {
+            int64_t work = 0;
+            for (int64_t j = 0; j < width; ++j)
+                work += indptr[frontier[j] + 1] - indptr[frontier[j]];
+            int sparse = work * REDUCE_SPARSE_FACTOR < n;
+            int64_t num_touched = 0;
+            /* Expand.  A frontier word is read only while its node is
+             * listed, so stale words need no clearing.  next is all zero
+             * between levels, so a level's first OR into a node is what
+             * lists it as touched.  The append has no branch: each target
+             * is written at the list's end and kept only if its word was
+             * still zero, which needs one spare entry past n. */
+            for (int64_t j = 0; j < width; ++j) {
+                int32_t v = frontier[j];
                 uint64_t w = cur[v];
-                if (!w)
-                    continue;
                 int64_t estop = indptr[v + 1];
-                for (int64_t e = indptr[v]; e < estop; ++e)
-                    next[indices[e]] |= w;
+                if (sparse) {
+                    for (int64_t e = indptr[v]; e < estop; ++e) {
+                        int64_t u = indices[e];
+                        touched[num_touched] = (int32_t)u;
+                        num_touched += !next[u];
+                        next[u] |= w;
+                    }
+                } else {
+                    for (int64_t e = indptr[v]; e < estop; ++e)
+                        next[indices[e]] |= w;
+                }
             }
             int64_t cnt[64];
             memset(cnt, 0, sizeof(cnt));
-            nonempty = 0;
-            for (int64_t v = 0; v < n; ++v) {
-                uint64_t fresh = next[v] & ~visited[v];
-                cur[v] = fresh;
-                if (!fresh)
-                    continue;
-                visited[v] |= fresh;
-                nonempty = 1;
-                do {
-                    ++cnt[__builtin_ctzll(fresh)];
-                    fresh &= fresh - 1;
-                } while (fresh);
+            width = 0;
+            if (sparse) {
+                for (int64_t j = 0; j < num_touched; ++j)
+                    width = repro_settle(touched[j], cur, next, visited,
+                                         frontier, width, cnt);
+            } else {
+                for (int64_t v = 0; v < n; ++v)
+                    width = repro_settle(v, cur, next, visited, frontier,
+                                         width, cnt);
             }
             for (int64_t i = 0; i < batch; ++i) {
                 if (!cnt[i])
@@ -192,10 +307,11 @@ void repro_bfs_reduce(const int64_t *indptr, const int64_t *indices,
             }
         }
         for (int64_t i = 0; i < batch; ++i) {
-            ecc_out[b + i] = ecc[i];
-            sum_out[b + i] = total[i];
-            unreached_out[b + i] = n - reached[i];
-            view_size_out[b + i] = in_view[i];
+            int32_t p = perm[b + i];
+            ecc_out[p] = ecc[i];
+            sum_out[p] = total[i];
+            unreached_out[p] = n - reached[i];
+            view_size_out[p] = in_view[i];
         }
     }
 }
@@ -749,7 +865,11 @@ def bfs_reduce(
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     sources = np.ascontiguousarray(sources, dtype=np.int64)
-    scratch = np.empty(3 * max(n, 1), dtype=np.uint64)
+    # One buffer: three uint64 bitmask words per node, then the int32
+    # ranks, queue, frontier list (n each), touched list (n + 1) and the
+    # source permutation, two int32 entries per word.
+    int32_entries = 4 * n + 1 + sources.size
+    scratch = np.empty(max(3 * n + (int32_entries + 1) // 2, 1), dtype=np.uint64)
     library.repro_bfs_reduce(
         _address(indptr),
         _address(indices),

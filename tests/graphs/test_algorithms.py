@@ -13,7 +13,6 @@ from repro.graphs.algorithms import (
     biconnected_component_count,
     bipartition,
     bridges,
-    degeneracy_ordering,
     graph_center,
     graph_median,
     graph_periphery,
@@ -254,18 +253,3 @@ class TestBipartite:
         graph = connected_gnp_graph(15, 0.2, random.Random(seed))
         assert is_bipartite(graph) == nx.is_bipartite(graph.to_networkx())
 
-
-class TestCoreAndDegeneracy:
-    def test_degeneracy_ordering_is_permutation(self, petersen):
-        order = degeneracy_ordering(petersen)
-        assert sorted(order, key=repr) == sorted(petersen.nodes(), key=repr)
-
-    def test_tree_degeneracy_one(self):
-        tree = random_tree(12, random.Random(5))
-        order = degeneracy_ordering(tree)
-        # In a degeneracy ordering of a tree, each removed node has degree <= 1
-        # among the not-yet-removed nodes.
-        remaining = tree.copy()
-        for node in order:
-            assert remaining.degree(node) <= 1
-            remaining.remove_node(node)

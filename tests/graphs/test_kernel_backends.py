@@ -26,6 +26,7 @@ import repro.kernels as kernels
 from repro.experiments.runner import RunSpec
 from repro.graphs.generators.erdos_renyi import gnp_random_graph
 from repro.graphs.generators.smallworld import owned_barabasi_albert
+from repro.graphs.generators.trees import random_tree
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     batched_bfs_distances,
@@ -355,6 +356,49 @@ def reduce_workloads(draw, max_nodes: int = 14):
     return graph, sources, radius, view_radius
 
 
+def _family_edges(family: str, n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Edges on nodes 0..n-1 of a path, caterpillar, random tree or G(n, p)."""
+    if family == "path":
+        return [(i, i + 1) for i in range(n - 1)]
+    if family == "caterpillar":
+        spine = max(1, n // 3)
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        return edges + [(leaf, rng.randrange(spine)) for leaf in range(spine, n)]
+    if family == "tree":
+        return list(random_tree(n, rng).edges()) if n > 1 else []
+    return list(gnp_random_graph(n, rng.choice([0.01, 0.03, 0.1]), rng).edges())
+
+
+@st.composite
+def multi_batch_reduce_workloads(draw, max_nodes: int = 400):
+    """(graph, sources, radius, view_radius) past one 64-source batch:
+    paths, caterpillars, random trees and G(n, p) up to ``max_nodes``
+    nodes, node labels shuffled or not, an optional second component and
+    isolated nodes, and more than 64 sources in shuffled order with
+    duplicates — so the native kernel's locality permutation, several
+    batches and both fresh-bit passes all run."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    family = draw(st.sampled_from(["path", "caterpillar", "tree", "gnp"]))
+    rng = random.Random(seed)
+    n = rng.randint(2, max_nodes)
+    edges = _family_edges(family, n, rng)
+    if draw(st.booleans()):
+        extra = rng.randint(1, max_nodes // 4)
+        edges += [(n + u, n + v) for u, v in _family_edges(family, extra, rng)]
+        n += extra + rng.randint(0, 3)
+    labels = list(range(n))
+    if draw(st.booleans()):
+        rng.shuffle(labels)
+    graph = Graph(nodes=range(n), edges=[(labels[u], labels[v]) for u, v in edges])
+    sources = [rng.randrange(n) for _ in range(rng.randint(65, 2 * max_nodes))]
+    if draw(st.booleans()):  # every node, as the metric sweep passes them
+        sources += range(n)
+    rng.shuffle(sources)
+    radius = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=60)))
+    view_radius = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
+    return graph, sources, radius, view_radius
+
+
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestBfsReduceParity:
     @given(workload=reduce_workloads())
@@ -385,6 +429,65 @@ class TestBfsReduceParity:
     @given(workload=reduce_workloads(), block_size=st.integers(1, 8))
     @settings(max_examples=20, deadline=None)
     def test_block_size_invariance(self, backend_name, workload, block_size):
+        graph, sources, radius, view_radius = workload
+        indptr, indices, _ = graph.to_csr_arrays()
+        backend = resolve_backend(backend_name)
+        blocked = reduce_bfs_distances(
+            indptr,
+            indices,
+            sources,
+            radius=radius,
+            view_radius=view_radius,
+            block_size=block_size,
+            backend=backend,
+        )
+        unblocked = reduce_bfs_distances(
+            indptr,
+            indices,
+            sources,
+            radius=radius,
+            view_radius=view_radius,
+            backend=backend,
+        )
+        for blocked_vec, unblocked_vec in zip(blocked, unblocked):
+            assert np.array_equal(blocked_vec, unblocked_vec)
+
+    @given(workload=multi_batch_reduce_workloads())
+    @settings(max_examples=25, deadline=None)
+    def test_multi_batch_matches_materialised_fold(self, backend_name, workload):
+        """Past one batch — locality-ordered batches, frontier lists and
+        both fresh-bit passes on native — the fused vectors still equal the
+        folds of materialised rows, each at its source's own position."""
+        graph, sources, radius, view_radius = workload
+        indptr, indices, _ = graph.to_csr_arrays()
+        expected = _fold_reference(
+            batched_bfs_distances(
+                indptr, indices, sources, radius=radius, backend="numpy"
+            ),
+            view_radius,
+        )
+        got = reduce_bfs_distances(
+            indptr,
+            indices,
+            sources,
+            radius=radius,
+            view_radius=view_radius,
+            backend=resolve_backend(backend_name),
+        )
+        for got_vec, expected_vec in zip(got, expected):
+            assert np.array_equal(got_vec, expected_vec)
+
+    @given(
+        workload=multi_batch_reduce_workloads(),
+        block_size=st.integers(20, 300),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_multi_batch_block_size_invariance(
+        self, backend_name, workload, block_size
+    ):
+        """Blocks cut the sources before the kernel orders them, so each
+        block is ordered and batched on its own; the vectors must not
+        notice."""
         graph, sources, radius, view_radius = workload
         indptr, indices, _ = graph.to_csr_arrays()
         backend = resolve_backend(backend_name)

@@ -16,6 +16,7 @@ import pytest
 
 import repro.kernels as kernels
 from repro.core.games import MaxNCG, SumNCG
+from repro.core.metrics import compute_profile_metrics
 from repro.engine.core import DynamicsEngine
 from repro.graphs.generators.trees import random_owned_tree
 from repro.kernels import get_backend, register_backend
@@ -87,3 +88,30 @@ def test_counters_match_the_dispatches_and_repeat(counting_backend):
         assert first[f"calls:{name}"] == calls[name]
         assert first[f"sources:{name}"] == sources[name]
     assert fixed_run() == first
+
+
+def bfs_reduce_sources(backend: str) -> float:
+    return default_registry().snapshot().get(
+        f'repro_kernel_sources_total{{kernel="bfs_reduce",backend="{backend}"}}', 0
+    )
+
+
+@pytest.mark.parametrize("game", [MaxNCG(0.5, k=2), SumNCG(0.5, k=2)])
+def test_run_from_an_equilibrium_sweeps_the_metrics_once(game):
+    """A run that ends on the profile it started from reuses the opening
+    metric sweep: one sweep of n sources, and final metrics equal to a
+    fresh computation; a run that moves still sweeps twice."""
+    n = 24
+    engine = DynamicsEngine(random_owned_tree(n, seed=5), game)
+    backend = engine.kernel_backend.name
+    before = bfs_reduce_sources(backend)
+    moved = engine.run()
+    assert moved.total_changes > 0
+    assert bfs_reduce_sources(backend) - before == 2 * n
+
+    before = bfs_reduce_sources(backend)
+    quiet = engine.run()
+    assert quiet.converged and quiet.total_changes == 0
+    assert bfs_reduce_sources(backend) - before == n
+    assert quiet.final_metrics == compute_profile_metrics(quiet.final_profile, game)
+    assert quiet.final_metrics == quiet.initial_metrics
