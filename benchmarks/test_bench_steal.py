@@ -1,26 +1,29 @@
-"""Timing harness for work-stealing dispatch vs static shards.
+"""Timing harness for the central group queue vs a static weighted plan.
 
 Writes ``BENCH_steal.json`` under ``benchmarks/out/``.
 
-The scenario is the weighted planner's documented blind spot: estimated
-group weight is ``instance nodes x task count``, which is blind to
-*per-task* difficulty.  The straggler grid exploits that — two 300-node
-``k=2`` greedy instances (huge weight, moderate runtime) next to eight
-30-node full-knowledge branch-and-bound instances (tiny weight, comparable
-runtime each).  The static planner parks both heavy-looking groups on their
-own workers and piles all eight deceptively light groups behind the third;
-the stealing pool drains that pile the moment the other workers go idle.
+The scenario is a static planner's blind spot: estimated group weight is
+``instance nodes x task count``, which is blind to *per-task* difficulty.
+The straggler grid exploits that — two 300-node ``k=2`` greedy instances
+(huge weight, moderate runtime) next to eight 30-node full-knowledge
+branch-and-bound instances (tiny weight, comparable runtime each).  A
+static heaviest-first plan onto the least-loaded shard parks both
+heavy-looking groups on their own workers and piles all eight deceptively
+light groups behind the third; the central ``AffinityTaskQueue`` hands
+each pending group to whichever worker frees up first, so the other
+workers take their share of the pile once their large group is done.
 
-Because this container may be single-core, the makespan gate runs in
-*virtual time*: per-task durations are measured serially, then replayed
-through :func:`repro.service.tasks.simulate_dispatch` — the same
-``AffinityTaskQueue`` the real pool drives, on a deterministic event clock.
-The real forked stealing pool's wall clock is recorded as context, and its
-rows must be bit-identical to the serial path's.
+Because the host may be single-core, the makespan gate runs in *virtual
+time*: per-task durations are measured serially, then the static plan is
+summed per shard and the queue is replayed on a deterministic event clock
+(a worker calls ``next_task`` the moment its previous task ends, as in the
+real pool).  The real forked pool's wall clock is recorded as context, and
+its rows must be bit-identical to the serial path's.
 
 Acceptance figures:
 
-* virtual-time makespan: stealing >= 1.5x over static shards, and
+* virtual-time makespan: the queue >= 1.5x over the static plan, with the
+  eight small groups spread over >= 2 workers, and
 * the shared :class:`~repro.engine.views.ViewStore` reports > 0 cross-session
   view adoptions on an α-sweep over one instance.
 """
@@ -38,7 +41,7 @@ from repro.service.tasks import (
     compile_run_specs,
     decode_result,
     encode_result,
-    simulate_dispatch,
+    group_weight,
 )
 from repro.service.workers import WorkerRuntime
 
@@ -84,17 +87,35 @@ def _measure_serial_durations(tasks) -> tuple[dict[str, float], list]:
     return durations, rows
 
 
-def _count_steals(tasks, durations) -> int:
-    """Replay the stealing dispatch on the virtual clock, read the counter."""
-    queue = AffinityTaskQueue(tasks, WORKERS, steal=True)
+def _static_plan(tasks) -> list[list]:
+    """Static weighted shards: heaviest group first onto the lightest shard."""
+    groups: dict[str, list] = {}
+    for task in tasks:
+        groups.setdefault(task.instance_key, []).append(task)
+    shards: list[list] = [[] for _ in range(WORKERS)]
+    loads = [0] * WORKERS
+    for key in sorted(groups, key=lambda key: (-group_weight(groups[key]), key)):
+        target = min(range(WORKERS), key=lambda i: (loads[i], i))
+        shards[target].extend(groups[key])
+        loads[target] += group_weight(groups[key])
+    return shards
+
+
+def _replay_queue(tasks, durations) -> tuple[float, list[list]]:
+    """The queue on a virtual clock: ``(makespan, tasks per worker)``."""
+    queue = AffinityTaskQueue(tasks, WORKERS)
     events = [(0.0, worker) for worker in range(WORKERS)]
-    heapq.heapify(events)
+    assignments: list[list] = [[] for _ in range(WORKERS)]
+    makespan = 0.0
     while events:
         now, worker = heapq.heappop(events)
         task = queue.next_task(worker)
-        if task is not None:
-            heapq.heappush(events, (now + durations[task.spec_hash], worker))
-    return queue.steals
+        if task is None:
+            makespan = max(makespan, now)
+            continue
+        assignments[worker].append(task)
+        heapq.heappush(events, (now + durations[task.spec_hash], worker))
+    return makespan, assignments
 
 
 def _run_benchmark() -> dict:
@@ -104,18 +125,23 @@ def _run_benchmark() -> dict:
     # Leg 1: serial measurement — real per-task durations + reference rows.
     durations, serial_rows = _measure_serial_durations(tasks)
 
-    # Leg 2: virtual-time makespans of both policies over those durations.
-    static_makespan, static_assign = simulate_dispatch(
-        tasks, WORKERS, durations, steal=False
+    # Leg 2: virtual-time makespans of the static plan and the queue over
+    # those durations.
+    static_assign = _static_plan(tasks)
+    static_makespan = max(
+        sum(durations[task.spec_hash] for task in shard) for shard in static_assign
     )
-    steal_makespan, _ = simulate_dispatch(tasks, WORKERS, durations, steal=True)
-    steals = _count_steals(tasks, durations)
+    queue_makespan, queue_assign = _replay_queue(tasks, durations)
+    small_group_workers = sum(
+        any(task.payload[0].n == SMALL_SPECS[0].n for task in assigned)
+        for assigned in queue_assign
+    )
 
-    # Leg 3: the real forked (stealing) pool — rows must match serial
-    # bit-for-bit; the wall clock is informational.
+    # Leg 3: the real forked pool — rows must match serial bit-for-bit; the
+    # wall clock is informational.
     start = time.perf_counter()
-    steal_rows = orchestrate(tasks, ServiceConfig(workers=WORKERS))
-    steal_wall_s = time.perf_counter() - start
+    pool_rows = orchestrate(tasks, ServiceConfig(workers=WORKERS))
+    pool_wall_s = time.perf_counter() - start
 
     # Leg 4: α-sweep over one instance through a single runtime — every
     # session after the first adopts its startup views from the store.
@@ -125,7 +151,7 @@ def _run_benchmark() -> dict:
     sweep_serial = [run_single(spec) for spec in VIEW_SWEEP_SPECS]
 
     return {
-        "benchmark": "work-stealing dispatch vs static weighted shards",
+        "benchmark": "central group queue vs static weighted shards",
         "workers": WORKERS,
         "tasks": len(tasks),
         "large_groups": len(LARGE_SPECS),
@@ -133,11 +159,11 @@ def _run_benchmark() -> dict:
         "durations_s": {h: round(s, 4) for h, s in sorted(durations.items())},
         "static_group_counts": sorted(len(a) for a in static_assign),
         "static_makespan_s": round(static_makespan, 4),
-        "steal_makespan_s": round(steal_makespan, 4),
-        "steal_speedup": round(static_makespan / steal_makespan, 2),
-        "steals": steals,
-        "steal_wall_s": round(steal_wall_s, 4),
-        "rows_identical_steal": steal_rows == serial_rows,
+        "queue_makespan_s": round(queue_makespan, 4),
+        "queue_speedup": round(static_makespan / queue_makespan, 2),
+        "small_group_workers": small_group_workers,
+        "pool_wall_s": round(pool_wall_s, 4),
+        "rows_identical_pool": pool_rows == serial_rows,
         "view_store": runtime.view_store.counters(),
         "view_sweep_rows_identical": sweep_rows == sweep_serial,
     }
@@ -146,13 +172,13 @@ def _run_benchmark() -> dict:
 def test_bench_steal(benchmark, emit_report):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
     emit_report(report, "BENCH_steal")
-    # Same tasks, same rows — serial or stealing pool.
-    assert report["rows_identical_steal"]
+    # Same tasks, same rows — serial or pooled.
+    assert report["rows_identical_pool"]
     assert report["view_sweep_rows_identical"]
-    # The static planner really did pile the small groups on one worker...
+    # The static plan really did pile the small groups on one worker...
     assert report["static_group_counts"] == [1, 1, 8]
-    # ...and stealing drained the pile: >= 1.5x makespan, real steals.
-    assert report["steals"] > 0
-    assert report["steal_speedup"] >= 1.5
+    # ...and the queue spread the pile: >= 1.5x makespan, >= 2 workers.
+    assert report["small_group_workers"] >= 2
+    assert report["queue_speedup"] >= 1.5
     # The shared view store saw real cross-session adoptions on the α-sweep.
     assert report["view_store"]["view_store_hits"] > 0

@@ -9,8 +9,9 @@ instance, runs it three ways and shows what the sweep orchestration
 service (``repro.service``) adds over the throwaway pool:
 
 1. each spec run on its own with ``run_single`` (the ground truth);
-2. the orchestrated sweep — instance-affine shards on warm workers — whose
-   results must be identical;
+2. the orchestrated sweep — each instance's cells run as one group on one
+   warm worker, groups handed out heaviest-first — whose results must be
+   identical;
 3. a journaled sweep that gets "killed" halfway (we truncate the journal
    to simulate the SIGKILL) and resumed with ``resume=True``: the completed
    half is served from the journal, only the rest is recomputed, and the

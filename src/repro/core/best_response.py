@@ -74,9 +74,8 @@ from repro.kernels import KernelBackend, resolve_backend
 from repro.kernels.common import UNREACHABLE
 from repro.solvers.set_cover import (
     WARM_START_SOLVERS,
-    SetCoverInstance,
     max_reply,
-    solve_set_cover,
+    solve_set_cover,  # noqa: F401 -- sweepbench's tracer wraps this binding
 )
 
 __all__ = [
@@ -270,14 +269,18 @@ def _tolerant_partial_max(
     the optimal partial strategy reaches exactly the components that are
     reached regardless of her choices — the ones holding a buyer, whose
     edge towards ``u`` exists whatever she plays — and covers those within
-    ``h - 1`` of a bought target or a buyer.  Selecting a vertex in a
-    buyer-free component is always dominated: it re-attaches the whole
-    component (which must then be covered too) without reducing the ``β``
-    term, since *some* component stays abandoned in this regime (reaching
-    everything is the ordinary full-cover loop).
+    ``h - 1`` of a bought target or a buyer: one
+    :func:`~repro.solvers.set_cover.max_reply` over those components with
+    ``usage_floor=β``.  Selecting a vertex in a buyer-free component is
+    always dominated: it re-attaches the whole component (which must then
+    be covered too) without reducing the ``β`` term, since *some*
+    component stays abandoned in this regime (reaching everything is the
+    ordinary full-cover loop).
 
-    Updates and returns the ``(best_cost, best_strategy, exact)`` incumbent;
-    strictly-better-only updates keep strict-model tie-breaking untouched.
+    Updates and returns the ``(best_cost, best_strategy, exact)``
+    incumbent; strictly-better-only updates keep strict-model tie-breaking
+    untouched.  ``exact`` passes through: the regime's covers come from the
+    same solver as the full-cover loop's.
     """
     if dist.shape[0] == 0:
         return best_cost, best_strategy, exact
@@ -297,47 +300,20 @@ def _tolerant_partial_max(
             return beta, frozenset(), exact
         return best_cost, best_strategy, exact
     keep = np.flatnonzero(np.isin(labels, sorted(forced_labels)))
-    sub_dist = dist[np.ix_(keep, keep)]
-    sub_labels = [order[i] for i in keep]
     position = {int(original): pos for pos, original in enumerate(keep)}
-    sub_forced = tuple(sorted(position[i] for i in forced))
-    previous_selected: tuple[int, ...] | None = None
-    for h in range(1, len(sub_labels) + 1):
-        usage = max(float(h), beta)
-        if usage >= best_cost - COST_EPS:
-            break  # usage alone already loses; it only grows with h
-        coverage = sub_dist <= (h - 1)
-        instance = SetCoverInstance(
-            coverage=coverage,
-            forced=sub_forced,
-            candidate_labels=sub_labels,
-            element_labels=sub_labels,
-        )
-        if warm_start:
-            size_cap = (
-                int(math.ceil((best_cost - COST_EPS - usage) / game.alpha))
-                if math.isfinite(best_cost)
-                else None
-            )
-            result = solve_set_cover(
-                instance,
-                method=solver,
-                upper_bound=size_cap,
-                warm_start=previous_selected,
-                backend=backend,
-            )
-        else:
-            result = solve_set_cover(instance, method=solver, backend=backend)
-        if not result.feasible:
-            continue
-        previous_selected = result.selected
-        cost = game.alpha * result.objective + usage
-        if cost < best_cost - COST_EPS:
-            best_cost = cost
-            best_strategy = frozenset(result.selected_labels(instance))
-            if not result.optimal:
-                exact = False
-    return best_cost, best_strategy, exact
+    cost, selection = max_reply(
+        dist[np.ix_(keep, keep)],
+        tuple(sorted(position[i] for i in forced)),
+        game.alpha,
+        best_cost,
+        warm_start,
+        method=solver,
+        backend=backend,
+        usage_floor=beta,
+    )
+    if selection is None:
+        return best_cost, best_strategy, exact
+    return cost, frozenset(order[keep[i]] for i in selection), exact
 
 
 def best_response_max(

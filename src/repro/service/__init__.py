@@ -2,10 +2,11 @@
 
 Compiles any sweep — :class:`~repro.experiments.runner.RunSpec` grids,
 robustness operator chains, SumNCG grids, plain ``func(item)`` maps —
-into instance-affine task shards, executes them on persistent warm-engine
-workers (live :class:`~repro.engine.DynamicsEngine` sessions, cached
-instances), journals every completed task crash-safely and
-resumes interrupted sweeps with the identical row set.  Entry points:
+into instance-affine task groups, hands the groups heaviest-first from one
+central queue to persistent warm-engine workers (live
+:class:`~repro.engine.DynamicsEngine` sessions, cached instances), journals
+every completed task crash-safely and resumes interrupted sweeps with the
+identical row set.  Entry points:
 :func:`repro.service.api.orchestrate` and the ``python -m repro sweep``
 CLI.
 
@@ -40,8 +41,6 @@ from repro.service.tasks import (
     compile_robustness_tasks,
     compile_run_specs,
     compile_sum_tasks,
-    shard_tasks,
-    simulate_dispatch,
     strip_timing_fields,
     sweep_hash,
 )
@@ -58,9 +57,7 @@ __all__ = [
     "compile_run_specs",
     "compile_sum_tasks",
     "compile_robustness_tasks",
-    "shard_tasks",
     "AffinityTaskQueue",
-    "simulate_dispatch",
     "strip_timing_fields",
     "sweep_hash",
     "PersistentWorkerPool",

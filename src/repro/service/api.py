@@ -1,10 +1,10 @@
-"""The sweep orchestration service: compile → shard → execute → journal.
+"""The sweep orchestration service: compile → dispatch → execute → journal.
 
 :func:`orchestrate` is the one funnel every sweep routes through, at
 any worker count: warm instance-affine workers
 (:mod:`repro.service.workers` — in the calling process at one worker), a
 crash-safe resumable journal (:mod:`repro.service.journal`), and —
-regardless of worker count, shard assignment or completion order —
+regardless of worker count, dispatch order or completion order —
 results that are bit-identical to running each task on its own,
 reassembled in canonical task order.
 
@@ -36,7 +36,6 @@ from repro.service.tasks import (
     compile_run_specs,
     compile_sum_tasks,
     decode_result,
-    shard_tasks,
     sweep_hash,
 )
 from repro.service.workers import PersistentWorkerPool, WorkerRuntime
@@ -60,12 +59,11 @@ class ServiceConfig:
     where the final rows land, and ``resume=True`` skips every journaled
     task of the *same* sweep (a different sweep in the same journal is an
     error).  Multi-worker sweeps run on a :class:`~repro.service.workers.
-    PersistentWorkerPool` started for the sweep; ``in_process=True`` (and
-    ``workers=1``) runs the shards one after another in the calling
-    process, each on a fresh serial :class:`WorkerRuntime` — the
-    deterministic stand-in for separate workers that the equivalence tests
-    use; ``shard_seed`` deterministically shuffles the group→shard
-    assignment to prove shard-order invariance.
+    PersistentWorkerPool` started for the sweep; ``workers=1``, a single
+    pending task or ``in_process=True`` (at any worker count) runs every
+    task in compile order on one serial :class:`WorkerRuntime` in the
+    calling process.  A negative ``workers`` is refused on construction,
+    before anything touches ``journal_dir``.
 
     The kernel backend is not configured here: forked workers inherit
     the orchestrator's (:mod:`repro.kernels` — ``REPRO_KERNEL_BACKEND``
@@ -73,10 +71,10 @@ class ServiceConfig:
     bit-identical, so journals and results never depend on it.
 
     A multi-worker pool dispatches through the
-    :class:`~repro.service.tasks.AffinityTaskQueue`: idle workers steal
-    whole pending instance-groups from stragglers.  Each group runs on
-    one worker, which builds the group's instance itself.  Rows never
-    depend on the dispatch — only the makespan does.
+    :class:`~repro.service.tasks.AffinityTaskQueue`: a worker that
+    finishes its instance group checks out the heaviest pending one.  Each
+    group runs on one worker, which builds the group's instance itself.
+    Rows never depend on the dispatch — only the makespan does.
 
     ``telemetry=True`` runs every task under trace spans (engine rounds,
     best responses, view refreshes, kernel calls) and journals one
@@ -93,22 +91,24 @@ class ServiceConfig:
     experiment: str = "sweep"
     resume: bool = False
     in_process: bool = False
-    shard_seed: int | None = None
     telemetry: bool = False
+
+    def __post_init__(self) -> None:
+        resolve_workers(self.workers)  # refuse a bad count before any I/O
 
 
 def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
     """Execute a compiled sweep; decoded results in canonical task order.
 
-    One worker (or ``in_process``) runs each shard in the calling process
-    on a fresh serial :class:`WorkerRuntime`; more workers run the tasks
-    on a :class:`PersistentWorkerPool` for the sweep.  Either way an
-    instance is built once, by the runtime that executes its group, into
-    that runtime's instance cache.  Every result — fresh or
-    journaled — passes through the same encode/decode pair, so the
-    assembled output of a resumed sweep is byte-identical to an
-    uninterrupted one, and the output of a sharded run is byte-identical
-    to the one-worker run.
+    The sweep picks one executor and runs its ``run_tasks`` once: a serial
+    :class:`WorkerRuntime` in the calling process for one worker, one
+    pending task or ``in_process``, else a :class:`PersistentWorkerPool`
+    started for the sweep.  Either way an instance is built once, by the
+    runtime that executes its group, into that runtime's instance cache.
+    Every result — fresh or journaled — passes through the same
+    encode/decode pair, so the assembled output of a resumed sweep is
+    byte-identical to an uninterrupted one, and the output of a pooled run
+    is byte-identical to the one-worker run.
     """
     if not tasks:
         return []
@@ -154,30 +154,15 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
             on_telemetry = journal.append_telemetry if journal is not None else None
             workers = resolve_workers(config.workers)
             if workers == 1 or len(pending) == 1 or config.in_process:
-                shards = shard_tasks(
-                    pending,
-                    workers if config.in_process else 1,
-                    order_seed=config.shard_seed,
-                )
-                for shard in shards:
-                    # One fresh runtime per shard mirrors one worker per
-                    # shard: the same cache boundaries, deterministically.
-                    WorkerRuntime(tracing=config.telemetry).run_tasks(
-                        shard, on_result, on_telemetry=on_telemetry
-                    )
+                executor = WorkerRuntime(tracing=config.telemetry)
             else:
-                pool = PersistentWorkerPool(
+                executor = PersistentWorkerPool(
                     workers=workers, telemetry=config.telemetry
                 )
-                try:
-                    pool.run_tasks(
-                        pending,
-                        on_result,
-                        order_seed=config.shard_seed,
-                        on_telemetry=on_telemetry,
-                    )
-                finally:
-                    pool.stop()
+            try:
+                executor.run_tasks(pending, on_result, on_telemetry=on_telemetry)
+            finally:
+                executor.stop()
     finally:
         if journal is not None:
             journal.close()

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.experiments.config import resolve_workers
 from repro.obs.metrics import default_registry, render_prometheus
 from repro.service.jobs import (
     TERMINAL_STATUSES,
@@ -66,7 +67,8 @@ class DaemonConfig:
     ``in_process=True`` replaces it with one serial
     :class:`WorkerRuntime` whose caches stay warm across jobs too — the
     deterministic executor most tests use.  Results are bit-identical
-    either way.
+    either way.  A negative ``workers`` is refused on construction, before
+    anything touches ``store_dir``.
     ``telemetry=True`` traces every executed task and journals one
     additive telemetry summary record per result (``python -m repro
     trace`` renders them); rows stay bit-identical.
@@ -81,6 +83,9 @@ class DaemonConfig:
     queue_size: int = 16
     in_process: bool = False
     telemetry: bool = False
+
+    def __post_init__(self) -> None:
+        resolve_workers(self.workers)  # refuse a bad count before any I/O
 
 
 def _json_bytes(payload: Any) -> bytes:

@@ -1,4 +1,4 @@
-"""Sweep compilation: turning any sweep into instance-affine task shards.
+"""Sweep compilation and dispatch: any sweep as instance-affine task groups.
 
 Every sweep entry point of the repository — :func:`repro.experiments.runner.
 run_sweep` over :class:`~repro.experiments.runner.RunSpec` grids, the
@@ -10,10 +10,11 @@ items.  This module compiles each of them into
 
 ``instance_key``
     Hash of exactly the inputs that determine the *initial instance*
-    (family, size, seed, ownership rule).  Tasks sharing it are placed on
-    the same worker shard, in sequence, so the worker builds the instance
-    once into its instance cache and every later task of the group hits
-    the cache instead of regenerating (or re-pickling) the graph.
+    (family, size, seed, ownership rule).  Tasks sharing it form one
+    group that :class:`AffinityTaskQueue` hands to a single worker, in
+    sequence, so the worker builds the instance once into its instance
+    cache and every later task of the group hits the cache instead of
+    regenerating (or re-pickling) the graph.
 ``session_key``
     Hash of everything that determines a warm engine session (instance
     plus game, solver, round cap).  Robustness operator tasks of one
@@ -36,8 +37,8 @@ removes them for row-set comparisons.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import asdict, dataclass
-from random import Random
 from typing import Any
 
 from repro.core.metrics import ProfileMetrics
@@ -53,10 +54,8 @@ __all__ = [
     "compile_robustness_tasks",
     "compile_calls",
     "sweep_hash",
-    "shard_tasks",
     "group_weight",
     "AffinityTaskQueue",
-    "simulate_dispatch",
     "strip_timing_fields",
     "instance_builder",
     "instance_size",
@@ -97,7 +96,7 @@ class SweepTask:
 
     ``index`` is the task's position in the canonical sweep order — results
     are reassembled by it, so the emitted row order never depends on how
-    tasks were sharded or which worker finished first.
+    tasks were dispatched or which worker finished first.
     """
 
     kind: str  #: "run_spec" | "sum" | "robustness" | "call"
@@ -258,216 +257,83 @@ def sweep_hash(tasks: list[SweepTask]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Sharding and dispatch
+# Dispatch
 # ----------------------------------------------------------------------
 def group_weight(group: list[SweepTask]) -> int:
     """Estimated cost of one instance-affine task group.
 
     ``instance node count × task count`` — the per-task dynamics cost grows
     with the instance size (view BFS, cover searches), so a 4000-node
-    instance's ten tasks should not be balanced as if they matched ten tasks
-    on a 50-node instance.  Still an *estimate*: α/k skew is invisible to it,
-    which is exactly the residual imbalance work stealing mops up at runtime.
+    instance's ten tasks should not be ordered as if they matched ten tasks
+    on a 50-node instance.  Still an *estimate*: α/k skew is invisible to
+    it, which the central queue absorbs by handing groups out on demand.
     """
     return instance_size(group[0]) * len(group)
 
 
-def _affinity_groups(
-    tasks: list[SweepTask], order_seed: int | None = None
-) -> tuple[dict[str, list[SweepTask]], list[str]]:
-    """Group tasks by ``instance_key``; keys ordered heaviest-first.
-
-    Compile order is preserved inside a group (session-sharing tasks stay
-    consecutive).  ``order_seed`` deterministically shuffles the key order —
-    the equivalence tests use it to prove assignment never affects results.
-    """
-    groups: dict[str, list[SweepTask]] = {}
-    arrival: list[str] = []
-    for task in tasks:
-        if task.instance_key not in groups:
-            groups[task.instance_key] = []
-            arrival.append(task.instance_key)
-    for task in tasks:
-        groups[task.instance_key].append(task)
-    keys = sorted(arrival, key=lambda key: (-group_weight(groups[key]), key))
-    if order_seed is not None:
-        Random(order_seed).shuffle(keys)
-    return groups, keys
-
-
-def shard_tasks(
-    tasks: list[SweepTask], num_shards: int, order_seed: int | None = None
-) -> list[list[SweepTask]]:
-    """Split tasks into ``num_shards`` static shards with instance affinity.
-
-    Tasks are grouped by ``instance_key`` (preserving compile order inside
-    a group, so session-sharing tasks stay consecutive) and groups are
-    greedily balanced onto shards by estimated :func:`group_weight`
-    (instance node count × task count), heaviest first.  Shards may come
-    back empty when there are fewer groups than shards.  Results never
-    depend on the assignment: every task is self-contained and reassembled
-    by ``index`` — ``order_seed`` deterministically shuffles the assignment
-    order, which the equivalence tests use to prove exactly that.
-
-    This static split is the execution plan for ``workers=1`` and
-    in-process sweeps; the process pool uses the same grouping/assignment
-    as soft affinity *hints* via :class:`AffinityTaskQueue`, whose
-    ``steal=False`` mode reproduces these shards exactly.
-    """
-    if not tasks:
-        return []
-    if num_shards <= 1:
-        return [list(tasks)]
-    groups, keys = _affinity_groups(tasks, order_seed)
-    shards: list[list[SweepTask]] = [[] for _ in range(num_shards)]
-    loads = [0] * num_shards
-    for key in keys:
-        target = min(range(num_shards), key=lambda i: (loads[i], i))
-        shards[target].extend(groups[key])
-        loads[target] += group_weight(groups[key])
-    return shards
-
-
 class AffinityTaskQueue:
-    """Central dispatcher: soft instance affinity plus whole-group stealing.
+    """Central dispatcher: one queue of instance groups, heaviest first.
 
-    The static planner above *assigns* groups; this queue merely *hints*
-    them.  Each worker drains its own groups in assignment order and, when
-    it runs dry (``steal=True``), steals the **oldest pending group** from
-    the victim with the largest remaining estimated load — whole
-    instance-groups move, never single tasks, so the in-sequence-per-
-    instance invariant (warm sessions, one instance build per group,
-    journal ordering) survives any interleaving.  A group being executed
-    is checked out to its worker and can no longer move.
+    Tasks are grouped by ``instance_key`` (compile order kept inside a
+    group, so session-sharing tasks stay consecutive) and the groups are
+    ordered by ``(-group_weight, instance_key)``.  A worker that asks for
+    work continues the group it has checked out; otherwise it checks out
+    the next pending group.  Whole groups go to one worker, never single
+    tasks, so the in-sequence-per-instance invariant (warm sessions, one
+    instance build per group, journal ordering) holds under any
+    interleaving of requests.  This is greedy LPT list scheduling
+    (Graham 1969): within 4/3 of the optimal makespan on true weights.
 
     Dispatch is deterministic given the sequence of :meth:`next_task`
     calls; results never depend on that sequence because every task is
-    self-contained and reassembled by canonical index — with
-    ``steal=False`` the dispatch degenerates to exactly the static shards
-    of :func:`shard_tasks`.
+    self-contained and reassembled by canonical index.
     """
 
-    def __init__(
-        self,
-        tasks: list[SweepTask],
-        num_workers: int,
-        steal: bool = True,
-        order_seed: int | None = None,
-    ) -> None:
+    def __init__(self, tasks: list[SweepTask], num_workers: int) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-        self.steal = steal
-        groups, keys = _affinity_groups(list(tasks), order_seed)
-        self._groups = groups
-        # Same greedy weighted assignment as the static planner — these are
-        # the soft affinity hints.
-        self._pending: list[list[str]] = [[] for _ in range(num_workers)]
-        loads = [0] * num_workers
-        for key in keys:
-            target = min(range(num_workers), key=lambda i: (loads[i], i))
-            self._pending[target].append(key)
-            loads[target] += group_weight(groups[key])
-        self._cursor: dict[str, int] = {key: 0 for key in keys}
-        self._active: list[str | None] = [None] * num_workers
-        # Instrumentation (read by tests and the steal benchmark) — private
-        # registry children behind read-through properties, so dispatch
-        # counts also aggregate into the process-wide metrics.
-        dispatch = get_telemetry().registry.counter(
-            "repro_dispatch_total",
-            help="Task-queue dispatch decisions",
-            labelnames=("op",),
+        groups: dict[str, list[SweepTask]] = {}
+        for task in tasks:
+            groups.setdefault(task.instance_key, []).append(task)
+        self._pending = deque(
+            sorted(
+                groups.values(),
+                key=lambda group: (-group_weight(group), group[0].instance_key),
+            )
         )
-        self._m_steals = dispatch.child(op="steal")
-        self._m_dispatched = dispatch.child(op="dispatch")
-
-    @property
-    def steals(self) -> int:
-        return self._m_steals.value
+        self._active: list[deque] = [deque() for _ in range(num_workers)]
+        # Instrumentation (read by tests) — a registry child behind a
+        # read-through property, so dispatch counts also aggregate into the
+        # process-wide metrics.
+        self._m_dispatched = (
+            get_telemetry()
+            .registry.counter(
+                "repro_dispatch_total",
+                help="Task-queue dispatch decisions",
+                labelnames=("op",),
+            )
+            .child(op="dispatch")
+        )
 
     @property
     def dispatched(self) -> int:
         return self._m_dispatched.value
 
-    def _pending_load(self, worker: int) -> int:
-        return sum(group_weight(self._groups[key]) for key in self._pending[worker])
-
-    def remaining(self) -> int:
-        """Tasks not yet handed out (pending groups + checked-out tails)."""
-        return sum(
-            len(self._groups[key]) - self._cursor[key] for key in self._cursor
-        )
-
-    def _next_from_group(self, worker: int, key: str) -> SweepTask:
-        group = self._groups[key]
-        task = group[self._cursor[key]]
-        self._cursor[key] += 1
-        self._active[worker] = key if self._cursor[key] < len(group) else None
-        self._m_dispatched.inc()
-        return task
-
     def next_task(self, worker: int) -> SweepTask | None:
         """The next task ``worker`` should run, or ``None`` when it is done.
 
-        Order of preference: finish the checked-out group, then the oldest
-        of the worker's own pending groups, then (``steal=True``) the
-        oldest pending group of the most-loaded victim.  ``None`` is
-        terminal for the worker: every remaining task belongs to a group
-        checked out elsewhere.
+        Continues the worker's checked-out group in compile order, else
+        checks out the next pending group.  ``None`` is terminal for the
+        worker: every remaining task belongs to a group checked out
+        elsewhere.
         """
         active = self._active[worker]
-        if active is not None:
-            return self._next_from_group(worker, active)
-        if self._pending[worker]:
-            return self._next_from_group(worker, self._pending[worker].pop(0))
-        if not self.steal:
-            return None
-        victim = max(
-            (w for w in range(self.num_workers) if self._pending[w]),
-            key=lambda w: (self._pending_load(w), -w),
-            default=None,
-        )
-        if victim is None:
-            return None
-        self._m_steals.inc()
-        return self._next_from_group(worker, self._pending[victim].pop(0))
-
-
-def simulate_dispatch(
-    tasks: list[SweepTask],
-    num_workers: int,
-    durations: dict[str, float],
-    steal: bool = True,
-    order_seed: int | None = None,
-) -> tuple[float, list[list[int]]]:
-    """Virtual-time replay of the dispatch policy over measured durations.
-
-    ``durations`` maps ``spec_hash`` to the task's execution time (measured
-    once, or synthetic).  The replay drives :class:`AffinityTaskQueue`
-    exactly like the worker pool does — a worker requests its next task the
-    moment its previous one completes — but on a deterministic virtual
-    clock, so static-vs-stealing makespans can be compared exactly, on any
-    machine, independent of how many physical cores happen to exist.
-
-    Returns ``(makespan, assignments)`` with ``assignments[worker]`` the
-    canonical task indices the worker executed, in dispatch order.
-    """
-    import heapq
-
-    queue = AffinityTaskQueue(tasks, num_workers, steal=steal, order_seed=order_seed)
-    events = [(0.0, worker) for worker in range(num_workers)]
-    heapq.heapify(events)
-    assignments: list[list[int]] = [[] for _ in range(num_workers)]
-    makespan = 0.0
-    while events:
-        now, worker = heapq.heappop(events)
-        task = queue.next_task(worker)
-        if task is None:
-            makespan = max(makespan, now)
-            continue
-        assignments[worker].append(task.index)
-        heapq.heappush(events, (now + durations[task.spec_hash], worker))
-    return makespan, assignments
+        if not active:
+            if not self._pending:
+                return None
+            active.extend(self._pending.popleft())
+        self._m_dispatched.inc()
+        return active.popleft()
 
 
 def strip_timing_fields(rows: list[dict]) -> list[dict]:

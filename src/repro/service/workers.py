@@ -8,17 +8,17 @@ state the incremental engine exists to keep alive.  This module keeps it:
 * :class:`WorkerRuntime` executes :class:`~repro.service.tasks.SweepTask`s
   while holding two small LRUs — initial instances keyed by
   ``instance_key`` and live :class:`~repro.experiments.extensions.
-  robustness._BaseSession` engines keyed by ``session_key``.  Because the
-  task compiler shards with instance affinity, consecutive tasks hit these
-  caches: each instance is built once, by the worker that runs its group,
+  robustness._BaseSession` engines keyed by ``session_key``.  Because
+  each instance group runs on one worker in compile order, consecutive
+  tasks hit these caches: each instance is built once, by that worker,
   and a robustness cell's second operator chain starts from a
   ``restore_profile`` warm replay instead of a cold base convergence.
 * :class:`PersistentWorkerPool` runs a fixed set of long-lived worker
   processes fed through an :class:`~repro.service.tasks.AffinityTaskQueue`:
-  soft instance affinity keeps the warm caches hot, idle workers steal
-  whole instance-groups from stragglers, and every result streams back as
-  ``(index, spec_hash, encoded payload)`` the moment it lands — the
-  property that makes a SIGKILL resumable.
+  a worker drains its checked-out instance group (keeping the warm caches
+  hot), then checks out the heaviest pending group, and every result
+  streams back as ``(index, spec_hash, encoded payload)`` the moment it
+  lands — the property that makes a SIGKILL resumable.
 
 Both are *executors* with one protocol — ``start()``, ``run_tasks(tasks,
 on_result, should_abort=None, on_telemetry=None)``, ``stop()`` — so the
@@ -62,9 +62,10 @@ __all__ = [
     "PersistentWorkerPool",
 ]
 
-#: Live engine sessions per worker.  Shards order tasks group-by-group, so
-#: a session is only revisited while its group runs — two covers the
-#: current group plus one straggler.
+#: Live engine sessions per worker.  A session's tasks are consecutive
+#: inside its instance group, which runs back to back on one worker, so
+#: within a sweep a session is not revisited once the next one starts; the
+#: second slot keeps the previous session warm for a daemon's next job.
 SESSION_CACHE_SIZE: int = 2
 
 #: Initial instances per worker (cheap: one profile each).
@@ -352,8 +353,8 @@ class PersistentWorkerPool:
     a one-task window per worker (a worker only receives its next task
     after returning the previous one), which keeps cancellation prompt —
     at most ``workers`` tasks are in flight when a job is aborted — and
-    lets :meth:`run_tasks` preserve the instance-affine shard order within
-    each worker.
+    lets :meth:`run_tasks` keep each instance group in compile order on
+    its worker.
     """
 
     def __init__(
@@ -412,24 +413,15 @@ class PersistentWorkerPool:
         self._processes = [None] * self.workers
 
     # -- execution -----------------------------------------------------
-    def run_tasks(
-        self,
-        tasks,
-        on_result,
-        should_abort=None,
-        order_seed=None,
-        on_telemetry=None,
-    ) -> None:
+    def run_tasks(self, tasks, on_result, should_abort=None, on_telemetry=None) -> None:
         """Execute ``tasks``; ``on_result(index, spec_hash, kind, payload)``
         fires in completion order (the caller journals and reassembles by
         index).  Dispatch goes through an :class:`~repro.service.tasks.
-        AffinityTaskQueue`: each worker drains its soft-affinity groups in
-        order and, when it runs dry, steals the oldest pending group from
-        the most-loaded sibling.
-        The one-task window per worker is preserved — a worker only
-        receives its next task after returning the previous one — which
-        keeps cancellation prompt and lets the queue route around
-        stragglers at task granularity.
+        AffinityTaskQueue`: each worker drains the instance group it has
+        checked out, in compile order, then checks out the heaviest pending
+        group.  A worker only receives its next task after returning the
+        previous one, which keeps cancellation prompt and hands a pending
+        group to whichever worker frees up first.
 
         ``should_abort()`` is polled before the first dispatch and after
         every completion: once it returns True no further task is
@@ -444,12 +436,12 @@ class PersistentWorkerPool:
         When the *orchestrator's* telemetry has tracing enabled, dispatch
         lifecycle spans (``task.dispatch``: queued-to-done per task, with
         worker slot) are additionally recorded on that tracer, alongside
-        the queue's steal/dispatch counters.
+        the queue's dispatch counter.
         """
         if not tasks or (should_abort is not None and should_abort()):
             return
         self.start()
-        queue = AffinityTaskQueue(list(tasks), self.workers, order_seed=order_seed)
+        queue = AffinityTaskQueue(tasks, self.workers)
         tracer = get_telemetry().tracer
         inflight_spans: dict[int, object] = {}
         busy = [False] * self.workers

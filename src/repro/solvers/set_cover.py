@@ -422,6 +422,7 @@ def max_reply(
     warm_start: bool,
     method: str = "branch_and_bound",
     backend: str | KernelBackend | None = None,
+    usage_floor: float = 0.0,
 ) -> tuple[float, tuple[int, ...] | None]:
     """The MaxNCG best-response loop over eccentricity guesses ``h``.
 
@@ -436,25 +437,32 @@ def max_reply(
     Returns the final cost and the winning cover's rows, or ``None`` when
     nothing beat ``best_cost``.
 
+    ``usage_floor`` prices each guess at usage ``max(h, usage_floor)``
+    instead of ``h`` (break test, size cap and cost): the tolerant models'
+    partial-cover regime passes its unreachable penalty ``β`` here.  The
+    kernels never pass it.
+
     This is the ``max_reply`` kernel of the numpy backend (see
     :mod:`repro.kernels` for the contract) and the loop the ``milp`` and
     ``greedy`` ablation solvers run.
     """
     best_selection = None
     previous: tuple[int, ...] | None = None
-    # A reply with eccentricity h costs at least h, so once h reaches the
-    # incumbent cost no better solution can exist.
+    # A reply with eccentricity h costs at least its usage, which only grows
+    # with h, so once it reaches the incumbent cost no better solution can
+    # exist.
     for h in range(1, dist.shape[0] + 1):
-        if h >= best_cost - COST_EPS:
+        usage = max(h, usage_floor)
+        if usage >= best_cost - COST_EPS:
             break
         instance = SetCoverInstance(coverage=dist <= (h - 1), forced=forced)
         if warm_start:
-            # Only covers with alpha * size + h < best_cost can win, so the
+            # Only covers with alpha * size + usage < best_cost can win, so the
             # search is capped at the largest useful size; "infeasible" then
             # means "nothing useful at this h".  While best_cost is infinite
             # (a disconnected incumbent) every size is useful.
             size_cap = (
-                int(math.ceil((best_cost - COST_EPS - h) / alpha))
+                int(math.ceil((best_cost - COST_EPS - usage) / alpha))
                 if math.isfinite(best_cost)
                 else None
             )
@@ -467,7 +475,7 @@ def max_reply(
         if not result.feasible:
             continue
         previous = result.selected
-        cost = alpha * result.objective + h
+        cost = alpha * result.objective + usage
         if cost < best_cost - COST_EPS:
             best_cost = cost
             best_selection = result.selected

@@ -229,6 +229,12 @@ class TestDaemonWorkerPool:
         assert stats["cache_hits"] == len(specs)
         assert stats["workers"] == 2
 
+    def test_negative_workers_rejected_before_the_store_is_touched(self, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(ValueError, match="workers"):
+            ServiceDaemon(DaemonConfig(store_dir=store, workers=-1))
+        assert not store.exists()
+
 
 class TestJobDescriptions:
     @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Tests for the sweep orchestration service.
 
 The load-bearing property: orchestrated sweeps — any worker count, any
-shard assignment, warm engine reuse, journal round-trips — produce
+dispatch interleaving, warm engine reuse, journal round-trips — produce
 exactly the results of references built outside the service
 (``run_single`` per spec, ``run_sum_task`` per run, a fresh base engine
 per robustness cell), reassembled in canonical task order.
@@ -11,6 +11,7 @@ documented exception; they differ between any two runs just the same.
 
 import dataclasses
 import os
+import random
 import time
 from pathlib import Path
 
@@ -40,18 +41,16 @@ from repro.service.api import (
     ServiceConfig,
     map_calls,
     orchestrate,
-    robustness_sweep,
     run_spec_sweep,
-    sum_sweep,
 )
 from repro.service.tasks import (
+    AffinityTaskQueue,
     compile_calls,
     compile_robustness_tasks,
     compile_run_specs,
     compile_sum_tasks,
     decode_result,
     encode_result,
-    shard_tasks,
     strip_timing_fields,
     sweep_hash,
 )
@@ -86,7 +85,40 @@ def _robustness_config(workers: int = 1) -> RobustnessStudyConfig:
     )
 
 
-class TestCompilationAndSharding:
+def _dispatch_interleaved(tasks, workers: int, choose) -> list[tuple[int, object]]:
+    """Drain an :class:`AffinityTaskQueue` as ``(worker, task)`` pairs.
+
+    ``choose(active)`` picks the requesting worker from the sorted list of
+    workers the queue has not yet told to stop.
+    """
+    queue = AffinityTaskQueue(tasks, workers)
+    sequence = []
+    active = list(range(workers))
+    while active:
+        worker = choose(active)
+        task = queue.next_task(worker)
+        if task is None:
+            active.remove(worker)
+        else:
+            sequence.append((worker, task))
+    return sequence
+
+
+def _run_interleaved(tasks, workers: int, choose) -> list:
+    """Decoded results in task order, each task executed as dispatched on
+    the :class:`WorkerRuntime` of the worker the queue handed it to."""
+    runtimes = [WorkerRuntime() for _ in range(workers)]
+    decoded = {}
+    for worker, task in _dispatch_interleaved(tasks, workers, choose):
+        payload = encode_result(task, runtimes[worker].execute(task))
+        decoded[task.index] = decode_result(task.kind, payload)
+    assert sum(r.instances_built for r in runtimes) == len(
+        {task.instance_key for task in tasks}
+    )
+    return [decoded[task.index] for task in tasks]
+
+
+class TestCompilationAndDispatch:
     def test_run_spec_tasks_share_instance_keys_across_cells(self):
         tasks = compile_run_specs(_specs(num_seeds=2))
         by_seed = {}
@@ -124,21 +156,14 @@ class TestCompilationAndSharding:
         assert sweep_hash(first) != sweep_hash(second)
         assert [t.spec_hash for t in first] == [t.spec_hash for t in compiled(3.0000001)]
 
-    def test_shards_preserve_instance_affinity(self):
+    def test_queue_preserves_instance_affinity(self):
         tasks = compile_run_specs(_specs(num_seeds=3))
-        for seed in (None, 0, 1, 17):
-            shards = shard_tasks(tasks, 3, order_seed=seed)
-            flattened = [task for shard in shards for task in shard]
-            assert sorted(t.index for t in flattened) == [t.index for t in tasks]
+        for seed in (0, 1, 17):
+            sequence = _dispatch_interleaved(tasks, 3, random.Random(seed).choice)
+            assert sorted(t.index for _, t in sequence) == [t.index for t in tasks]
             owner = {}
-            for shard_id, shard in enumerate(shards):
-                for task in shard:
-                    assert owner.setdefault(task.instance_key, shard_id) == shard_id
-
-    def test_single_shard_is_the_task_list(self):
-        tasks = compile_run_specs(_specs())
-        assert shard_tasks(tasks, 1) == [tasks]
-        assert shard_tasks([], 4) == []
+            for worker, task in sequence:
+                assert owner.setdefault(task.instance_key, worker) == worker
 
     def test_sweep_hash_tracks_content(self):
         tasks = compile_run_specs(_specs())
@@ -213,30 +238,34 @@ class TestOrchestratedEquivalence:
     @settings(
         max_examples=8,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    @given(workers=st.integers(min_value=2, max_value=5), shard_seed=st.integers(0, 1000))
-    def test_run_spec_rows_invariant_under_sharding(self, workers, shard_seed):
+    @given(workers=st.integers(min_value=2, max_value=5), data=st.data())
+    def test_run_spec_rows_invariant_under_dispatch(self, workers, data):
         specs = _specs()
         serial = [run_single(spec) for spec in specs]
-        orchestrated = run_spec_sweep(
-            specs,
-            ServiceConfig(workers=workers, in_process=True, shard_seed=shard_seed),
+        results = _run_interleaved(
+            compile_run_specs(specs),
+            workers,
+            lambda active: data.draw(st.sampled_from(active), label="worker"),
         )
-        assert orchestrated == serial
+        assert results == serial
 
-    @pytest.mark.parametrize("shard_seed", [0, 7])
-    def test_robustness_rows_invariant_under_sharding(self, shard_seed):
+    @pytest.mark.parametrize("workers, seed", [(2, 0), (3, 7)])
+    def test_robustness_rows_invariant_under_dispatch(self, workers, seed):
         serial = _robustness_reference(_robustness_config())
-        rows, checkpoint = robustness_sweep(
-            _robustness_config(),
-            ServiceConfig(workers=3, in_process=True, shard_seed=shard_seed),
+        results = _run_interleaved(
+            compile_robustness_tasks(_robustness_config()),
+            workers,
+            random.Random(seed).choice,
         )
+        rows = [row for task_rows, _ in results for row in task_rows]
         assert strip_timing_fields(rows) == strip_timing_fields(serial)
+        checkpoint = results[0][1]
         assert checkpoint is not None and checkpoint["certified"]
 
-    @pytest.mark.parametrize("shard_seed", [0, 7])
-    def test_sum_rows_invariant_under_sharding(self, shard_seed):
+    @pytest.mark.parametrize("workers, seed", [(3, 0), (5, 7)])
+    def test_sum_rows_invariant_under_dispatch(self, workers, seed):
         cfg = SumDynamicsConfig.smoke()
         max_rounds = cfg.settings.max_rounds
         serial = [
@@ -250,8 +279,8 @@ class TestOrchestratedEquivalence:
                 cfg.settings.base_seed, cfg.settings.base_seed + cfg.settings.num_seeds
             )
         ]
-        rows = sum_sweep(
-            cfg, ServiceConfig(workers=3, in_process=True, shard_seed=shard_seed)
+        rows = _run_interleaved(
+            compile_sum_tasks(cfg), workers, random.Random(seed).choice
         )
         assert rows == serial
 
@@ -539,6 +568,11 @@ class TestOrchestrateJournal:
                 ServiceConfig(journal_dir=tmp_path, experiment="bad/name"),
             )
         assert list(tmp_path.iterdir()) == []  # nothing was created or run
+
+    def test_negative_workers_rejected_before_the_journal_opens(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            run_spec_sweep(_specs(), ServiceConfig(workers=-1, journal_dir=tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_rejects_a_different_sweep(self, tmp_path):
         config = ServiceConfig(workers=1, journal_dir=tmp_path, experiment="exp")
