@@ -4,9 +4,11 @@
 The hot loops of every experiment — the batched BFS level expansion, its
 fused statistics fold, the one-player ``view`` (a player's visible nodes,
 their distances and the CSR of her view without her: how the engine
-settles every view), the set-cover branch-and-bound search, and the
+settles every view), the set-cover branch-and-bound search, the
 MaxNCG best-response loop that runs that search once per eccentricity
-guess (``max_reply``, one C call per reply on native) — run on pluggable
+guess (``max_reply``, one C call per reply on native), and the SumNCG
+reply (``sum_reply``: the pruned exact enumeration or one hill climb,
+one C call each on native) — run on pluggable
 backends (:mod:`repro.kernels`): the ``native`` C/ctypes backend, compiled once
 per host with the system compiler and auto-selected wherever that works,
 and the always-available ``numpy`` reference it falls back to.  Both

@@ -32,11 +32,11 @@ token, strategy) exactly like the max game.
 Both routines price candidates from one distance matrix: the player's
 distances after a move are ``1 + min`` over the rows of ``H \\ {u}`` of her
 new targets and her buyers, so a candidate's cost and its Proposition 2.2
-frontier veto are a column minimum away (:class:`_SumEvaluator`), and a
-subset-size class or a batch of hill-climb moves is priced in one
-vectorised gather.  The costs are the same float expressions over the
-same integers as :func:`~repro.core.deviations.worst_case_delta`, which
-stays as the reference.
+frontier veto are a column minimum away (see
+:mod:`repro.solvers.sum_reply`).  The costs are the same float expressions
+over the same integers as :func:`~repro.core.deviations.worst_case_delta`,
+which stays as the reference.  A pruned enumeration, and each climb, is
+one call of the kernel backend's ``sum_reply``.
 
 Cost models
 -----------
@@ -56,7 +56,6 @@ finite best responses.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 import warnings
@@ -72,6 +71,7 @@ from repro.graphs.graph import Node
 from repro.graphs.traversal import batched_bfs_distances, distance_matrix
 from repro.kernels import KernelBackend, resolve_backend
 from repro.kernels.common import UNREACHABLE
+from repro.solvers import sum_reply as sum_search
 from repro.solvers.set_cover import (
     WARM_START_SOLVERS,
     max_reply,
@@ -227,7 +227,8 @@ def _max_view_cost(
     """:func:`~repro.core.deviations.view_cost` of ``strategy`` in MaxNCG.
 
     Her distances after playing ``strategy`` are ``1 + min`` over the
-    context rows of ``strategy`` and her buyers (see :class:`_SumEvaluator`),
+    context rows of ``strategy`` and her buyers (see
+    :class:`~repro.solvers.sum_reply.SumEvaluator`),
     fed into the same float expression.
     """
     rows = context.rows(player, strategy) + list(context.forced)
@@ -353,7 +354,8 @@ def best_response_max(
     starts are meaningless there).
 
     The incumbent is priced from the context rows (as
-    :class:`_SumEvaluator` prices SumNCG strategies), and the whole
+    :class:`~repro.solvers.sum_reply.SumEvaluator` prices SumNCG
+    strategies), and the whole
     eccentricity-guess loop runs in the kernel backend's ``max_reply`` —
     one native call per reply on the compiled backend — or, for the
     ``milp`` and ``greedy`` ablations, in
@@ -415,150 +417,45 @@ def best_response_max(
     )
 
 
-#: Column-minimum rows the SumNCG evaluator prices per vectorised batch;
-#: bounds the transient ``rows x |H - u|`` scratch of large size classes
-#: and swap neighbourhoods.
-_SUM_BATCH_ROWS: int = 4096
+def _sum_problem(
+    view: View, game: GameSpec, context: MaxCoverContext
+) -> tuple[tuple, np.ndarray]:
+    """The pricing arguments of a SumNCG reply and its candidates, as rows.
 
-
-class _SumEvaluator:
-    """Prices a player's SumNCG strategies from one distance matrix.
-
-    After ``u`` switches to ``S`` every path out of ``u`` in the modified
-    view ``H'`` starts with an edge to ``S`` or to a buyer ``b ∈ B`` (the
-    edges bought towards ``u``, which she cannot drop: the context's
-    ``forced`` rows), so for every other visible ``v``::
-
-        d_{H'}(u, v) = 1 + min_{s ∈ S ∪ B} D[s, v]
-
-    with ``D`` the distances of ``H − u`` (:attr:`MaxCoverContext.dist` —
-    the SumNCG strategy space is exactly the node set of ``H − u``).  The
-    column minimum of at most ``|S| + |B|`` rows gives a candidate's
-    realised distance sum, its unreached count and its Proposition 2.2
-    frontier veto: the integers :func:`~repro.core.deviations.view_cost` and
-    :func:`~repro.core.deviations.deviation_is_forbidden_sum` read off a BFS
-    of the copied view, fed into the same float expressions, so every cost
-    and ``∆`` is bit-identical to
-    :func:`~repro.core.deviations.worst_case_delta`.  Scalar costs are
-    memoised per strategy for the lifetime of one reply.
+    The pricing arguments are ``(dist, forced, frontier_columns,
+    frontier_limits, alpha, beta)`` — those of
+    :class:`~repro.solvers.sum_reply.SumEvaluator` and the leading ones of
+    the ``sum_reply`` kernel — and the candidates are the strategy space's
+    rows in ``repr`` order, the scan order of every search.  An
+    :class:`~repro.core.views.ArrayView`'s context rows are already in that
+    order (its labels are), and its frontier is the nodes at distance ``k``
+    (none under full knowledge); any other view's are looked up.  A
+    frontier vertex's limit is its distance from the player minus one.
     """
-
-    def __init__(self, view: View, game: GameSpec, context: MaxCoverContext) -> None:
-        self.view = view
-        self.game = game
-        self.context = context
-        self.dist = context.dist
-        self.index = context.index
-        buyers = list(context.forced)
-        self.base = (
-            self.dist[buyers].min(axis=0)
-            if buyers
-            else np.full(len(context.order), UNREACHABLE, dtype=self.dist.dtype)
+    if not isinstance(view, ArrayView):
+        index = context.index
+        candidates = np.array(
+            [index[node] for node in sorted(view.strategy_space, key=repr)], dtype=np.intp
         )
-        # The veto fires when 1 + minimum > reference, i.e. minimum >
-        # reference - 1 (UNREACHABLE exceeds every finite limit).  Frontier
-        # vertices are visible and never the player, so all sit in H - u.
-        if not isinstance(view, ArrayView):
-            self.frontier_columns = np.array(
-                [self.index[vertex] for vertex in view.frontier], dtype=np.intp
-            )
-            self.frontier_limits = np.array(
-                [view.distances.get(vertex, view.k) - 1 for vertex in view.frontier],
-                dtype=np.float64,
-            )
-        else:
-            # An array view's rows are its node positions, and its frontier
-            # is the nodes at distance k (none under full knowledge).
-            self.frontier_columns = np.flatnonzero(view.arrays[1] == view.k)
-            self.frontier_limits = np.full(self.frontier_columns.size, view.k - 1.0)
-        self._costs: dict[frozenset[Node], tuple[float, bool]] = {}
-
-    def rows(self, targets) -> list[int]:
-        """Row indices of ``targets`` (see :meth:`MaxCoverContext.rows`)."""
-        return self.context.rows(self.view.player, targets)
-
-    def minimum(self, rows: list[int]) -> np.ndarray:
-        """Column minimum of ``rows ∪ B``: ``d_{H'}(u, ·) - 1`` over ``H − u``."""
-        if not rows:
-            return self.base
-        return np.minimum(self.dist[rows].min(axis=0), self.base)
-
-    def leave_one_out(self, rows: list[int]) -> np.ndarray:
-        """Row ``i``: the column minimum of ``(rows without rows[i]) ∪ B``."""
-        stacked = self.dist[rows]
-        pad = np.full((1, stacked.shape[1]), UNREACHABLE, dtype=stacked.dtype)
-        before = np.minimum.accumulate(np.vstack([pad, stacked]), axis=0)[:-1]
-        after = np.minimum.accumulate(np.vstack([stacked, pad])[::-1], axis=0)[::-1][1:]
-        return np.minimum(np.minimum(before, after), self.base)
-
-    def price(self, minima: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """View costs and frontier vetoes of strategies given their column minima.
-
-        ``size`` is the strategies' common size.  The cost
-        is ``α·|S| + usage_sum(finite sum, unreached)`` exactly as
-        :func:`~repro.core.deviations.view_cost` computes it
-        (:meth:`~repro.core.cost_models.CostModel.fold_sum` is the
-        vectorised :meth:`~repro.core.cost_models.CostModel.usage_sum`).
-        """
-        reached = minima != UNREACHABLE
-        counts = np.count_nonzero(reached, axis=1)
-        # Each reached vertex sits one hop further than its row minimum;
-        # u herself adds 0 to the sum and is never unreached.
-        sums = np.add.reduce(np.where(reached, minima, 0), axis=1, dtype=np.int64) + counts
-        unreached = minima.shape[1] - counts
-        costs = self.game.alpha * size + self.game.cost_model.fold_sum(sums, unreached)
-        if not self.frontier_columns.size:
-            return costs, np.zeros(len(minima), dtype=bool)
-        frontier = minima[:, self.frontier_columns]
-        return costs, np.logical_or.reduce(frontier > self.frontier_limits, axis=1)
-
-    def cost(self, strategy: frozenset[Node]) -> tuple[float, bool]:
-        """``(view_cost, forbidden)`` of one strategy, memoised per reply."""
-        known = self._costs.get(strategy)
-        if known is None:
-            minima = self.minimum(self.rows(strategy))[None, :]
-            costs, forbidden = self.price(minima, len(strategy))
-            known = (float(costs[0]), bool(forbidden[0]))
-            self._costs[strategy] = known
-        return known
-
-    def remember(self, strategy: frozenset[Node], cost: float) -> None:
-        """Record the cost of an allowed strategy priced in a batch."""
-        self._costs[strategy] = (cost, False)
-
-    def delta(self, current: frozenset[Node], new: frozenset[Node]) -> float:
-        """:func:`~repro.core.deviations.worst_case_delta` of ``current → new``."""
-        new_cost, forbidden = self.cost(new)
-        if forbidden:
-            return math.inf
-        old_cost = self.cost(current)[0]
-        if math.isinf(new_cost) and math.isinf(old_cost):
-            return 0.0
-        return new_cost - old_cost
-
-    @staticmethod
-    def deltas(old_cost: float, costs: np.ndarray, forbidden: np.ndarray) -> np.ndarray:
-        """:meth:`delta` of one old cost against a batch of priced strategies."""
-        if math.isinf(old_cost):
-            # inf - inf -> 0.0; a finite new cost gives finite - inf = -inf.
-            deltas = np.where(np.isinf(costs), 0.0, -math.inf)
-        else:
-            deltas = costs - old_cost
-        deltas[forbidden] = math.inf
-        return deltas
+        columns = np.array([index[vertex] for vertex in view.frontier], dtype=np.intp)
+        limits = np.array(
+            [view.distances.get(vertex, view.k) - 1 for vertex in view.frontier],
+            dtype=np.float64,
+        )
+    else:
+        candidates = np.arange(len(context.order))
+        columns = np.flatnonzero(view.arrays[1] == view.k)
+        limits = np.full(columns.size, view.k - 1.0)
+    pricing = (
+        context.dist, context.forced, columns, limits,
+        game.alpha, game.cost_model.unreachable_distance,
+    )
+    return pricing, candidates
 
 
-def _improving(base: float, deltas: np.ndarray, bar: float) -> np.ndarray:
-    """Positions (in order) of finite ``∆`` with ``base + ∆ < bar``.
-
-    ``base`` is the cost of the strategy the ``∆`` are taken from, or (in a
-    climb) a finite sum of finite steps away from it.  An infinite ``base``
-    leaves nothing below ``bar = base - COST_EPS``; a finite one means no
-    ``∆`` is ``-inf``, and ``base + inf`` is never below ``bar``.
-    """
-    if math.isinf(base):
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(base + deltas < bar)
+def _in_space(context: MaxCoverContext, strategy: frozenset[Node]) -> bool:
+    """Whether every target of ``strategy`` is in the SumNCG strategy space."""
+    return all(node in context.index for node in strategy)
 
 
 def best_response_sum_exhaustive(
@@ -571,6 +468,7 @@ def best_response_sum_exhaustive(
     warm_start: frozenset[Node] | None = None,
     prune: bool = True,
     cover_context: MaxCoverContext | None = None,
+    backend: str | KernelBackend | None = None,
 ) -> BestResponse:
     """Exact best response in SumNCG by exhaustive enumeration.
 
@@ -581,12 +479,14 @@ def best_response_sum_exhaustive(
     :func:`best_response_sum_local_search`.  Asking for a space beyond
     :data:`SUM_EXHAUSTIVE_LIMIT` raises a :class:`RuntimeWarning` before the
     ``2^m`` enumeration starts — the engine dispatch never does this, so a
-    warning always marks an explicit oversized request.  Each subset-size
-    class is priced in vectorised batches of column minima (see
-    :class:`_SumEvaluator`); ``cover_context`` optionally injects the
-    view's :class:`MaxCoverContext`, which is built otherwise.
+    warning always marks an explicit oversized request.  Every candidate is
+    priced from the view's :class:`MaxCoverContext` distance matrix (see
+    :mod:`repro.solvers.sum_reply`); ``cover_context`` optionally injects
+    it, and it is built otherwise.
 
-    With ``prune=True`` (the default) the classes are priced in order of
+    With ``prune=True`` (the default) the whole reply is one call of the
+    kernel backend's ``sum_reply`` (``backend`` selects it; all backends
+    are bit-identical): the subset-size classes are priced in order of
     their usage lower bound — every visible node at distance 1 if
     adjacent-after-move, else at ``min(2, β)`` — and a class is skipped
     when that bound cannot beat the cheapest reply known so far: the
@@ -596,7 +496,7 @@ def best_response_sum_exhaustive(
     (only candidates strictly worse than a known feasible reply are
     skipped; the priced classes are scanned in canonical enumeration order,
     so ties resolve as in the full enumeration); ``prune=False`` forces the
-    full enumeration, kept for benchmarking
+    full enumeration in Python, kept for benchmarking
     (``benchmarks/test_bench_sum.py``).
     """
     if game.usage is not UsageKind.SUM:
@@ -604,81 +504,39 @@ def best_response_sum_exhaustive(
     view, current = _resolve_view_and_strategy(
         profile, player, game, view, current_strategy
     )
-    candidates = sorted(view.strategy_space, key=repr)
-    if len(candidates) > max_candidates:
+    if cover_context is None:
+        cover_context = max_cover_context(view, backend=backend)
+    num_candidates = len(cover_context.order)
+    if num_candidates > max_candidates:
         raise ValueError(
-            f"strategy space has {len(candidates)} nodes > max_candidates={max_candidates}; "
+            f"strategy space has {num_candidates} nodes > max_candidates={max_candidates}; "
             "use best_response_sum_local_search instead"
         )
-    if len(candidates) > SUM_EXHAUSTIVE_LIMIT:
+    if num_candidates > SUM_EXHAUSTIVE_LIMIT:
         warnings.warn(
-            f"exhaustive SumNCG best response over {len(candidates)} candidates "
-            f"enumerates 2^{len(candidates)} strategies (dispatch limit is "
+            f"exhaustive SumNCG best response over {num_candidates} candidates "
+            f"enumerates 2^{num_candidates} strategies (dispatch limit is "
             f"{SUM_EXHAUSTIVE_LIMIT}); consider best_response_sum_local_search",
             RuntimeWarning,
             stacklevel=2,
         )
-    if cover_context is None:
-        cover_context = max_cover_context(view)
-    evaluator = _SumEvaluator(view, game, cover_context)
-    current_cost = evaluator.cost(current)[0]
-    num_others = len(candidates)
-    num_buyers = len(cover_context.forced)
-    # Any node not adjacent after the move sits at distance >= 2 if reached,
-    # or costs the unreachable penalty beta >= 1 — so min(2, beta) lower
-    # bounds its contribution (= 2 under the strict model).
-    far_cost = min(2.0, game.cost_model.unreachable_distance)
-
-    def class_bound(size: int) -> float:
-        near = min(size + num_buyers, num_others)
-        return game.alpha * size + near + (num_others - near) * far_cost
-
-    # Cost of the cheapest *known* reply: the incumbent strategy, tightened
-    # by the warm-start seed and by every class priced.  Always >= the
-    # optimum, so classes pruned against it are strictly worse than the
-    # returned reply.
-    prune_cost = current_cost
+    pricing, candidates = _sum_problem(view, game, cover_context)
+    start = None
     if warm_start is not None:
         warm = frozenset(warm_start)
-        if warm != current and warm.issubset(view.strategy_space):
-            delta = evaluator.delta(current, warm)
-            if not math.isinf(delta):
-                prune_cost = min(prune_cost, current_cost + delta)
-    # Pruning prices the most promising classes first, so the incumbent is
-    # (near) optimal before the bound is checked against the rest.
-    sizes = range(num_others + 1)
-    if prune:
-        sizes = sorted(sizes, key=lambda size: (class_bound(size), size))
-    rows = np.array(evaluator.rows(candidates), dtype=np.intp)
-    priced: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for size in sizes:
-        if prune and class_bound(size) > prune_cost + COST_EPS:
-            break
-        priced[size] = _price_class(evaluator, rows, size, current_cost)
-        for _, deltas in priced[size]:
-            allowed = deltas[np.isfinite(deltas)]
-            if allowed.size:
-                prune_cost = min(prune_cost, current_cost + float(allowed.min()))
-    # The canonical scan: every priced subset in size-then-combinations
-    # order, keeping the first that is strictly better by COST_EPS.
-    best_cost = current_cost
-    best_strategy = current
-    for size in sorted(priced):
-        for members, deltas in priced[size]:
-            position = 0
-            while True:
-                hits = _improving(current_cost, deltas[position:], best_cost - COST_EPS)
-                if not hits.size:
-                    break
-                position += int(hits[0])
-                strategy = frozenset(candidates[i] for i in members[position])
-                if strategy != current:
-                    best_cost = current_cost + float(deltas[position])
-                    best_strategy = strategy
-                position += 1
+        if warm != current and _in_space(cover_context, warm):
+            start = cover_context.rows(player, warm)
+    reply = (
+        resolve_backend(backend).sum_reply
+        if prune
+        else functools.partial(sum_search.sum_reply, prune=False)
+    )
+    current_cost, best_cost, selection = reply(
+        *pricing, candidates, cover_context.rows(player, current), start, 0.0, None
+    )
     return BestResponse(
         player=player,
-        strategy=best_strategy,
+        strategy=_reply_strategy(cover_context, current, selection),
         view_cost=best_cost,
         current_view_cost=current_cost,
         exact=True,
@@ -686,104 +544,13 @@ def best_response_sum_exhaustive(
     )
 
 
-def _price_class(
-    evaluator: _SumEvaluator, rows: np.ndarray, size: int, current_cost: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(members, ∆)`` batches of every ``size``-subset of the candidates.
-
-    ``members`` holds candidate positions, one subset per row, in
-    ``itertools.combinations`` order; ``∆`` is each subset's
-    :func:`~repro.core.deviations.worst_case_delta` from the current
-    strategy.
-    """
-    priced = []
-    combos = itertools.combinations(range(len(rows)), size)
-    while batch := list(itertools.islice(combos, _SUM_BATCH_ROWS)):
-        members = np.array(batch, dtype=np.intp).reshape(len(batch), size)
-        if size:
-            minima = np.minimum(evaluator.dist[rows[members]].min(axis=1), evaluator.base)
-        else:
-            minima = evaluator.base[None, :]
-        costs, forbidden = evaluator.price(minima, size)
-        priced.append((members, evaluator.deltas(current_cost, costs, forbidden)))
-    return priced
-
-
-def _neighbourhood(
-    evaluator: _SumEvaluator, strategy: frozenset[Node], candidates: list[Node]
-):
-    """The add / drop / swap neighbourhood of ``strategy``, in scan order.
-
-    Yields ``(size, minima, member)`` batches: the batch's strategy size,
-    the strategies' column minima, and ``member(i)`` building the ``i``-th
-    strategy of the batch.  The order is the single climb's — every add
-    (candidate order), every drop (``repr`` order), then every swap,
-    removed-major — and each batch is built only when the climb asks for
-    it, so a step that finds an improving add never prices its drops or
-    swaps.  Swaps come in batches of at most :data:`_SUM_BATCH_ROWS` rows.
-    """
-    present = sorted(strategy, key=repr)
-    absent = [c for c in candidates if c not in strategy]
-    index = evaluator.index
-    present_rows = [index[c] for c in present]
-    absent_dist = evaluator.dist[[index[c] for c in absent]]
-    size = len(present)
-    if absent:
-        yield (
-            size + 1,
-            np.minimum(evaluator.minimum(present_rows), absent_dist),
-            lambda i: strategy | {absent[i]},
-        )
-    if not present:
-        return
-    without = evaluator.leave_one_out(present_rows)
-    yield size - 1, without, lambda i: strategy - {present[i]}
-    if not absent:
-        return
-    step = max(1, _SUM_BATCH_ROWS // len(absent))
-    for first in range(0, size, step):
-        swaps = np.minimum(without[first:first + step, None, :], absent_dist[None])
-        yield (
-            size,
-            swaps.reshape(-1, absent_dist.shape[1]),
-            lambda i, first=first: (
-                strategy - {present[first + i // len(absent)]}
-            ) | {absent[i % len(absent)]},
-        )
-
-
-def _sum_hill_climb(
-    evaluator: _SumEvaluator,
-    candidates: list[Node],
-    start_strategy: frozenset[Node],
-    start_cost: float,
-    max_iterations: int,
-) -> tuple[frozenset[Node], float]:
-    """One first-improvement hill climb from ``start_strategy``.
-
-    Applies the first improving single add / drop / swap move (among the
-    Proposition 2.2 allowed ones) until no single move improves the in-view
-    cost; returns the local optimum and its cost.  Each step prices its
-    neighbourhood in vectorised batches, in the climb's scan order.
-    """
-    best_strategy = start_strategy
-    best_cost = start_cost
-    for _ in range(max_iterations):
-        old_cost = evaluator.cost(best_strategy)[0]
-        bar = best_cost - COST_EPS
-        for size, minima, member in _neighbourhood(evaluator, best_strategy, candidates):
-            costs, forbidden = evaluator.price(minima, size)
-            deltas = evaluator.deltas(old_cost, costs, forbidden)
-            hits = _improving(best_cost, deltas, bar)
-            if hits.size:
-                first = int(hits[0])
-                best_strategy = member(first)
-                best_cost = best_cost + float(deltas[first])
-                evaluator.remember(best_strategy, float(costs[first]))
-                break
-        else:
-            break
-    return best_strategy, best_cost
+def _reply_strategy(
+    context: MaxCoverContext, origin: frozenset[Node], selection: tuple[int, ...] | None
+) -> frozenset[Node]:
+    """The labels of a ``sum_reply`` selection (``origin`` when ``None``)."""
+    if selection is None:
+        return origin
+    return frozenset(context.order[i] for i in selection)
 
 
 def best_response_sum_local_search(
@@ -796,15 +563,18 @@ def best_response_sum_local_search(
     seed_strategy: frozenset[Node] | None = None,
     restarts: int = 1,
     cover_context: MaxCoverContext | None = None,
+    backend: str | KernelBackend | None = None,
 ) -> BestResponse:
     """Hill-climbing best-*reply* heuristic for SumNCG.
 
     Repeatedly applies the first improving single add / drop / swap move
     (among the Proposition 2.2 allowed ones) until no single move improves
     the in-view cost.  The result is a local optimum, not necessarily a
-    best response, and is flagged ``exact=False``.  ``cover_context``
-    optionally injects the view's :class:`MaxCoverContext`, which is built
-    otherwise (see :class:`_SumEvaluator`).
+    best response, and is flagged ``exact=False``.  Each climb is one call
+    of the kernel backend's ``sum_reply`` (``backend`` selects it; all
+    backends are bit-identical), pricing candidates from the view's
+    :class:`MaxCoverContext`, which ``cover_context`` optionally injects
+    and which is built otherwise.
 
     The climb starts from the *incumbent* strategy — which on the engine
     path is the player's previous best response, so a re-activation after a
@@ -831,38 +601,53 @@ def best_response_sum_local_search(
         profile, player, game, view, current_strategy
     )
     if cover_context is None:
-        cover_context = max_cover_context(view)
-    evaluator = _SumEvaluator(view, game, cover_context)
-    candidates = sorted(view.strategy_space, key=repr)
-    current_cost = evaluator.cost(current)[0]
-    best_strategy = current
-    best_cost = current_cost
+        cover_context = max_cover_context(view, backend=backend)
+    pricing, candidates = _sum_problem(view, game, cover_context)
+    current_rows = cover_context.rows(player, current)
+    reply = resolve_backend(backend).sum_reply
+    # Seeds and restart starts are priced here, in Python, around the climbs.
+    current_key = frozenset(current_rows)
+    evaluator = (
+        sum_search.SumEvaluator(*pricing) if seed_strategy is not None or restarts > 1 else None
+    )
+
+    def delta(strategy: frozenset[Node]) -> float:
+        return evaluator.delta(current_key, frozenset(cover_context.rows(player, strategy)))
+
+    def climb(
+        start: frozenset[Node] | None, start_cost: float = 0.0
+    ) -> tuple[float, float, frozenset[Node]]:
+        """One kernel climb from ``start``, or from the incumbent at its cost."""
+        rows = None if start is None else cover_context.rows(player, start)
+        current_cost, cost, selection = reply(
+            *pricing, candidates, current_rows, rows, start_cost, max_iterations
+        )
+        origin = current if start is None else start
+        return current_cost, cost, _reply_strategy(cover_context, origin, selection)
+
+    start, start_cost = None, 0.0
     if seed_strategy is not None:
         seed = frozenset(seed_strategy)
-        if seed != current and seed.issubset(view.strategy_space):
-            delta = evaluator.delta(current, seed)
-            if not math.isinf(delta) and current_cost + delta < best_cost - COST_EPS:
-                best_strategy = seed
-                best_cost = current_cost + delta
-
-    best_strategy, best_cost = _sum_hill_climb(
-        evaluator, candidates, best_strategy, best_cost, max_iterations
-    )
-    if restarts > 1 and candidates:
+        if seed != current and _in_space(cover_context, seed):
+            current_cost = evaluator.cost(current_key)[0]
+            step = delta(seed)
+            if not math.isinf(step) and current_cost + step < current_cost - COST_EPS:
+                start, start_cost = seed, current_cost + step
+    current_cost, best_cost, best_strategy = climb(start, start_cost)
+    if restarts > 1 and len(candidates):
+        labels = [cover_context.order[i] for i in candidates.tolist()]
         rng = random.Random(
-            f"sum-restarts:{player!r}:{len(candidates)}:{sorted(map(repr, current))}"
+            f"sum-restarts:{player!r}:{len(labels)}:{sorted(map(repr, current))}"
         )
         for _ in range(restarts - 1):
-            size = rng.randint(0, len(candidates))
-            start = frozenset(rng.sample(candidates, size))
+            size = rng.randint(0, len(labels))
+            start = frozenset(rng.sample(labels, size))
             if start == current:
                 continue  # the incumbent climb already covered this start
-            delta = evaluator.delta(current, start)
-            if math.isinf(delta):
+            step = delta(start)
+            if math.isinf(step):
                 continue  # forbidden move (Proposition 2.2): unusable start
-            strategy, cost = _sum_hill_climb(
-                evaluator, candidates, start, current_cost + delta, max_iterations
-            )
+            _, cost, strategy = climb(start, current_cost + step)
             if cost < best_cost - COST_EPS:
                 best_cost = cost
                 best_strategy = strategy
@@ -919,10 +704,11 @@ def best_response(
     )
     if cover_context is None:
         cover_context = max_cover_context(view, backend=backend)
-    if len(view.strategy_space) <= sum_exhaustive_limit:
+    if len(cover_context.order) <= sum_exhaustive_limit:
         return best_response_sum_exhaustive(
             profile, player, game, max_candidates=sum_exhaustive_limit, view=view,
             current_strategy=current_strategy, cover_context=cover_context,
+            backend=backend,
         )
     return best_response_sum_local_search(
         profile,
@@ -931,4 +717,5 @@ def best_response(
         view=view,
         current_strategy=current_strategy,
         cover_context=cover_context,
+        backend=backend,
     )

@@ -1,7 +1,7 @@
 """Pluggable compiled kernel backends for the hot loops.
 
 Every layer of the code base — views, metrics, robustness, the sweep
-service — bottoms out in five primitives: the multi-source BFS level
+service — bottoms out in six primitives: the multi-source BFS level
 expansion behind :func:`repro.graphs.traversal.batched_bfs_distances`,
 the *fused* BFS reduction behind
 :func:`repro.graphs.traversal.reduce_bfs_distances` (per-source
@@ -11,11 +11,14 @@ without ever materialising a distance row), the one-player view behind
 nodes, their distances and the CSR of her view without her, in one call
 — how the engine settles every view), the branch-and-bound
 recursion behind
-:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, and the
+:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, the
 MaxNCG best-response loop behind
 :func:`repro.core.best_response.best_response_max`, which runs that
-search once per eccentricity guess.  This package hosts interchangeable
-implementations of exactly those kernels:
+search once per eccentricity guess, and the SumNCG reply behind
+:func:`~repro.core.best_response.best_response_sum_exhaustive` and
+:func:`~repro.core.best_response.best_response_sum_local_search` (the
+pruned exact enumeration, or one hill climb).  This package hosts
+interchangeable implementations of exactly those kernels:
 
 ``numpy``
     The reference.  Exactly the chunked-numpy code the repo was built
@@ -28,12 +31,12 @@ implementations of exactly those kernels:
 
 **Bit-identity is the contract.**  Whatever backend runs, distance
 matrices (including ``radius`` truncation and ``UNREACHABLE`` marks),
-views, selected covers (including warm-start tie-break order), MaxNCG replies
-and therefore entire dynamics trajectories are identical to the numpy
-reference; the equivalence suites in
+views, selected covers (including warm-start tie-break order), MaxNCG and
+SumNCG replies and therefore entire dynamics trajectories are identical
+to the numpy reference; the equivalence suites in
 ``tests/graphs/test_kernel_backends.py``,
-``tests/solvers/test_set_cover.py`` and ``tests/core/test_max_reply.py``
-pin this.
+``tests/solvers/test_set_cover.py``, ``tests/core/test_max_reply.py``
+and ``tests/core/test_sum_reply.py`` pin this.
 
 Selection mirrors ``ENGINE_DEFAULT_SOLVER``: explicit argument >
 session override (:func:`set_default_backend` / :func:`use_backend`) >
@@ -105,6 +108,34 @@ sum_out, unreached_out, view_size_out)``
     when ``alpha * s + h < best_cost - COST_EPS``.  Returns the final
     cost and the last accepted cover's rows in solver order, or the
     incoming ``best_cost`` and ``None`` when nothing beat it.
+``sum_reply(dist, forced, frontier_columns, frontier_limits, alpha, beta,
+candidates, current, start, start_cost, max_iterations) -> (current_cost,
+cost, selection | None)``
+    One SumNCG reply over the same ``dist`` and sorted ``forced`` rows
+    (:func:`repro.solvers.sum_reply.sum_reply` is the reference).  A
+    strategy — a set of rows — reaches column ``v`` at ``1 + m_v``, with
+    ``m`` the column minimum over its rows and the forced ones; it costs
+    ``alpha * size`` plus the finite sum as a double, plus ``beta *
+    unreached`` only when a column is ``UNREACHABLE`` (``beta`` is the
+    cost model's ``unreachable_distance``, ``inf`` under the strict
+    model), and it is forbidden (Proposition 2.2) when some
+    ``frontier_columns[i]`` has ``m > frontier_limits[i]``.  A move's
+    ``∆`` is ``inf`` when forbidden, ``0.0`` from and to infinite costs,
+    ``-inf`` from an infinite to a finite one, else the cost difference.
+    ``candidates`` lists the strategy space's rows in scan order and
+    ``current`` the player's rows.  With ``max_iterations=None``, the
+    pruned enumeration: size classes in ``(bound, size)`` order, the
+    bound ``alpha*size + near + (others-near)*far_cost`` evaluated in
+    that order (``near = min(size + |forced|, others)``, ``far_cost =
+    min(2, beta)``); pricing stops at the first class whose bound exceeds
+    ``prune_cost + COST_EPS``, where ``prune_cost`` starts at the current
+    cost, takes ``current_cost + ∆`` of an allowed ``start`` and after
+    each priced class ``current_cost +`` its smallest finite ``∆``.
+    Otherwise one first-improvement climb of at most ``max_iterations``
+    steps from ``start`` at ``start_cost`` (from ``current`` at its cost
+    when ``start`` is None).  Returns the current cost, the reply's cost
+    and its rows in candidate order, or ``None`` when the reply is where
+    the search started.
 
 Tie-breaks, stated once for ``cover_search`` and ``max_reply``: the
 greedy incumbent takes the first row of maximum gain; a still-covering
@@ -115,12 +146,24 @@ fewest covering rows, tries rows in ``np.argsort(-cover_sizes)`` order
 replaces its incumbent only with a strictly smaller cover; a later guess
 replaces the reply only when strictly cheaper by ``COST_EPS``.
 
+And for ``sum_reply``: the enumeration scans every priced subset in
+size-then-``itertools.combinations`` order (positions in ``candidates``)
+and keeps the first with ``current_cost + ∆ < best - COST_EPS`` that
+differs from ``current`` — none when the current cost is infinite — so
+pruning never moves the reply.  Each climb step prices the strategy it
+leaves directly (``old_cost``, the base of its ``∆``), then scans every
+add, then every drop, then every swap (removed-major), each list in
+candidate order, and takes the first move with ``best + ∆ < best -
+COST_EPS``, where ``best`` is the running sum of the taken ``∆`` from
+``start_cost``; an infinite ``best`` ends the climb.
+
 To add another backend (Cython, Rust over cffi, …): implement the
 functions above with bit-identical semantics, raise
 :class:`KernelUnavailableError` from the factory when the toolchain is
 missing, and :func:`register_backend` a zero-argument factory for it —
-:mod:`repro.kernels.native_backend` is the worked example.  All five
-kernels are required.
+:mod:`repro.kernels.native_backend` is the worked example.  All six
+kernels are required: ``bfs``, ``bfs_reduce``, ``view``,
+``cover_search``, ``max_reply`` and ``sum_reply``.
 """
 
 from __future__ import annotations
@@ -169,6 +212,7 @@ class KernelBackend:
     view: Callable = field(repr=False)
     cover_search: Callable = field(repr=False)
     max_reply: Callable = field(repr=False)
+    sum_reply: Callable = field(repr=False)
     compiled: bool = False
     threads: int = 1
 
@@ -183,6 +227,7 @@ def _build_numpy() -> KernelBackend:
         view=numpy_backend.view,
         cover_search=numpy_backend.cover_search,
         max_reply=numpy_backend.max_reply,
+        sum_reply=numpy_backend.sum_reply,
         compiled=False,
     )
 
@@ -198,6 +243,7 @@ def _build_native() -> KernelBackend:
         view=native_backend.view,
         cover_search=native_backend.cover_search,
         max_reply=native_backend.max_reply,
+        sum_reply=native_backend.sum_reply,
         compiled=True,
     )
 

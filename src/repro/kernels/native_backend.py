@@ -31,8 +31,13 @@ numpy's default sort orders equal sizes its own way (by SIMD sorting
 networks on CPUs that have them), which C cannot reproduce, so the loop
 calls back into its wrapper for that order once per search it runs —
 most guesses end at the greedy incumbent or the root bound and never
-search.  The fused ``bfs_reduce`` kernel is
-free to traverse in a different *order* — it is an MS-BFS, advancing 64
+search.  ``sum_reply`` runs one SumNCG reply in one call — the pruned
+class enumeration or one first-improvement climb of
+:func:`repro.solvers.sum_reply.sum_reply`, every float expression in
+the reference's order (pinned by ``tests/core/test_sum_reply.py``); the
+enumeration's column minima are prefix minima over each combination,
+recomputed from the first member that changed.  The fused
+``bfs_reduce`` kernel is free to traverse in a different *order* — it is an MS-BFS, advancing 64
 sources per uint64-bitmask batch through one level-synchronous sweep,
 the batches taken in a locality order of the sources and each level
 expanding only its listed frontier nodes —
@@ -50,8 +55,8 @@ kernel has run.
 
 This module doubles as the template for binding further compiled
 backends (Cython, Rust over cffi): implement ``bfs`` / ``bfs_reduce`` /
-``view`` / ``cover_search`` / ``max_reply`` with the contracts documented in
-:mod:`repro.kernels`, raise
+``view`` / ``cover_search`` / ``max_reply`` / ``sum_reply`` with the
+contracts documented in :mod:`repro.kernels`, raise
 :class:`~repro.kernels.KernelUnavailableError` from the factory when the
 toolchain is missing, and register the factory.
 """
@@ -74,6 +79,7 @@ __all__ = [
     "view",
     "cover_search",
     "max_reply",
+    "sum_reply",
 ]
 
 _SOURCE = r"""
@@ -700,6 +706,359 @@ int64_t repro_max_reply(const int32_t *dist, int64_t n, int64_t *buffer,
     free(bytes);
     return accepted;
 }
+
+/* SumNCG pricing, mirroring repro.solvers.sum_reply.SumEvaluator: a
+ * strategy's column minima over the (n, n) int32 distances of H - u (its
+ * rows and the forced rows) give its cost and its frontier veto. */
+typedef struct {
+    const int32_t *dist;
+    int64_t n;
+    const int32_t *base;       /* column minimum of the forced rows */
+    const int64_t *frontier;   /* frontier columns */
+    const double *limits;      /* the largest allowed minimum per column */
+    int64_t num_frontier;
+    double alpha, beta;
+} sum_ctx;
+
+/* INT32_MAX is the UNREACHABLE mark.  The cost is alpha * size plus
+ * CostModel.fold_sum: the finite sum as a double, plus beta per unreached
+ * column only when one is unreached. */
+static double sum_price(const sum_ctx *ctx, const int32_t *minima, int64_t size,
+                        int *forbidden) {
+    int64_t reached = 0, total = 0;
+    for (int64_t j = 0; j < ctx->n; ++j) {
+        if (minima[j] != INT32_MAX) {
+            ++reached;
+            total += minima[j];
+        }
+    }
+    total += reached;
+    int64_t unreached = ctx->n - reached;
+    double fold = (double)total;
+    if (unreached > 0)
+        fold += ctx->beta * (double)unreached;
+    int veto = 0;
+    for (int64_t f = 0; f < ctx->num_frontier && !veto; ++f)
+        veto = (double)minima[ctx->frontier[f]] > ctx->limits[f];
+    *forbidden = veto;
+    return ctx->alpha * (double)size + fold;
+}
+
+/* worst_case_delta from a strategy of cost old_cost: inf when vetoed,
+ * inf - inf -> 0.0, finite - inf -> -inf. */
+static double sum_delta(double old_cost, double cost, int forbidden) {
+    if (forbidden)
+        return INFINITY;
+    if (isinf(old_cost))
+        return isinf(cost) ? 0.0 : -INFINITY;
+    return cost - old_cost;
+}
+
+static void min_rows(int32_t *out, const int32_t *a, const int32_t *b, int64_t n) {
+    for (int64_t j = 0; j < n; ++j)
+        out[j] = a[j] < b[j] ? a[j] : b[j];
+}
+
+/* Advance a k-subset of 0..m-1 to the next one in itertools.combinations
+ * order; returns the first position that changed, -1 after the last. */
+static int64_t next_combination(int64_t *combo, int64_t k, int64_t m) {
+    int64_t i = k - 1;
+    while (i >= 0 && combo[i] == m - k + i)
+        --i;
+    if (i < 0)
+        return -1;
+    ++combo[i];
+    for (int64_t j = i + 1; j < k; ++j)
+        combo[j] = combo[j - 1] + 1;
+    return i;
+}
+
+/* Column minima of the combination held in combo, recomputed from
+ * position `from` on: pref holds k + 1 rows, pref[0] the forced minimum
+ * and pref[d + 1] the minimum over the first d + 1 members. */
+static void combination_minima(const sum_ctx *ctx, const int64_t *cand,
+                               const int64_t *combo, int64_t k, int64_t from,
+                               int32_t *pref) {
+    const int64_t n = ctx->n;
+    for (int64_t d = from; d < k; ++d)
+        min_rows(pref + (d + 1) * n, pref + d * n, ctx->dist + cand[combo[d]] * n, n);
+}
+
+/* The pruned class enumeration of repro.solvers.sum_reply._enumerate:
+ * classes in (bound, size) order until one's bound exceeds prune_cost +
+ * eps, each priced in combinations order into deltas (one block per size
+ * at offset[size]), prune_cost tightened by the class's smallest finite
+ * delta; then the canonical scan in size-then-combinations order keeps the
+ * first subset strictly better by eps that differs from the current
+ * strategy.  Returns the reply's length (members in best) or -1. */
+static int64_t sum_enumerate(const sum_ctx *ctx, const int64_t *cand, int64_t m,
+                             int64_t num_forced, const uint8_t *in_current,
+                             int64_t num_current, double current_cost,
+                             double prune_cost, double eps, double *best_cost,
+                             int64_t *best, int64_t *combo, int32_t *pref,
+                             double *deltas, int64_t *offset, int64_t *sizes,
+                             double *bounds, uint8_t *priced) {
+    const int64_t n = ctx->n;
+    double far_cost = ctx->beta < 2.0 ? ctx->beta : 2.0;
+    offset[0] = 0;
+    for (int64_t k = 0; k <= m; ++k) {
+        int64_t near = k + num_forced < m ? k + num_forced : m;
+        bounds[k] = ctx->alpha * (double)k + (double)near + (double)(m - near) * far_cost;
+        priced[k] = 0;
+        /* offset[k + 1] = offset[k] + C(m, k) */
+        int64_t choose = 1;
+        for (int64_t i = 0; i < k; ++i)
+            choose = choose * (m - i) / (i + 1);
+        offset[k + 1] = offset[k] + choose;
+        /* Insertion sort by (bound, size): sizes arrive ascending. */
+        int64_t at = k;
+        while (at > 0 && bounds[sizes[at - 1]] > bounds[k]) {
+            sizes[at] = sizes[at - 1];
+            --at;
+        }
+        sizes[at] = k;
+    }
+    memcpy(pref, ctx->base, (size_t)n * sizeof(int32_t));
+    for (int64_t s = 0; s <= m; ++s) {
+        int64_t k = sizes[s];
+        if (bounds[k] > prune_cost + eps)
+            break;
+        priced[k] = 1;
+        double *out = deltas + offset[k];
+        int64_t rank = 0, from = 0, any = 0;
+        double smallest = 0.0;
+        for (int64_t d = 0; d < k; ++d)
+            combo[d] = d;
+        do {
+            combination_minima(ctx, cand, combo, k, from, pref);
+            int forbidden;
+            double cost = sum_price(ctx, pref + k * n, k, &forbidden);
+            double delta = sum_delta(current_cost, cost, forbidden);
+            out[rank++] = delta;
+            if (isfinite(delta) && (!any || delta < smallest)) {
+                smallest = delta;
+                any = 1;
+            }
+            from = next_combination(combo, k, m);
+        } while (from >= 0);
+        if (any && current_cost + smallest < prune_cost)
+            prune_cost = current_cost + smallest;
+    }
+    int64_t best_len = -1;
+    *best_cost = current_cost;
+    if (isinf(current_cost))
+        return best_len;  /* nothing lies below an infinite incumbent */
+    for (int64_t k = 0; k <= m; ++k) {
+        if (!priced[k])
+            continue;
+        const double *out = deltas + offset[k];
+        int64_t rank = 0;
+        for (int64_t d = 0; d < k; ++d)
+            combo[d] = d;
+        do {
+            double delta = out[rank++];
+            if (current_cost + delta < *best_cost - eps) {
+                int same = k == num_current;
+                for (int64_t d = 0; d < k && same; ++d)
+                    same = in_current[combo[d]];
+                if (!same) {
+                    *best_cost = current_cost + delta;
+                    best_len = k;
+                    memcpy(best, combo, (size_t)k * sizeof(int64_t));
+                }
+            }
+        } while (next_combination(combo, k, m) >= 0);
+    }
+    return best_len;
+}
+
+/* One first-improvement climb of repro.solvers.sum_reply._hill_climb over
+ * the membership flags in_s: per step, the directly priced cost of the
+ * strategy left (old_cost) against every add, then every drop, then every
+ * swap (removed-major), each in candidate order; the first move with
+ * best_cost + delta < best_cost - eps is taken and best_cost becomes that
+ * running sum.  Stops after max_iterations steps or at a step without an
+ * improving move. */
+static void sum_climb(const sum_ctx *ctx, const int64_t *cand, int64_t m,
+                      uint8_t *in_s, double *best_cost, int64_t max_iterations,
+                      double eps, int64_t *present, int64_t *absent,
+                      int32_t *strategy_min, int32_t *minima, int32_t *without) {
+    const int64_t n = ctx->n;
+    for (int64_t step = 0; step < max_iterations; ++step) {
+        int64_t num_present = 0, num_absent = 0;
+        for (int64_t pos = 0; pos < m; ++pos) {
+            if (in_s[pos])
+                present[num_present++] = pos;
+            else
+                absent[num_absent++] = pos;
+        }
+        if (isinf(*best_cost))
+            return;  /* nothing lies below an infinite running cost */
+        memcpy(strategy_min, ctx->base, (size_t)n * sizeof(int32_t));
+        for (int64_t i = 0; i < num_present; ++i)
+            min_rows(strategy_min, strategy_min, ctx->dist + cand[present[i]] * n, n);
+        int forbidden;
+        double old_cost = sum_price(ctx, strategy_min, num_present, &forbidden);
+        double bar = *best_cost - eps;
+        int moved = 0;
+        for (int64_t a = 0; a < num_absent && !moved; ++a) {
+            min_rows(minima, strategy_min, ctx->dist + cand[absent[a]] * n, n);
+            double cost = sum_price(ctx, minima, num_present + 1, &forbidden);
+            double delta = sum_delta(old_cost, cost, forbidden);
+            if (*best_cost + delta < bar) {
+                in_s[absent[a]] = 1;
+                *best_cost = *best_cost + delta;
+                moved = 1;
+            }
+        }
+        if (!moved && num_present) {
+            for (int64_t i = 0; i < num_present; ++i) {
+                int32_t *row = without + i * n;
+                memcpy(row, ctx->base, (size_t)n * sizeof(int32_t));
+                for (int64_t j = 0; j < num_present; ++j)
+                    if (j != i)
+                        min_rows(row, row, ctx->dist + cand[present[j]] * n, n);
+            }
+            for (int64_t i = 0; i < num_present && !moved; ++i) {
+                double cost = sum_price(ctx, without + i * n, num_present - 1, &forbidden);
+                double delta = sum_delta(old_cost, cost, forbidden);
+                if (*best_cost + delta < bar) {
+                    in_s[present[i]] = 0;
+                    *best_cost = *best_cost + delta;
+                    moved = 1;
+                }
+            }
+            for (int64_t i = 0; i < num_present && !moved; ++i) {
+                for (int64_t a = 0; a < num_absent && !moved; ++a) {
+                    min_rows(minima, without + i * n, ctx->dist + cand[absent[a]] * n, n);
+                    double cost = sum_price(ctx, minima, num_present, &forbidden);
+                    double delta = sum_delta(old_cost, cost, forbidden);
+                    if (*best_cost + delta < bar) {
+                        in_s[present[i]] = 0;
+                        in_s[absent[a]] = 1;
+                        *best_cost = *best_cost + delta;
+                        moved = 1;
+                    }
+                }
+            }
+        }
+        if (!moved)
+            return;
+    }
+}
+
+/* One SumNCG reply, mirroring repro.solvers.sum_reply.sum_reply.
+ *
+ * ints holds, in order: the num_forced buyer rows, the m candidate rows
+ * (a permutation of the rows of the strategy space, in scan order), the
+ * num_frontier frontier columns, the num_current rows of the current
+ * strategy, the num_start rows of the start strategy (none when
+ * num_start < 0) and m output entries for the reply's rows.  limits holds
+ * the frontier limits.  max_iterations < 0 runs the pruned enumeration
+ * (the start seeds its pruning bound); otherwise one climb from the start
+ * at start_cost, or from the current strategy at its cost.  costs receives
+ * the current strategy's cost and the reply's.  Returns the reply's
+ * length (its rows in candidate order), -1 when the reply is the strategy
+ * the search started from, -2 when scratch memory cannot be allocated.
+ */
+int64_t repro_sum_reply(const int32_t *dist, int64_t n, int64_t *ints,
+                        int64_t num_forced, int64_t m, int64_t num_frontier,
+                        int64_t num_current, int64_t num_start,
+                        const double *limits, double alpha, double beta,
+                        double eps, double start_cost, int64_t max_iterations,
+                        double *costs) {
+    const int64_t *forced = ints, *cand = ints + num_forced;
+    const int64_t *frontier = cand + m, *current = frontier + num_frontier;
+    const int64_t *start = current + num_current;
+    int64_t *selection = (int64_t *)start + (num_start > 0 ? num_start : 0);
+    int exhaustive = max_iterations < 0;
+    if (exhaustive && m > 40)
+        return -2;  /* 2^m deltas cannot be held */
+    size_t words = (size_t)n + 1, slots = (size_t)m + 1;
+    size_t num_deltas = exhaustive ? (size_t)1 << m : 0;
+    int64_t *longs = malloc((words + 5 * slots) * sizeof(int64_t));
+    /* The forced minimum, then m + 1 prefix minima (enumeration) or the
+     * strategy's minimum, one neighbour's and m leave-one-out rows (climb). */
+    int32_t *mins = malloc(((size_t)m + 3) * words * sizeof(int32_t));
+    double *doubles = malloc((num_deltas + slots) * sizeof(double));
+    uint8_t *flags = malloc(3 * slots);
+    if (!longs || !mins || !doubles || !flags) {
+        free(longs);
+        free(mins);
+        free(doubles);
+        free(flags);
+        return -2;
+    }
+    int64_t *position = longs, *combo = longs + words, *best = combo + slots;
+    int64_t *offset = best + slots, *sizes = offset + slots + 1;
+    int32_t *base = mins, *work = mins + words;
+    double *bounds = doubles, *deltas = doubles + slots;
+    uint8_t *in_current = flags, *in_s = flags + slots, *priced = flags + 2 * slots;
+
+    for (int64_t j = 0; j < n; ++j)
+        base[j] = INT32_MAX;
+    for (int64_t i = 0; i < num_forced; ++i)
+        min_rows(base, base, dist + forced[i] * n, n);
+    sum_ctx ctx = {dist, n, base, frontier, limits, num_frontier, alpha, beta};
+    for (int64_t pos = 0; pos < m; ++pos) {
+        position[cand[pos]] = pos;
+        in_current[pos] = 0;
+    }
+    memcpy(work, base, (size_t)n * sizeof(int32_t));
+    for (int64_t i = 0; i < num_current; ++i) {
+        in_current[position[current[i]]] = 1;
+        min_rows(work, work, dist + current[i] * n, n);
+    }
+    int forbidden;
+    double current_cost = sum_price(&ctx, work, num_current, &forbidden);
+    costs[0] = current_cost;
+
+    int64_t found = -1;
+    if (exhaustive) {
+        double prune_cost = current_cost;
+        if (num_start >= 0) {
+            memcpy(work, base, (size_t)n * sizeof(int32_t));
+            for (int64_t i = 0; i < num_start; ++i)
+                min_rows(work, work, dist + start[i] * n, n);
+            double cost = sum_price(&ctx, work, num_start, &forbidden);
+            double delta = sum_delta(current_cost, cost, forbidden);
+            if (!isinf(delta) && current_cost + delta < prune_cost)
+                prune_cost = current_cost + delta;
+        }
+        int64_t len = sum_enumerate(&ctx, cand, m, num_forced, in_current,
+                                    num_current, current_cost, prune_cost, eps,
+                                    &costs[1], best, combo, work, deltas, offset,
+                                    sizes, bounds, priced);
+        for (int64_t i = 0; i < len; ++i)
+            selection[i] = cand[best[i]];
+        found = len;
+    } else {
+        uint8_t *origin = in_current;
+        if (num_start >= 0) {
+            origin = priced;
+            memset(origin, 0, (size_t)m);
+            for (int64_t i = 0; i < num_start; ++i)
+                origin[position[start[i]]] = 1;
+        } else {
+            start_cost = current_cost;
+        }
+        memcpy(in_s, origin, (size_t)m);
+        costs[1] = start_cost;
+        sum_climb(&ctx, cand, m, in_s, &costs[1], max_iterations, eps, combo, best,
+                  work, work + words, work + 2 * words);
+        if (memcmp(in_s, origin, (size_t)m) != 0) {
+            found = 0;
+            for (int64_t pos = 0; pos < m; ++pos)
+                if (in_s[pos])
+                    selection[found++] = cand[pos];
+        }
+    }
+    free(longs);
+    free(mins);
+    free(doubles);
+    free(flags);
+    return found;
+}
 """
 
 #: Arrays cross into C as raw addresses (see :func:`_address`): a
@@ -814,6 +1173,11 @@ def load_library() -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_double), _I64, _ORDER_CALLBACK,
     ]
     library.repro_max_reply.restype = _I64
+    library.repro_sum_reply.argtypes = [
+        _PTR, _I64, _PTR, _I64, _I64, _I64, _I64, _I64, _PTR,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double, _I64, _PTR,
+    ]
+    library.repro_sum_reply.restype = _I64
     _library = library
     return library
 
@@ -994,3 +1358,49 @@ def max_reply(
         return best_cost, None
     start = num_forced + 2 * n
     return cost.value, tuple(buffer[start:start + found].tolist())
+
+
+def sum_reply(
+    dist: np.ndarray,
+    forced: tuple[int, ...],
+    frontier_columns: np.ndarray,
+    frontier_limits: np.ndarray,
+    alpha: float,
+    beta: float,
+    candidates: np.ndarray,
+    current: list[int],
+    start: list[int] | None,
+    start_cost: float,
+    max_iterations: int | None,
+) -> tuple[float, float, tuple[int, ...] | None]:
+    """One SumNCG reply — the pruned enumeration or one climb — in one C
+    call; same contract as the numpy backend."""
+    from repro.kernels.common import COST_EPS
+
+    library = load_library()
+    n = dist.shape[0]
+    dist = np.ascontiguousarray(dist, dtype=np.int32)
+    num_start = -1 if start is None else len(start)
+    # One int64 buffer: the forced rows, the candidates, the frontier
+    # columns, the current and start rows, then room for the reply's rows.
+    # (Empty sequences convert to float64, hence the unsafe cast.)
+    ints = np.concatenate(
+        (forced, candidates, frontier_columns, current, start or (), candidates),
+        dtype=np.int64,
+        casting="unsafe",
+    )
+    limits = np.ascontiguousarray(frontier_limits, dtype=np.float64)
+    costs = np.empty(2)
+    found = library.repro_sum_reply(
+        _address(dist), n, _address(ints), len(forced), len(candidates),
+        len(frontier_columns), len(current), num_start, _address(limits),
+        alpha, beta, COST_EPS, start_cost,
+        -1 if max_iterations is None else max_iterations, _address(costs),
+    )
+    if found == -2:
+        raise MemoryError("native sum_reply: cannot allocate its scratch")
+    current_cost, cost = costs.tolist()
+    if found < 0:
+        return current_cost, cost, None
+    end = len(ints) - len(candidates) + found
+    return current_cost, cost, tuple(ints[end - found:end].tolist())

@@ -5,9 +5,10 @@ code base was built on: the chunked multi-source frontier expansion behind
 :func:`repro.graphs.traversal.batched_bfs_distances` (whose one-source
 row, sliced, is the ``view`` kernel), the
 branch-and-bound recursion behind
-:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, and the
+:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, the
 MaxNCG reply loop :func:`repro.solvers.set_cover.max_reply` that drives
-it once per eccentricity guess.  Every other
+it once per eccentricity guess, and the SumNCG reply
+:func:`repro.solvers.sum_reply.sum_reply`.  Every other
 backend is measured against this module: *bit-identical outputs, faster
 machinery*.  The wrappers in the graph/solver layers own all argument
 validation and corner cases; the kernels here assume validated inputs
@@ -20,8 +21,9 @@ import numpy as np
 
 from repro.kernels.common import MAX_EXPANSION_INCIDENCES, UNREACHABLE
 from repro.solvers import set_cover
+from repro.solvers.sum_reply import sum_reply  # the reference is the kernel
 
-__all__ = ["bfs", "bfs_reduce", "view", "cover_search", "max_reply"]
+__all__ = ["bfs", "bfs_reduce", "view", "cover_search", "max_reply", "sum_reply"]
 
 
 def bfs(

@@ -61,9 +61,9 @@ class ServiceConfig:
     error).  Multi-worker sweeps run on a :class:`~repro.service.workers.
     PersistentWorkerPool` started for the sweep; ``workers=1``, a single
     pending task or ``in_process=True`` (at any worker count) runs every
-    task in compile order on one serial :class:`WorkerRuntime` in the
-    calling process.  A negative ``workers`` is refused on construction,
-    before anything touches ``journal_dir``.
+    task on one serial :class:`WorkerRuntime` in the calling process, one
+    instance group after another.  A negative ``workers`` is refused on
+    construction, before anything touches ``journal_dir``.
 
     The kernel backend is not configured here: forked workers inherit
     the orchestrator's (:mod:`repro.kernels` — ``REPRO_KERNEL_BACKEND``

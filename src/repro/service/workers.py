@@ -9,8 +9,9 @@ state the incremental engine exists to keep alive.  This module keeps it:
   while holding two small LRUs — initial instances keyed by
   ``instance_key`` and live :class:`~repro.experiments.extensions.
   robustness._BaseSession` engines keyed by ``session_key``.  Because
-  each instance group runs on one worker in compile order, consecutive
-  tasks hit these caches: each instance is built once, by that worker,
+  each instance group runs on one worker in compile order, and a serial
+  runtime runs the groups one after another, consecutive tasks hit these
+  caches: each instance is built once, by that worker,
   and a robustness cell's second operator chain starts from a
   ``restore_profile`` warm replay instead of a cold base convergence.
 * :class:`PersistentWorkerPool` runs a fixed set of long-lived worker
@@ -274,10 +275,16 @@ class WorkerRuntime:
         pass
 
     def run_tasks(self, tasks, on_result, should_abort=None, on_telemetry=None) -> None:
-        """Execute ``tasks`` in order; same callbacks as
-        :meth:`PersistentWorkerPool.run_tasks`.  ``should_abort()`` is
-        polled before every task, and a task error propagates as raised."""
-        for task in tasks:
+        """Execute ``tasks`` serially; same callbacks as
+        :meth:`PersistentWorkerPool.run_tasks`.  The order is the pool's
+        dispatch order for one worker — an :class:`~repro.service.tasks.
+        AffinityTaskQueue` drained whole: instance groups heaviest first,
+        each in compile order — so every instance is built once even when
+        a grid interleaves more instances than the cache holds.
+        ``should_abort()`` is polled before every task, and a task error
+        propagates as raised."""
+        queue = AffinityTaskQueue(tasks, 1)
+        while (task := queue.next_task(0)) is not None:
             if should_abort is not None and should_abort():
                 return
             payload, summary = self.execute_traced(task)

@@ -16,7 +16,9 @@ provide three interchangeable solvers:
 
 Best responses build the constrained dominating set as a
 :class:`~repro.solvers.set_cover.SetCoverInstance` directly (see
-:func:`repro.core.best_response.best_response_max`).
+:func:`repro.core.best_response.best_response_max`).  The SumNCG reply —
+an exact enumeration for small strategy spaces, a hill climb beyond —
+lives in :mod:`repro.solvers.sum_reply`.
 """
 
 from repro.solvers.set_cover import (

@@ -16,7 +16,8 @@ bit:
 * the engine's SumNCG path never calls the reference at all.
 
 The kernel backend is process state, so running this module under
-``REPRO_KERNEL_BACKEND=numpy`` pins the same replies on numpy BFS.
+``REPRO_KERNEL_BACKEND=numpy`` pins the same replies on numpy BFS and the
+numpy ``sum_reply`` kernel.
 """
 
 import importlib
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 import repro.core.deviations as deviations
 from repro.core.best_response import (
     SUM_EXHAUSTIVE_LIMIT,
-    _SumEvaluator,
+    _sum_problem,
     best_response,
     best_response_sum_exhaustive,
     best_response_sum_local_search,
@@ -52,11 +53,11 @@ from repro.discovery.models import TracerouteModel, UnionOfBallsModel
 from repro.engine.core import DynamicsEngine
 from repro.graphs.generators.erdos_renyi import owned_connected_gnp_graph
 from repro.graphs.generators.trees import random_owned_tree
+from repro.kernels import use_backend
+from repro.solvers.sum_reply import SumEvaluator
 
-
-#: The module itself (``repro.core.best_response`` the attribute is the
-#: re-exported function).
-best_response_module = importlib.import_module("repro.core.best_response")
+#: The module of the SumNCG evaluator and its reference searches.
+sum_reply_module = importlib.import_module("repro.solvers.sum_reply")
 
 
 # ----------------------------------------------------------------------
@@ -212,14 +213,23 @@ def _subset(data, nodes):
     )
 
 
+def _evaluator(view, game):
+    """The view's evaluator and the map from label strategies to its rows."""
+    context = max_cover_context(view)
+    pricing, _ = _sum_problem(view, game, context)
+    return SumEvaluator(*pricing), lambda strategy: frozenset(
+        context.rows(view.player, strategy)
+    )
+
+
 def _assert_evaluator_matches(view, game, current, strategies):
-    evaluator = _SumEvaluator(view, game, max_cover_context(view))
+    evaluator, rows = _evaluator(view, game)
     for strategy in strategies:
-        cost, forbidden = evaluator.cost(strategy)
+        cost, forbidden = evaluator.cost(rows(strategy))
         assert _bits(cost) == _bits(view_cost(view, strategy, game))
         assert forbidden == deviation_is_forbidden_sum(view, strategy)
         for old in (current, *strategies[:2]):
-            assert _bits(evaluator.delta(old, strategy)) == _bits(
+            assert _bits(evaluator.delta(rows(old), rows(strategy))) == _bits(
                 worst_case_delta(view, old, strategy, game)
             )
 
@@ -242,20 +252,19 @@ class TestEvaluatorDelta:
         profile = StrategyProfile({0: frozenset(), 1: {0, 2}, 2: frozenset()})
         game = SumNCG(1.0)
         view = extract_view(profile, 1, game.k)
-        evaluator = _SumEvaluator(view, game, max_cover_context(view))
-        assert evaluator.delta(profile.strategy(1), frozenset()) == math.inf
+        evaluator, rows = _evaluator(view, game)
+        assert evaluator.delta(rows(profile.strategy(1)), frozenset()) == math.inf
         assert worst_case_delta(view, profile.strategy(1), frozenset(), game) == math.inf
         assert evaluator.delta(frozenset(), frozenset()) == 0.0  # inf - inf
 
     def test_targets_outside_the_view_are_refused(self):
         profile = StrategyProfile({0: {1}, 1: {2}, 2: {3}, 3: frozenset()})
         game = SumNCG(1.0, k=1)
-        view = extract_view(profile, 0, game.k)
-        evaluator = _SumEvaluator(view, game, max_cover_context(view))
-        with pytest.raises(ValueError, match="outside the player's view"):
-            evaluator.cost(frozenset({3}))
-        with pytest.raises(ValueError, match="herself"):
-            evaluator.cost(frozenset({0}))
+        for reply in (best_response_sum_exhaustive, best_response_sum_local_search):
+            with pytest.raises(ValueError, match="outside the player's view"):
+                reply(profile, 0, game, current_strategy=frozenset({3}))
+            with pytest.raises(ValueError, match="herself"):
+                reply(profile, 0, game, current_strategy=frozenset({0}))
 
 
 class TestRepliesEqualTheReference:
@@ -304,20 +313,22 @@ class TestRepliesEqualTheReference:
 
     @pytest.mark.parametrize("batch_rows", [1, 5])
     def test_batch_boundaries_do_not_move_replies(self, monkeypatch, batch_rows):
-        """Size classes and neighbourhoods split over many batches."""
-        monkeypatch.setattr(best_response_module, "_SUM_BATCH_ROWS", batch_rows)
-        for seed in range(3):
-            profile = StrategyProfile.from_owned_graph(random_owned_tree(9, seed=seed))
-            for game in (SumNCG(0.5, k=3), SumNCG(1.5, k=FULL_KNOWLEDGE)):
-                for player in profile.players()[:3]:
-                    view = extract_view(profile, player, game.k)
-                    current = profile.strategy(player)
-                    assert _reply(best_response(profile, player, game)) == _expected(
-                        _reference_dispatch(view, game, current)
-                    )
-                    assert _reply(
-                        best_response_sum_local_search(profile, player, game, restarts=3)
-                    ) == _expected(_reference_local_search(view, game, current, restarts=3))
+        """Size classes and neighbourhoods split over many batches (the
+        numpy kernel's; the native one prices subsets one at a time)."""
+        monkeypatch.setattr(sum_reply_module, "_SUM_BATCH_ROWS", batch_rows)
+        with use_backend("numpy"):
+            for seed in range(3):
+                profile = StrategyProfile.from_owned_graph(random_owned_tree(9, seed=seed))
+                for game in (SumNCG(0.5, k=3), SumNCG(1.5, k=FULL_KNOWLEDGE)):
+                    for player in profile.players()[:3]:
+                        view = extract_view(profile, player, game.k)
+                        current = profile.strategy(player)
+                        assert _reply(best_response(profile, player, game)) == _expected(
+                            _reference_dispatch(view, game, current)
+                        )
+                        assert _reply(
+                            best_response_sum_local_search(profile, player, game, restarts=3)
+                        ) == _expected(_reference_local_search(view, game, current, restarts=3))
 
 
 class TestHeterogeneousFrontier:

@@ -250,6 +250,7 @@ class TestRegistry:
                 view=reference.view,
                 cover_search=reference.cover_search,
                 max_reply=reference.max_reply,
+                sum_reply=reference.sum_reply,
             ),
         )
         assert resolve_backend("custom").name == "custom"

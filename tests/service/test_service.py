@@ -534,6 +534,26 @@ class TestWorkerInstances:
             ("session", "reused"): 0,
         }
 
+    def test_serial_sweep_builds_each_seed_group_once(self):
+        # Seeds innermost: compile order cycles through 6 instances, more
+        # than the cache holds, so running it as compiled rebuilds them.
+        tasks = compile_run_specs(_specs(num_seeds=6))
+        groups = len({task.instance_key for task in tasks})
+        assert groups == 6 > INSTANCE_CACHE_SIZE
+        compile_order = WorkerRuntime()
+        expected = [
+            decode_result(task.kind, encode_result(task, compile_order.execute(task)))
+            for task in tasks
+        ]
+        assert compile_order.instances_built == len(tasks)
+        family = default_registry().counter("repro_worker_cache_total")
+        before = {key: series.value for key, series in family.samples()}
+        rows = orchestrate(tasks, ServiceConfig(workers=1))
+        moved = {key: series.value - before.get(key, 0) for key, series in family.samples()}
+        assert moved[("instance", "built")] == groups
+        assert moved[("instance", "reused")] == len(tasks) - groups
+        assert rows == expected
+
     def test_sum_tasks_build_one_tree_per_size_and_seed(self):
         cfg = SumDynamicsConfig.smoke()
         tasks = compile_sum_tasks(cfg)
