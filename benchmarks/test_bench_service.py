@@ -8,9 +8,10 @@ the same converged base equilibrium of each instance.  Two executions of
 the *identical* task list are timed:
 
 * **warm service** — :func:`repro.service.api.robustness_sweep` with a
-  2-worker pool.  The group queue sends all five operator tasks of an
-  instance to one worker, whose session cache converges the base
-  engine once and warm-replays (``restore_profile``) for the rest.
+  2-worker pool.  The queue sends all five operator tasks of an instance
+  cell (one warm session) to one worker, whose session cache converges
+  the base engine once and warm-replays (``restore_profile``) for the
+  rest.
 * **cold per-task pool** — the same tasks through a throwaway
   :class:`~concurrent.futures.ProcessPoolExecutor` with a fresh
   :class:`~repro.service.workers.WorkerRuntime` per task, i.e. the world

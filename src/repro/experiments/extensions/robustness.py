@@ -877,7 +877,7 @@ def generate_robustness_study(
 
     The sweep runs through the orchestration service
     (:func:`repro.service.api.robustness_sweep`) on ``config.settings.
-    workers`` instance-affine workers (1 = in the calling process):
+    workers`` warm workers (1 = in the calling process):
     per-operator tasks of the same instance cell share one warm base
     engine instead of each re-converging it, and a ``journal`` directory
     gives crash-safe ``resume``.  Only the wall-clock ``warm_s`` /

@@ -118,7 +118,7 @@ def generate_sum_dynamics(
 
     The per-run grid (:func:`repro.service.tasks.compile_sum_tasks`) runs
     through the orchestration service on ``settings.workers``
-    instance-affine workers (1 = in the calling process); a ``journal``
+    warm workers (1 = in the calling process); a ``journal``
     directory makes it crash-safe and enables ``resume``.
     """
     from repro.service.api import ServiceConfig, sum_sweep

@@ -226,7 +226,7 @@ def run_sweep(
     """Run many independent specs through the orchestration service.
 
     Equivalent to ``[run_single(spec) for spec in specs]``.  The sweep
-    runs on ``settings.workers`` instance-affine workers (1 = in the
+    runs on ``settings.workers`` warm workers (1 = in the
     calling process) via :func:`repro.service.api.run_spec_sweep`; a
     ``journal`` directory makes it crash-safe and enables ``resume``.
 

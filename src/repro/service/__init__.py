@@ -2,8 +2,8 @@
 
 Compiles any sweep — :class:`~repro.experiments.runner.RunSpec` grids,
 robustness operator chains, SumNCG grids, plain ``func(item)`` maps —
-into instance-affine task groups, hands the groups heaviest-first from one
-central queue to persistent warm-engine workers (live
+into tasks, hands them out as warm-session units (heaviest instance first)
+from one central queue to persistent warm-engine workers (live
 :class:`~repro.engine.DynamicsEngine` sessions, cached instances), journals
 every completed task crash-safely and resumes interrupted sweeps with the
 identical row set.  Entry points:

@@ -1,7 +1,7 @@
 """The sweep orchestration service: compile → dispatch → execute → journal.
 
 :func:`orchestrate` is the one funnel every sweep routes through, at
-any worker count: warm instance-affine workers
+any worker count: warm session-affine workers
 (:mod:`repro.service.workers` — in the calling process at one worker), a
 crash-safe resumable journal (:mod:`repro.service.journal`), and —
 regardless of worker count, dispatch order or completion order —
@@ -62,8 +62,8 @@ class ServiceConfig:
     PersistentWorkerPool` started for the sweep; ``workers=1``, a single
     pending task or ``in_process=True`` (at any worker count) runs every
     task on one serial :class:`WorkerRuntime` in the calling process, one
-    instance group after another.  A negative ``workers`` is refused on
-    construction, before anything touches ``journal_dir``.
+    instance group after another, heaviest first.  A negative ``workers``
+    is refused on construction, before anything touches ``journal_dir``.
 
     The kernel backend is not configured here: forked workers inherit
     the orchestrator's (:mod:`repro.kernels` — ``REPRO_KERNEL_BACKEND``
@@ -72,9 +72,12 @@ class ServiceConfig:
 
     A multi-worker pool dispatches through the
     :class:`~repro.service.tasks.AffinityTaskQueue`: a worker that
-    finishes its instance group checks out the heaviest pending one.  Each
-    group runs on one worker, which builds the group's instance itself.
-    Rows never depend on the dispatch — only the makespan does.
+    finishes its session unit (a warm session's tasks, or one sessionless
+    task) checks out the next pending one, heaviest instance group first.
+    Each unit runs on one worker, so the independent cells of one instance
+    spread over the idle workers, and each such worker builds the instance
+    itself, once.  Rows never depend on the dispatch — only the makespan
+    does.
 
     ``telemetry=True`` runs every task under trace spans (engine rounds,
     best responses, view refreshes, kernel calls) and journals one
@@ -103,8 +106,9 @@ def orchestrate(tasks: list[SweepTask], config: ServiceConfig) -> list[Any]:
     The sweep picks one executor and runs its ``run_tasks`` once: a serial
     :class:`WorkerRuntime` in the calling process for one worker, one
     pending task or ``in_process``, else a :class:`PersistentWorkerPool`
-    started for the sweep.  Either way an instance is built once, by the
-    runtime that executes its group, into that runtime's instance cache.
+    started for the sweep.  Either way an instance is built once per
+    runtime that executes one of its units, into that runtime's instance
+    cache.
     Every result — fresh or journaled — passes through the same
     encode/decode pair, so the assembled output of a resumed sweep is
     byte-identical to an uninterrupted one, and the output of a pooled run

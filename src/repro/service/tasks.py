@@ -1,4 +1,4 @@
-"""Sweep compilation and dispatch: any sweep as instance-affine task groups.
+"""Sweep compilation and dispatch: any sweep as warm-session units.
 
 Every sweep entry point of the repository — :func:`repro.experiments.runner.
 run_sweep` over :class:`~repro.experiments.runner.RunSpec` grids, the
@@ -11,15 +11,17 @@ items.  This module compiles each of them into
 ``instance_key``
     Hash of exactly the inputs that determine the *initial instance*
     (family, size, seed, ownership rule).  Tasks sharing it form one
-    group that :class:`AffinityTaskQueue` hands to a single worker, in
-    sequence, so the worker builds the instance once into its instance
-    cache and every later task of the group hits the cache instead of
-    regenerating (or re-pickling) the graph.
+    instance group; :class:`AffinityTaskQueue` queues a group's session
+    units next to each other, so a worker that runs any of them builds
+    the instance once into its instance cache and its later units of the
+    group hit the cache instead of regenerating (or re-pickling) the graph.
 ``session_key``
     Hash of everything that determines a warm engine session (instance
-    plus game, solver, round cap).  Robustness operator tasks of one
-    instance cell share it: the first task converges the pre-shock base
-    once, the rest ride the live engine via ``restore_profile``.
+    plus game, solver, round cap), or ``""`` for a self-contained task.
+    Robustness operator tasks of one instance cell share it and form one
+    dispatch unit that runs on a single worker, in compile order: the
+    first task converges the pre-shock base once, the rest ride the live
+    engine via ``restore_profile``.
 ``spec_hash``
     Content hash of the complete task description — the journal identity
     under which a completed result is persisted and skipped on ``--resume``.
@@ -115,7 +117,8 @@ def compile_run_specs(specs: list[RunSpec]) -> list[SweepTask]:
 
     Specs differing only in (α, k, solver, ordering …) share their initial
     instance — grids sweep those dimensions over the same seeds — so they
-    land on the same worker and reuse its cached copy.
+    are queued together and a worker that runs several of them reuses its
+    cached copy.  Each spec is a dispatch unit of its own.
     """
     tasks: list[SweepTask] = []
     for index, spec in enumerate(specs):
@@ -232,7 +235,7 @@ def compile_calls(func, items) -> list[SweepTask]:
 
     ``func`` is pickled by name, so it must be a module-level function.
     Calls share no instance or session: a call's identity (function name
-    plus item) is also its one-task affinity group.
+    plus item) is also its one-task instance group.
     """
     name = f"{func.__module__}.{func.__qualname__}"
     tasks: list[SweepTask] = []
@@ -260,29 +263,33 @@ def sweep_hash(tasks: list[SweepTask]) -> str:
 # Dispatch
 # ----------------------------------------------------------------------
 def group_weight(group: list[SweepTask]) -> int:
-    """Estimated cost of one instance-affine task group.
+    """Estimated cost of one instance group (orders the queue).
 
     ``instance node count × task count`` — the per-task dynamics cost grows
     with the instance size (view BFS, cover searches), so a 4000-node
     instance's ten tasks should not be ordered as if they matched ten tasks
     on a 50-node instance.  Still an *estimate*: α/k skew is invisible to
-    it, which the central queue absorbs by handing groups out on demand.
+    it, which the central queue absorbs by handing units out on demand.
     """
     return instance_size(group[0]) * len(group)
 
 
 class AffinityTaskQueue:
-    """Central dispatcher: one queue of instance groups, heaviest first.
+    """Central dispatcher: one queue of warm-session units, heaviest first.
 
     Tasks are grouped by ``instance_key`` (compile order kept inside a
-    group, so session-sharing tasks stay consecutive) and the groups are
-    ordered by ``(-group_weight, instance_key)``.  A worker that asks for
-    work continues the group it has checked out; otherwise it checks out
-    the next pending group.  Whole groups go to one worker, never single
-    tasks, so the in-sequence-per-instance invariant (warm sessions, one
-    instance build per group, journal ordering) holds under any
-    interleaving of requests.  This is greedy LPT list scheduling
-    (Graham 1969): within 4/3 of the optimal makespan on true weights.
+    group) and the groups are ordered by ``(-group_weight, instance_key)``.
+    Each group splits into *units*: the tasks sharing a non-empty
+    ``session_key`` form one unit, every sessionless task is a unit of its
+    own.  The units are queued group by group.  A worker that asks for
+    work continues the unit it has checked out; otherwise it checks out
+    the next pending unit.  So a warm session runs on one worker, in
+    compile order, under any interleaving of requests, while the
+    independent cells of one instance spread over every idle worker.  A
+    group's units are adjacent in the queue, so a worker builds each
+    instance at most once, and one worker drains the groups in order, each
+    in compile order.  This is greedy LPT list scheduling (Graham 1969):
+    within 4/3 of the optimal makespan on true weights.
 
     Dispatch is deterministic given the sequence of :meth:`next_task`
     calls; results never depend on that sequence because every task is
@@ -295,12 +302,15 @@ class AffinityTaskQueue:
         groups: dict[str, list[SweepTask]] = {}
         for task in tasks:
             groups.setdefault(task.instance_key, []).append(task)
-        self._pending = deque(
-            sorted(
-                groups.values(),
-                key=lambda group: (-group_weight(group), group[0].instance_key),
-            )
-        )
+        self._pending: deque[list[SweepTask]] = deque()
+        for group in sorted(
+            groups.values(),
+            key=lambda group: (-group_weight(group), group[0].instance_key),
+        ):
+            units: dict[str | int, list[SweepTask]] = {}
+            for position, task in enumerate(group):
+                units.setdefault(task.session_key or position, []).append(task)
+            self._pending.extend(units.values())
         self._active: list[deque] = [deque() for _ in range(num_workers)]
         # Instrumentation (read by tests) — a registry child behind a
         # read-through property, so dispatch counts also aggregate into the
@@ -322,9 +332,9 @@ class AffinityTaskQueue:
     def next_task(self, worker: int) -> SweepTask | None:
         """The next task ``worker`` should run, or ``None`` when it is done.
 
-        Continues the worker's checked-out group in compile order, else
-        checks out the next pending group.  ``None`` is terminal for the
-        worker: every remaining task belongs to a group checked out
+        Continues the worker's checked-out unit in compile order, else
+        checks out the next pending unit.  ``None`` is terminal for the
+        worker: every remaining task belongs to a unit checked out
         elsewhere.
         """
         active = self._active[worker]
@@ -364,7 +374,7 @@ def instance_builder(task: SweepTask):
     """Zero-argument builder of the task's initial instance.
 
     Called by :class:`~repro.service.workers.WorkerRuntime` on an instance
-    cache miss: the worker that runs an instance group builds its instance.
+    cache miss: each worker that runs one of an instance's units builds it.
     """
     if task.kind == "run_spec":
         from repro.experiments.runner import build_instance

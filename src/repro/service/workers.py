@@ -9,17 +9,19 @@ state the incremental engine exists to keep alive.  This module keeps it:
   while holding two small LRUs — initial instances keyed by
   ``instance_key`` and live :class:`~repro.experiments.extensions.
   robustness._BaseSession` engines keyed by ``session_key``.  Because
-  each instance group runs on one worker in compile order, and a serial
-  runtime runs the groups one after another, consecutive tasks hit these
-  caches: each instance is built once, by that worker,
-  and a robustness cell's second operator chain starts from a
-  ``restore_profile`` warm replay instead of a cold base convergence.
+  each warm session runs on one worker in compile order, and an
+  instance's sessions and sessionless tasks are queued next to each
+  other, consecutive tasks hit these caches: each instance is built at
+  most once per worker that runs one of its units, and a robustness
+  cell's second operator chain starts from a ``restore_profile`` warm
+  replay instead of a cold base convergence.
 * :class:`PersistentWorkerPool` runs a fixed set of long-lived worker
   processes fed through an :class:`~repro.service.tasks.AffinityTaskQueue`:
-  a worker drains its checked-out instance group (keeping the warm caches
-  hot), then checks out the heaviest pending group, and every result
-  streams back as ``(index, spec_hash, encoded payload)`` the moment it
-  lands — the property that makes a SIGKILL resumable.
+  a worker drains its checked-out session unit (keeping the warm session
+  hot), then checks out the next pending unit, so an instance's
+  independent cells run on every idle worker; every result streams back
+  as ``(index, spec_hash, encoded payload)`` the moment it lands — the
+  property that makes a SIGKILL resumable.
 
 Both are *executors* with one protocol — ``start()``, ``run_tasks(tasks,
 on_result, should_abort=None, on_telemetry=None)``, ``stop()`` — so the
@@ -63,10 +65,10 @@ __all__ = [
     "PersistentWorkerPool",
 ]
 
-#: Live engine sessions per worker.  A session's tasks are consecutive
-#: inside its instance group, which runs back to back on one worker, so
-#: within a sweep a session is not revisited once the next one starts; the
-#: second slot keeps the previous session warm for a daemon's next job.
+#: Live engine sessions per worker.  A session's tasks form one dispatch
+#: unit that runs back to back on one worker, so within a sweep a session
+#: is not revisited once the next one starts; the second slot keeps the
+#: previous session warm for a daemon's next job.
 SESSION_CACHE_SIZE: int = 2
 
 #: Initial instances per worker (cheap: one profile each).
@@ -279,8 +281,9 @@ class WorkerRuntime:
         :meth:`PersistentWorkerPool.run_tasks`.  The order is the pool's
         dispatch order for one worker — an :class:`~repro.service.tasks.
         AffinityTaskQueue` drained whole: instance groups heaviest first,
-        each in compile order — so every instance is built once even when
-        a grid interleaves more instances than the cache holds.
+        each in compile order (its session units back to back) — so every
+        instance is built once even when a grid interleaves more instances
+        than the cache holds.
         ``should_abort()`` is polled before every task, and a task error
         propagates as raised."""
         queue = AffinityTaskQueue(tasks, 1)
@@ -360,8 +363,8 @@ class PersistentWorkerPool:
     a one-task window per worker (a worker only receives its next task
     after returning the previous one), which keeps cancellation prompt —
     at most ``workers`` tasks are in flight when a job is aborted — and
-    lets :meth:`run_tasks` keep each instance group in compile order on
-    its worker.
+    lets :meth:`run_tasks` keep each warm session in compile order on its
+    worker.
     """
 
     def __init__(
@@ -424,19 +427,20 @@ class PersistentWorkerPool:
         """Execute ``tasks``; ``on_result(index, spec_hash, kind, payload)``
         fires in completion order (the caller journals and reassembles by
         index).  Dispatch goes through an :class:`~repro.service.tasks.
-        AffinityTaskQueue`: each worker drains the instance group it has
-        checked out, in compile order, then checks out the heaviest pending
-        group.  A worker only receives its next task after returning the
+        AffinityTaskQueue`: each worker drains the session unit it has
+        checked out, in compile order, then checks out the next pending
+        unit.  A worker only receives its next task after returning the
         previous one, which keeps cancellation prompt and hands a pending
-        group to whichever worker frees up first.
+        unit to whichever worker frees up first.
 
         ``should_abort()`` is polled before the first dispatch and after
         every completion: once it returns True no further task is
         dispatched, in-flight results are still collected (and journaled
         by the caller — finished work is never discarded).  A task error
-        or a worker death aborts dispatch the same way and is raised after
-        the in-flight tasks drain; the pool itself survives (dead slots
-        respawn) for the next job.
+        or a worker death aborts dispatch the same way and is raised,
+        naming the task's index and ``spec_hash``, after the in-flight
+        tasks drain; the pool itself survives (dead slots respawn) for the
+        next job.
 
         ``on_telemetry(summary)`` (optional) fires with each worker-side
         telemetry summary when the pool runs with ``telemetry=True``.
@@ -451,17 +455,14 @@ class PersistentWorkerPool:
         queue = AffinityTaskQueue(tasks, self.workers)
         tracer = get_telemetry().tracer
         inflight_spans: dict[int, object] = {}
-        busy = [False] * self.workers
-        outstanding = 0
+        inflight: list[SweepTask | None] = [None] * self.workers
 
         def _dispatch_next(slot: int) -> None:
-            nonlocal outstanding
             task = queue.next_task(slot)
             if task is None:
                 return
             self._inboxes[slot].put(task)
-            busy[slot] = True
-            outstanding += 1
+            inflight[slot] = task
             if tracer.enabled:
                 inflight_spans[slot] = tracer.begin(
                     "task.dispatch", worker=slot, index=task.index, kind=task.kind
@@ -471,14 +472,14 @@ class PersistentWorkerPool:
             _dispatch_next(slot)
         aborted = False
         error: str | None = None
-        while outstanding:
+        while any(task is not None for task in inflight):
             try:
                 message = self._outbox.get(timeout=1.0)
             except Empty:
                 dead = [
                     slot
                     for slot, process in enumerate(self._processes)
-                    if busy[slot] and not process.is_alive()
+                    if inflight[slot] is not None and not process.is_alive()
                 ]
                 if not dead:
                     continue
@@ -490,10 +491,12 @@ class PersistentWorkerPool:
                     # A dead slot's task fails like a task error: dispatch
                     # stops and its siblings still drain, so none of their
                     # results can leak into the next run_tasks call.
-                    message = (dead[0], "died", None, None, None, None, None)
+                    task = inflight[dead[0]]
+                    message = (
+                        dead[0], "died", task.index, task.spec_hash, None, None, None
+                    )
             worker_id, status, index, spec_hash, kind, payload, summary = message
-            outstanding -= 1
-            busy[worker_id] = False
+            inflight[worker_id] = None
             span = inflight_spans.pop(worker_id, None)
             if span is not None:
                 span.finish(status=status)
@@ -504,7 +507,8 @@ class PersistentWorkerPool:
             else:
                 if error is None:
                     error = (
-                        f"sweep worker {worker_id} died without reporting a result"
+                        f"sweep worker {worker_id} died without reporting the "
+                        f"result of task {index} (spec_hash {spec_hash})"
                         if status == "died"
                         else f"sweep task {index} failed in a worker:\n{payload}"
                     )

@@ -1,12 +1,14 @@
-"""Group dispatch: equivalence, affinity invariants, makespan.
+"""Session-unit dispatch: equivalence, affinity invariants, makespan.
 
 The load-bearing property mirrors the orchestration suite's: no
 interleaving of worker requests may change the row set.  On top of that
-the central queue has its own invariants: whole instance groups go to one
-worker (never single tasks), tasks inside a group are handed out in
-compile order, groups leave heaviest-first, and on the straggler grid
+the central queue has its own invariants: every task is dispatched
+exactly once, a warm session's tasks (one unit) go to one worker in
+compile order, units leave heaviest instance group first with a group's
+units adjacent (so a worker builds each instance at most once), one
+worker drains the instance groups in order, and on the straggler grid
 (deceptively light small instances next to deceptively heavy large ones)
-handing groups out on demand beats the static weighted plan's makespan.
+handing units out on demand beats the static weighted plan's makespan.
 """
 
 import heapq
@@ -15,14 +17,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.config import SweepSettings
+from repro.experiments.extensions.robustness import RobustnessStudyConfig
+from repro.experiments.extensions.sum_dynamics import SumDynamicsConfig
 from repro.experiments.runner import RunSpec, run_single
-from repro.service.api import ServiceConfig, orchestrate
+from repro.service.api import ServiceConfig, orchestrate, robustness_sweep
 from repro.service.tasks import (
     AffinityTaskQueue,
+    compile_robustness_tasks,
     compile_run_specs,
+    compile_sum_tasks,
     decode_result,
     encode_result,
     group_weight,
+    strip_timing_fields,
 )
 from repro.service.workers import PersistentWorkerPool, WorkerRuntime
 
@@ -56,12 +64,78 @@ def _straggler_specs() -> list[RunSpec]:
     return large + small
 
 
+def _robustness_config(num_seeds: int = 2) -> RobustnessStudyConfig:
+    """Two α cells per instance: two warm sessions share each instance."""
+    return RobustnessStudyConfig(
+        families=("tree", "gnp"),
+        operators=("add_shortcuts", "reset_player"),
+        n=10,
+        alphas=(0.5, 2.0),
+        ks=(2,),
+        shocks_per_instance=2,
+        intensity=1,
+        settings=SweepSettings(
+            num_seeds=num_seeds, solver="branch_and_bound", max_rounds=60
+        ),
+    )
+
+
 def _groups(tasks) -> dict[str, list[int]]:
     """Compile-order task indices per instance group."""
     groups: dict[str, list[int]] = {}
     for task in tasks:
         groups.setdefault(task.instance_key, []).append(task.index)
     return groups
+
+
+def _unit(task):
+    """A task's dispatch unit: its warm session, else the task itself."""
+    return task.session_key or task.index
+
+
+def _units(tasks) -> dict:
+    """Compile-order task indices per dispatch unit."""
+    units: dict = {}
+    for task in tasks:
+        units.setdefault(_unit(task), []).append(task.index)
+    return units
+
+
+def _instance_group_order(tasks) -> list[int]:
+    """The drain order of the instance-group queue the unit queue replaced:
+    whole groups heaviest first, ties by ``instance_key``, each group in
+    compile order."""
+    groups: dict[str, list] = {}
+    for task in tasks:
+        groups.setdefault(task.instance_key, []).append(task)
+    ordered = sorted(
+        groups.values(), key=lambda group: (-group_weight(group), group[0].instance_key)
+    )
+    return [task.index for group in ordered for task in group]
+
+
+def _assert_session_dispatch(tasks, sequence) -> None:
+    """The queue's invariants over a drained ``[(worker, task)]`` sequence."""
+    # Every task exactly once.
+    assert sorted(task.index for _, task in sequence) == [task.index for task in tasks]
+    owner: dict = {}
+    per_unit: dict = {}
+    visits: dict[int, list[str]] = {}
+    for worker, task in sequence:
+        # A unit runs on one worker, in compile order.
+        assert owner.setdefault(_unit(task), worker) == worker
+        per_unit.setdefault(_unit(task), []).append(task.index)
+        runs = visits.setdefault(worker, [])
+        if not runs or runs[-1] != task.instance_key:
+            runs.append(task.instance_key)
+    assert per_unit == _units(tasks)
+    # A worker's tasks of one instance are consecutive: built at most once.
+    assert all(len(runs) == len(set(runs)) for runs in visits.values())
+    # Units leave in the one-worker drain order.
+    by_index = {task.index: task for task in tasks}
+    assert list(dict.fromkeys(_unit(task) for _, task in sequence)) == list(
+        dict.fromkeys(_unit(by_index[i]) for i in _instance_group_order(tasks))
+    )
 
 
 def _static_lpt_plan(tasks, workers: int) -> list[list]:
@@ -140,19 +214,53 @@ class TestGroupOrder:
 
 
 class TestAffinityTaskQueue:
+    @pytest.mark.parametrize(
+        "compiled",
+        [
+            lambda: compile_run_specs(_specs()),
+            lambda: compile_sum_tasks(SumDynamicsConfig.smoke()),
+            lambda: compile_robustness_tasks(_robustness_config()),
+        ],
+        ids=["run_spec", "sum", "robustness"],
+    )
+    def test_one_worker_drains_the_instance_group_order(self, compiled):
+        tasks = compiled()
+        queue = AffinityTaskQueue(tasks, 1)
+        drained = []
+        while (task := queue.next_task(0)) is not None:
+            drained.append(task.index)
+        assert drained == _instance_group_order(tasks)
+
+    def test_an_instance_splits_into_its_session_units(self):
+        tasks = compile_robustness_tasks(_robustness_config())
+        queue = AffinityTaskQueue(tasks, 2)
+        first, second = queue.next_task(0), queue.next_task(1)
+        # One instance, two α sessions: both workers start on it at once.
+        assert first.instance_key == second.instance_key
+        assert first.session_key != second.session_key
+        assert queue.next_task(0).session_key == first.session_key
+
     @settings(
         max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(workers=st.integers(min_value=2, max_value=5), data=st.data())
-    def test_any_interleaving_dispatches_each_group_once_in_order(self, workers, data):
-        tasks = compile_run_specs(_specs())
+    @given(
+        workers=st.integers(min_value=2, max_value=5),
+        grid=st.sampled_from(["run_spec", "robustness"]),
+        data=st.data(),
+    )
+    def test_any_interleaving_dispatches_each_unit_once_in_order(
+        self, workers, grid, data
+    ):
+        tasks = (
+            compile_run_specs(_specs())
+            if grid == "run_spec"
+            else compile_robustness_tasks(_robustness_config())
+        )
         queue = AffinityTaskQueue(tasks, workers)
         before = queue.dispatched
-        dispatched: list = []
-        owner: dict[str, int] = {}
-        per_group: dict[str, list[int]] = {}
+        sequence: list = []
         active = set(range(workers))
         while active:
             worker = data.draw(st.sampled_from(sorted(active)), label="worker")
@@ -160,15 +268,9 @@ class TestAffinityTaskQueue:
             if task is None:
                 active.discard(worker)
                 continue
-            dispatched.append(task)
-            # Whole groups go to one worker: one worker per instance_key.
-            assert owner.setdefault(task.instance_key, worker) == worker
-            per_group.setdefault(task.instance_key, []).append(task.index)
-        assert sorted(t.index for t in dispatched) == [t.index for t in tasks]
+            sequence.append((worker, task))
         assert queue.dispatched - before == len(tasks)
-        # In-sequence-per-instance: dispatch order inside a group is compile
-        # order (warm sessions depend on it).
-        assert per_group == _groups(tasks)
+        _assert_session_dispatch(tasks, sequence)
 
     @settings(
         max_examples=8,
@@ -183,6 +285,7 @@ class TestAffinityTaskQueue:
         queue = AffinityTaskQueue(tasks, workers)
         runtimes = [WorkerRuntime() for _ in range(workers)]
         decoded: dict[int, object] = {}
+        ran: list[set[str]] = [set() for _ in range(workers)]
         active = set(range(workers))
         while active:
             worker = data.draw(st.sampled_from(sorted(active)), label="worker")
@@ -192,8 +295,10 @@ class TestAffinityTaskQueue:
                 continue
             payload = encode_result(task, runtimes[worker].execute(task))
             decoded[task.index] = decode_result(task.kind, payload)
+            ran[worker].add(task.instance_key)
         assert [decoded[i] for i in range(len(specs))] == serial
-        assert sum(r.instances_built for r in runtimes) == len(_groups(tasks))
+        # Each runtime built every instance it ran exactly once.
+        assert [r.instances_built for r in runtimes] == [len(keys) for keys in ran]
 
 
 class TestStragglerScenario:
@@ -252,11 +357,10 @@ class TestRealPool:
         )
         assert results == serial
 
-    def test_each_group_runs_on_one_worker_in_compile_order(self):
-        # Telemetry summaries carry the executing worker's pid; a worker
-        # returns its tasks in the order it received them, so per group the
-        # summaries arrive in dispatch order.
-        tasks = compile_run_specs(_specs())
+    @staticmethod
+    def _pooled(tasks) -> tuple[list[dict], dict[int, object]]:
+        """Telemetry summaries (arrival order) and decoded results of one
+        2-worker pool run."""
         summaries: list[dict] = []
         decoded: dict[int, object] = {}
         pool = PersistentWorkerPool(workers=2, telemetry=True)
@@ -270,16 +374,51 @@ class TestRealPool:
             )
         finally:
             pool.stop()
-        pids: dict[str, set[int]] = {}
-        order: dict[str, list[int]] = {}
+        return summaries, decoded
+
+    def test_each_worker_runs_an_instance_back_to_back(self):
+        # Telemetry summaries carry the executing worker's pid; a worker
+        # returns its tasks in the order it received them, so per pid the
+        # summaries arrive in dispatch order.
+        tasks = compile_run_specs(_specs())
+        summaries, decoded = self._pooled(tasks)
+        assert sorted(s["index"] for s in summaries) == [t.index for t in tasks]
+        visits: dict[int, list[str]] = {}
         for summary in summaries:
+            runs = visits.setdefault(summary["worker"], [])
             key = tasks[summary["index"]].instance_key
-            pids.setdefault(key, set()).add(summary["worker"])
-            order.setdefault(key, []).append(summary["index"])
-        assert all(len(workers) == 1 for workers in pids.values())
-        assert order == _groups(tasks)
-        # Both workers took a group: each receives one on the first dispatch.
-        assert len(set().union(*pids.values())) == 2
+            if not runs or runs[-1] != key:
+                runs.append(key)
+        # Each worker ran an instance's tasks back to back (one build each).
+        assert all(len(runs) == len(set(runs)) for runs in visits.values())
+        # Both workers took a unit: each receives one on the first dispatch.
+        assert len(visits) == 2
         assert [decoded[task.index] for task in tasks] == [
             run_single(task.payload[0]) for task in tasks
         ]
+
+    def test_sessionless_tasks_of_one_instance_run_on_two_pids(self):
+        tasks = compile_run_specs(_specs(num_seeds=1)[:2])
+        assert tasks[0].instance_key == tasks[1].instance_key
+        summaries, decoded = self._pooled(tasks)
+        assert len({summary["worker"] for summary in summaries}) == 2
+        assert [decoded[task.index] for task in tasks] == [
+            run_single(task.payload[0]) for task in tasks
+        ]
+
+    def test_robustness_sessions_run_on_one_pid_each(self):
+        cfg = _robustness_config(num_seeds=1)
+        tasks = compile_robustness_tasks(cfg)
+        summaries, decoded = self._pooled(tasks)
+        pids: dict[str, set[int]] = {}
+        order: dict[str, list[int]] = {}
+        for summary in summaries:
+            session = tasks[summary["index"]].session_key
+            pids.setdefault(session, set()).add(summary["worker"])
+            order.setdefault(session, []).append(summary["index"])
+        assert all(len(workers) == 1 for workers in pids.values())
+        assert order == _units(tasks)
+        rows = [row for index in range(len(tasks)) for row in decoded[index][0]]
+        assert strip_timing_fields(rows) == strip_timing_fields(
+            robustness_sweep(cfg, ServiceConfig(workers=1))[0]
+        )

@@ -106,15 +106,24 @@ def _dispatch_interleaved(tasks, workers: int, choose) -> list[tuple[int, object
 
 def _run_interleaved(tasks, workers: int, choose) -> list:
     """Decoded results in task order, each task executed as dispatched on
-    the :class:`WorkerRuntime` of the worker the queue handed it to."""
+    the :class:`WorkerRuntime` of the worker the queue handed it to.
+
+    Checks the session invariant on the way: every task runs once, each
+    runtime builds every instance it ran once and converges every warm
+    session it ran once.
+    """
     runtimes = [WorkerRuntime() for _ in range(workers)]
+    instances: list[set[str]] = [set() for _ in range(workers)]
+    sessions: list[set[str]] = [set() for _ in range(workers)]
     decoded = {}
     for worker, task in _dispatch_interleaved(tasks, workers, choose):
+        assert task.index not in decoded
         payload = encode_result(task, runtimes[worker].execute(task))
         decoded[task.index] = decode_result(task.kind, payload)
-    assert sum(r.instances_built for r in runtimes) == len(
-        {task.instance_key for task in tasks}
-    )
+        instances[worker].add(task.instance_key)
+        sessions[worker] |= {task.session_key} - {""}
+    assert [r.instances_built for r in runtimes] == [len(keys) for keys in instances]
+    assert [r.sessions_built for r in runtimes] == [len(keys) for keys in sessions]
     return [decoded[task.index] for task in tasks]
 
 
@@ -156,14 +165,28 @@ class TestCompilationAndDispatch:
         assert sweep_hash(first) != sweep_hash(second)
         assert [t.spec_hash for t in first] == [t.spec_hash for t in compiled(3.0000001)]
 
-    def test_queue_preserves_instance_affinity(self):
-        tasks = compile_run_specs(_specs(num_seeds=3))
+    def test_queue_preserves_session_affinity(self):
+        cfg = dataclasses.replace(_robustness_config(), alphas=(0.5, 2.0))
+        tasks = compile_robustness_tasks(cfg) + compile_run_specs(_specs(num_seeds=3))
+        tasks = [dataclasses.replace(task, index=i) for i, task in enumerate(tasks)]
+        sessions = {}
+        for task in tasks:
+            if task.session_key:
+                sessions.setdefault(task.session_key, []).append(task.index)
         for seed in (0, 1, 17):
             sequence = _dispatch_interleaved(tasks, 3, random.Random(seed).choice)
             assert sorted(t.index for _, t in sequence) == [t.index for t in tasks]
-            owner = {}
+            owner, order, visits = {}, {}, {}
             for worker, task in sequence:
-                assert owner.setdefault(task.instance_key, worker) == worker
+                if task.session_key:
+                    assert owner.setdefault(task.session_key, worker) == worker
+                    order.setdefault(task.session_key, []).append(task.index)
+                runs = visits.setdefault(worker, [])
+                if not runs or runs[-1] != task.instance_key:
+                    runs.append(task.instance_key)
+            assert order == sessions
+            # A worker runs each instance's tasks back to back.
+            assert all(len(runs) == len(set(runs)) for runs in visits.values())
 
     def test_sweep_hash_tracks_content(self):
         tasks = compile_run_specs(_specs())
@@ -450,7 +473,10 @@ class TestPersistentPoolFailures:
         pool.start()
         try:
             first_seen = []
-            with pytest.raises(RuntimeError, match="died"):
+            with pytest.raises(
+                RuntimeError,
+                match=f"died .* task {doomed.index} \\(spec_hash {doomed.spec_hash}\\)",
+            ):
                 pool.run_tasks(
                     [doomed, slow],
                     lambda index, spec_hash, kind, payload: first_seen.append(spec_hash),
