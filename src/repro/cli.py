@@ -23,6 +23,7 @@ Examples
     python -m repro serve --store out/store --workers 4 --port 8765  # persistent sweep daemon (cache + queue)
     python -m repro sweep --remote http://127.0.0.1:8765   # run the grid on the daemon (cache hits are free)
     python -m repro sweep --journal out/store --telemetry  # journal per-task trace summaries alongside rows
+    python -m repro robustness --smoke --journal out/store --telemetry  # the same for the robustness study
     python -m repro trace out/store                        # export them as Chrome trace_event JSON
 
 ``--smoke`` selects the reduced grids (CI-sized); without it the full paper
@@ -200,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tolerant model (if needed) and appends the full-knowledge column, "
         "so disconnecting shocks record reconnection trajectories",
     )
+    _add_telemetry_option(robustness)
     _add_journal_options(robustness)
     _add_common_options(robustness)
 
@@ -240,14 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "locally; overlapping cells are served from its content-addressed "
         "cache with zero engine work",
     )
-    sweep.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="trace every task (engine rounds, best responses, view "
-        "refreshes, kernel calls) and journal the span summaries next to "
-        "the results; requires --journal; rows are bit-identical "
-        "(see `python -m repro trace`)",
-    )
+    _add_telemetry_option(sweep)
     _add_journal_options(sweep)
     _add_common_options(sweep)
 
@@ -317,6 +312,24 @@ def _worker_count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _add_telemetry_option(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--telemetry",
+        action="store_true",
+        help="trace every task (engine rounds, best responses, view "
+        "refreshes, kernel calls) and journal the span summaries next to "
+        "the results; requires --journal; rows are bit-identical "
+        "(see `python -m repro trace`)",
+    )
+
+
+def _check_telemetry(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    if args.telemetry and not args.journal:
+        # Span summaries are only durable through the journal; tracing
+        # into the void would silently record nothing exportable.
+        parser.error("--telemetry requires --journal")
 
 
 def _add_journal_options(sub: argparse.ArgumentParser) -> None:
@@ -407,10 +420,7 @@ def _run_sweep_command(parser: argparse.ArgumentParser, args: argparse.Namespace
 
     if args.resume and not args.journal:
         parser.error("--resume requires --journal")
-    if args.telemetry and not args.journal:
-        # Span summaries are only durable through the journal; tracing
-        # into the void would silently record nothing exportable.
-        parser.error("--telemetry requires --journal")
+    _check_telemetry(parser, args)
     if args.remote and (args.journal or args.resume):
         # The daemon owns journaling/resume on its own store; mixing the
         # local journal flags in would silently journal nothing.
@@ -561,6 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--beta only applies to --cost-model tolerant")
         if args.resume and not args.journal:
             parser.error("--resume requires --journal")
+        _check_telemetry(parser, args)
         cfg = (
             RobustnessStudyConfig.smoke(workers=args.workers)
             if args.smoke
@@ -574,7 +585,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = cfg.with_reconnect()
         store = ExperimentStore(args.store) if args.store else None
         rows = generate_robustness_study(
-            cfg, store=store, journal=args.journal, resume=args.resume
+            cfg,
+            store=store,
+            journal=args.journal,
+            resume=args.resume,
+            telemetry=args.telemetry,
         )
         if args.csv:
             write_csv(rows, args.csv)

@@ -10,8 +10,9 @@ every other visible vertex lies within distance ``h - 1`` (inside
 ``H \\ {u}``) of a new target or of a vertex that already bought an edge
 towards ``u``.  Step (iii) is a constrained minimum dominating set on the
 ``(h-1)``-th power of ``H \\ {u}`` and is solved exactly (MILP or
-branch-and-bound) or greedily (ablation).  With branch and bound the whole
-loop over ``h`` is one call of the kernel backend's ``max_reply``.
+branch-and-bound) or greedily (ablation).  With branch and bound or greedy
+the whole reply — the distances inside ``H \\ {u}``, the incumbent's price
+and the loop over ``h`` — is one call of the kernel backend's ``max_reply``.
 
 SumNCG
 ------
@@ -66,14 +67,16 @@ import numpy as np
 from repro.core.deviations import COST_EPS
 from repro.core.games import GameSpec, UsageKind
 from repro.core.strategies import StrategyProfile
-from repro.core.views import ArrayView, View, extract_view
+from repro.core.views import ArrayView, View, extract_view, target_rows
 from repro.graphs.graph import Node
-from repro.graphs.traversal import batched_bfs_distances, distance_matrix
+from repro.graphs.traversal import _kernel_metrics, batched_bfs_distances
 from repro.kernels import KernelBackend, resolve_backend
 from repro.kernels.common import UNREACHABLE
+from repro.obs import get_telemetry
 from repro.solvers import sum_reply as sum_search
 from repro.solvers.set_cover import (
     WARM_START_SOLVERS,
+    csr_max_reply,
     max_reply,
     solve_set_cover,  # noqa: F401 -- sweepbench's tracer wraps this binding
 )
@@ -163,14 +166,14 @@ def _resolve_view_and_strategy(
 class MaxCoverContext:
     """Distance structure of a player's view with the player removed.
 
-    Everything a best response derives from the view *content* alone — the
+    Everything a SumNCG reply derives from the view *content* alone — the
     reduced-view distance matrix, its node order and the forced
     (other-endpoint buyer) candidate indices.  It is independent of the
-    player's own current strategy, and serves both games: the ``h`` loop of
-    :func:`best_response_max` builds its set-cover instances from it, and
-    the SumNCG routines price every candidate strategy from its rows (the
-    SumNCG strategy space is exactly its node set).  The engine builds one
-    per memo miss through :func:`max_cover_context` and injects it.
+    player's own current strategy: the SumNCG routines price every
+    candidate strategy from its rows (the SumNCG strategy space is exactly
+    its node set).  The engine builds one per SumNCG memo miss through
+    :func:`max_cover_context` and injects it; MaxNCG replies compute their
+    distances inside the ``max_reply`` kernel instead.
     """
 
     order: list[Node]
@@ -181,16 +184,20 @@ class MaxCoverContext:
 
     def rows(self, player: Node, targets) -> list[int]:
         """Row indices of ``targets``; refuses what ``modified_view_graph`` refuses."""
-        rows = []
-        for target in targets:
-            if target == player:
-                raise ValueError("a player cannot buy an edge to herself")
-            if target not in self.index:
-                raise ValueError(
-                    f"target {target!r} is outside the player's view and cannot be bought"
-                )
-            rows.append(self.index[target])
-        return rows
+        return target_rows(player, targets, self.index.get)
+
+
+def _export(view: View) -> tuple[np.ndarray, np.ndarray, list[Node], dict[Node, int], tuple[int, ...]]:
+    """``H − u`` of a dict view as CSR: ``(indptr, indices, order, index, forced)``.
+
+    The reference path: the view is copied without the player and exported
+    in its node order, and the forced rows are her visible buyers' rows.
+    """
+    reduced = view.subgraph.without_node(view.player)
+    indptr, indices, order = reduced.to_csr_arrays()
+    index = {node: i for i, node in enumerate(order)}
+    forced = tuple(sorted(index[buyer] for buyer in view.buyers if buyer in index))
+    return indptr, indices, order, index, forced
 
 
 def max_cover_context(
@@ -199,67 +206,80 @@ def max_cover_context(
     """Build the best-response context of ``view`` (pure function of content).
 
     Distances inside the view with the player removed: these are the
-    distances available to reach each vertex after the first hop.  An
-    :class:`~repro.core.views.ArrayView` (the engine's) already holds the
-    CSR of ``H − u`` and its buyers' rows, so this is one all-pairs ``bfs``
-    kernel call on it; any other view is copied without the player and
-    exported first — the reference path.  ``backend`` selects the BFS
-    kernel backend (bit-identical across backends, so the context content
-    never depends on it).
+    distances available to reach each vertex after the first hop, from one
+    all-pairs ``bfs`` kernel call.  An :class:`~repro.core.views.ArrayView`
+    (the engine's) already holds the CSR of ``H − u`` and its buyers' rows;
+    any other view is exported first (:func:`_export`).  ``backend``
+    selects the BFS kernel backend (bit-identical across backends, so the
+    context content never depends on it).
     """
     if not isinstance(view, ArrayView):
-        reduced = view.subgraph.without_node(view.player)
-        dist, order = distance_matrix(reduced, backend=backend)
-        index = {node: i for i, node in enumerate(order)}
-        forced = tuple(sorted(index[buyer] for buyer in view.buyers if buyer in index))
+        indptr, indices, order, index, forced = _export(view)
     else:
         nodes, _, indptr, indices, rows = view.arrays
         order = [view.labels[i] for i in nodes.tolist()]
-        dist = batched_bfs_distances(indptr, indices, None, backend=backend)
         index = dict(zip(order, range(len(order))))
         forced = tuple(rows.tolist())
+    dist = batched_bfs_distances(indptr, indices, None, backend=backend)
     return MaxCoverContext(order=order, dist=dist, forced=forced, index=index)
 
 
-def _max_view_cost(
-    context: MaxCoverContext, player: Node, strategy: frozenset[Node], game: GameSpec
-) -> float:
-    """:func:`~repro.core.deviations.view_cost` of ``strategy`` in MaxNCG.
+def _reduced_view(view: View, player: Node, strategy: frozenset[Node]):
+    """``H − u`` of ``view`` as ``(indptr, indices, forced, rows, labels)``.
 
-    Her distances after playing ``strategy`` are ``1 + min`` over the
-    context rows of ``strategy`` and her buyers (see
-    :class:`~repro.solvers.sum_reply.SumEvaluator`),
-    fed into the same float expression.
+    ``forced`` holds her buyers' sorted rows, ``rows`` those of
+    ``strategy`` (refused as :meth:`MaxCoverContext.rows` refuses) and
+    ``labels(selection)`` maps rows back to nodes.  An
+    :class:`~repro.core.views.ArrayView` passes slices of its packed data
+    and builds no per-call label dict; any other view is exported in
+    :class:`MaxCoverContext`'s order.  Row order decides ties in the cover
+    search, so both keep the order the context has.
     """
-    rows = context.rows(player, strategy) + list(context.forced)
-    eccentricity, unreached = 0, len(context.order)
-    if rows and unreached:
-        minima = context.dist[rows].min(axis=0)
-        farthest = int(minima.max())
-        if farthest != UNREACHABLE:
-            eccentricity, unreached = farthest + 1, 0
-        else:
-            reached = minima[minima != UNREACHABLE]
-            if reached.size:
-                eccentricity = int(reached.max()) + 1
-            unreached -= reached.size
-    return game.alpha * len(strategy) + game.cost_model.usage_max(
-        float(eccentricity), unreached
+    if isinstance(view, ArrayView):
+        nodes, _, indptr, indices, forced = view.arrays
+        order, rows = view.labels, view.rows(player, strategy)
+    else:
+        indptr, indices, order, index, forced = _export(view)
+        nodes, rows = None, target_rows(player, strategy, index.get)
+
+    def labels(selection) -> frozenset[Node]:
+        positions = list(selection) if nodes is None else nodes[list(selection)].tolist()
+        return frozenset(map(order.__getitem__, positions))
+
+    return indptr, indices, forced, rows, labels
+
+
+def _max_reply_call(
+    kernel: KernelBackend, indptr, indices, forced, current, game: GameSpec,
+    warm_start: bool, greedy: bool, dist: np.ndarray,
+) -> tuple[float, float, tuple[int, ...] | None]:
+    """One ``max_reply`` kernel dispatch, counted (one call, ``m`` sources)
+    and, when tracing, inside a ``kernels.max_reply`` span."""
+    m = len(dist)
+    calls, sources = _kernel_metrics("max_reply", kernel.name)
+    calls.inc()
+    sources.inc(m)
+    args = (
+        indptr, indices, forced, current, game.alpha,
+        game.cost_model.unreachable_distance, warm_start, greedy, dist,
     )
+    tracer = get_telemetry().tracer
+    if tracer.enabled:
+        with tracer.span("kernels.max_reply", backend=kernel.name, sources=m):
+            return kernel.max_reply(*args)
+    return kernel.max_reply(*args)
 
 
 def _tolerant_partial_max(
-    game: GameSpec,
     dist: np.ndarray,
-    order: list[Node],
-    forced: tuple[int, ...],
+    forced,
+    alpha: float,
+    beta: float,
     solver: str,
     warm_start: bool,
     best_cost: float,
-    best_strategy: frozenset[Node],
-    exact: bool,
     backend: str | KernelBackend | None = None,
-) -> tuple[float, frozenset[Node], bool]:
+) -> tuple[float, tuple[int, ...] | None]:
     """Partial-cover regime of the tolerant-model MaxNCG best response.
 
     Under a finite unreachable penalty ``β`` the player may leave whole
@@ -278,34 +298,33 @@ def _tolerant_partial_max(
     component stays abandoned in this regime (reaching everything is the
     ordinary full-cover loop).
 
-    Updates and returns the ``(best_cost, best_strategy, exact)``
-    incumbent; strictly-better-only updates keep strict-model tie-breaking
-    untouched.  ``exact`` passes through: the regime's covers come from the
-    same solver as the full-cover loop's.
+    Returns ``(cost, rows)`` of a reply strictly cheaper than
+    ``best_cost`` — rows of ``dist`` — or ``(best_cost, None)``;
+    strictly-better-only updates keep strict-model tie-breaking untouched.
     """
     if dist.shape[0] == 0:
-        return best_cost, best_strategy, exact
-    beta = game.cost_model.unreachable_distance
+        return best_cost, None
+    forced = [int(i) for i in forced]
     # Component label per reduced-view node: the smallest index it reaches
     # (rows always contain the finite self-distance, so argmax is well
     # defined and canonical).
     labels = (dist != UNREACHABLE).argmax(axis=1)
     forced_labels = {int(labels[i]) for i in forced}
     if not (set(int(label) for label in np.unique(labels)) - forced_labels):
-        return best_cost, best_strategy, exact  # nothing is abandonable
+        return best_cost, None  # nothing is abandonable
     if not forced:
         # No buyers: the empty strategy reaches nobody, her in-view
         # eccentricity over the reached part ({u} alone) is 0 and the
         # abandoned rest costs one β — the cheapest possible partial reply.
         if beta < best_cost - COST_EPS:
-            return beta, frozenset(), exact
-        return best_cost, best_strategy, exact
+            return beta, ()
+        return best_cost, None
     keep = np.flatnonzero(np.isin(labels, sorted(forced_labels)))
     position = {int(original): pos for pos, original in enumerate(keep)}
     cost, selection = max_reply(
         dist[np.ix_(keep, keep)],
         tuple(sorted(position[i] for i in forced)),
-        game.alpha,
+        alpha,
         best_cost,
         warm_start,
         method=solver,
@@ -313,8 +332,8 @@ def _tolerant_partial_max(
         usage_floor=beta,
     )
     if selection is None:
-        return best_cost, best_strategy, exact
-    return cost, frozenset(order[keep[i]] for i in selection), exact
+        return best_cost, None
+    return cost, tuple(int(keep[i]) for i in selection)
 
 
 def best_response_max(
@@ -324,7 +343,6 @@ def best_response_max(
     solver: str = ENGINE_DEFAULT_SOLVER,
     view: View | None = None,
     current_strategy: frozenset[Node] | None = None,
-    cover_context: MaxCoverContext | None = None,
     warm_start: bool | None = None,
     backend: str | KernelBackend | None = None,
 ) -> BestResponse:
@@ -334,9 +352,7 @@ def best_response_max(
     classical game (``game.k = FULL_KNOWLEDGE``) — in the latter case the
     view is the whole network and the result is a classical best response.
 
-    ``cover_context`` optionally injects a pre-built
-    :class:`MaxCoverContext` (built by the engine on each memo miss); it
-    must describe exactly ``view``'s content.  ``warm_start=True`` seeds each
+    ``warm_start=True`` seeds each
     eccentricity guess's set-cover solve with the previous guess's
     solution — coverage ``dist <= h - 1`` grows monotonically in ``h``, so
     the old cover stays feasible and becomes the incumbent that prunes the
@@ -353,16 +369,13 @@ def best_response_max(
     (``greedy`` stays quiet — it has no exact search to prune, so warm
     starts are meaningless there).
 
-    The incumbent is priced from the context rows (as
-    :class:`~repro.solvers.sum_reply.SumEvaluator` prices SumNCG
-    strategies), and the whole
-    eccentricity-guess loop runs in the kernel backend's ``max_reply`` —
-    one native call per reply on the compiled backend — or, for the
-    ``milp`` and ``greedy`` ablations, in
-    :func:`repro.solvers.set_cover.max_reply`.  ``backend`` selects the
-    kernel backend for the view BFS and that loop (see
-    :mod:`repro.kernels`); all backends are bit-identical, so it never
-    changes the returned strategy.
+    With ``branch_and_bound`` or ``greedy`` the whole reply is one call of
+    the kernel backend's ``max_reply`` over the CSR of ``H \\ {u}``: the
+    all-pairs distances, the incumbent's price and the eccentricity-guess
+    loop.  The ``milp`` ablation composes the same steps in Python
+    (:func:`~repro.solvers.set_cover.csr_max_reply`).  ``backend`` selects the
+    kernel backend (see :mod:`repro.kernels`); all backends are
+    bit-identical, so it never changes the returned strategy.
     """
     if game.usage is not UsageKind.MAX:
         raise ValueError("best_response_max requires a MaxNCG game spec")
@@ -382,20 +395,20 @@ def best_response_max(
     view, current = _resolve_view_and_strategy(
         profile, player, game, view, current_strategy
     )
-    if cover_context is None:
-        cover_context = max_cover_context(view, backend=backend)
-    dist = cover_context.dist
-    order = cover_context.order
-    forced = cover_context.forced
-    current_cost = _max_view_cost(cover_context, player, current, game)
-    exact = solver != "greedy"
-
-    if solver == "branch_and_bound":
-        reply = resolve_backend(backend).max_reply
+    indptr, indices, forced, current_rows, labels = _reduced_view(view, player, current)
+    beta = game.cost_model.unreachable_distance
+    m = len(indptr) - 1
+    dist = np.empty((m, m), dtype=np.int32)
+    if solver in ("branch_and_bound", "greedy"):
+        current_cost, best_cost, selection = _max_reply_call(
+            resolve_backend(backend), indptr, indices, forced, current_rows, game,
+            warm_start, solver == "greedy", dist,
+        )
     else:
-        reply = functools.partial(max_reply, method=solver, backend=backend)
-    best_cost, selection = reply(dist, forced, game.alpha, current_cost, warm_start)
-    best_strategy = current if selection is None else frozenset(order[i] for i in selection)
+        current_cost, best_cost, selection = csr_max_reply(
+            indptr, indices, forced, current_rows, game.alpha, beta, warm_start,
+            dist, method=solver, backend=backend,
+        )
     if game.cost_model.is_finite:
         # Disconnection-tolerant models admit a second regime: abandon the
         # buyer-free components of the reduced view and pay the β penalty
@@ -403,16 +416,17 @@ def best_response_max(
         # Strictly-better-only updates leave strict behaviour bit-for-bit
         # intact — under the strict model this regime costs inf and the
         # call is skipped entirely.
-        best_cost, best_strategy, exact = _tolerant_partial_max(
-            game, dist, order, forced, solver, warm_start,
-            best_cost, best_strategy, exact, backend=backend,
+        cost, partial = _tolerant_partial_max(
+            dist, forced, game.alpha, beta, solver, warm_start, best_cost, backend
         )
+        if partial is not None:
+            best_cost, selection = cost, partial
     return BestResponse(
         player=player,
-        strategy=best_strategy,
+        strategy=current if selection is None else labels(selection),
         view_cost=best_cost,
         current_view_cost=current_cost,
-        exact=exact,
+        exact=solver != "greedy",
         view_size=view.size,
     )
 
@@ -686,18 +700,17 @@ def best_response(
     ``view`` and ``current_strategy`` may be injected to bypass the
     per-call view extraction (the incremental engine's cached path); the
     result is identical to the extract-from-profile path for equal view
-    content.  ``cover_context`` injects the view's :class:`MaxCoverContext`
-    for either game: MaxNCG builds its set-cover instances from it, and the
-    SumNCG routines price every candidate strategy from its distance
-    matrix.  Without it the context is built here.  ``backend`` selects the
-    kernel backend of the context's BFS and of the MaxNCG cover search
+    content.  ``cover_context`` injects the view's :class:`MaxCoverContext`,
+    from whose distance matrix the SumNCG routines price every candidate
+    strategy (MaxNCG ignores it: its distances are computed inside the
+    ``max_reply`` kernel).  Without it the context is built here.
+    ``backend`` selects the kernel backend of every kernel call
     (bit-identical across backends, so it never changes the reply).
     """
     if game.usage is UsageKind.MAX:
         return best_response_max(
             profile, player, game, solver=solver, view=view,
-            current_strategy=current_strategy, cover_context=cover_context,
-            backend=backend,
+            current_strategy=current_strategy, backend=backend,
         )
     view, current_strategy = _resolve_view_and_strategy(
         profile, player, game, view, current_strategy

@@ -20,7 +20,27 @@ from repro.graphs.graph import Graph, Node
 from repro.graphs.traversal import bfs_distances, bfs_distances_within
 from repro.kernels.common import UNREACHABLE
 
-__all__ = ["View", "ArrayView", "extract_view"]
+__all__ = ["View", "ArrayView", "extract_view", "target_rows"]
+
+
+def target_rows(player: Node, targets, row_of) -> list[int]:
+    """The rows ``row_of(target)`` of ``targets`` in a view of ``player``.
+
+    ``row_of`` returns ``None`` for a node outside the view.  Refuses what
+    :func:`~repro.core.deviations.modified_view_graph` refuses: the player
+    herself and nodes she cannot see.
+    """
+    rows = []
+    for target in targets:
+        if target == player:
+            raise ValueError("a player cannot buy an edge to herself")
+        row = row_of(target)
+        if row is None:
+            raise ValueError(
+                f"target {target!r} is outside the player's view and cannot be bought"
+            )
+        rows.append(row)
+    return rows
 
 
 @dataclass
@@ -92,15 +112,17 @@ class ArrayView(View):
     every view consumer sorts them into — ``dist`` their distances from
     her, ``indptr``/``indices`` the CSR of ``H − u`` over their positions
     and ``forced`` the sorted positions of her buyers, packed in one int64
-    array.  ``H`` is fully determined by them (``u``'s edges are the nodes
-    at distance 1), so the dict attributes of :class:`View` are
-    materialised on first access, for dict consumers only.
+    array.  ``index`` maps each label to its position in ``labels``.
+    ``H`` is fully determined by them (``u``'s edges are the nodes at
+    distance 1), so the dict attributes of :class:`View` are materialised
+    on first access, for dict consumers only.
     """
 
-    def __init__(self, player, k, labels, nodes, dist, indptr, indices, forced) -> None:
+    def __init__(self, player, k, labels, index, nodes, dist, indptr, indices, forced) -> None:
         self.player = player
         self.k = k
         self.labels = labels
+        self.index = index
         self.count = len(nodes)
         self.data = np.concatenate((nodes, dist, indptr, indices, forced))
 
@@ -110,6 +132,17 @@ class ArrayView(View):
         m, data = self.count, self.data
         end = 3 * m + 1 + int(data[3 * m])  # data[3 * m] is indptr[m], the edge count
         return data[:m], data[m:2 * m], data[2 * m:3 * m + 1], data[3 * m + 1:end], data[end:]
+
+    def rows(self, player: Node, targets) -> list[int]:
+        """The positions of ``targets``, checked like :func:`target_rows`."""
+        nodes = self.data[:self.count]
+
+        def row_of(target):
+            node = self.index.get(target, -1)
+            row = int(nodes.searchsorted(node))
+            return row if row < self.count and nodes[row] == node else None
+
+        return target_rows(player, targets, row_of)
 
     def same_arrays(self, other: "ArrayView") -> bool:
         """Content equality with another array view of the same player.

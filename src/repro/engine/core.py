@@ -165,6 +165,12 @@ class DynamicsEngine:
             else make_scheduler(scheduler)
         )
         self._responses: dict[Node, tuple[int, frozenset[Node], BestResponse]] = {}
+        #: ``{player: exact}`` of every player whose memoised best response
+        #: (for her current view token and strategy) is non-improving.  A
+        #: move drops the mover and everyone in its dirty region, the only
+        #: players whose token or strategy it can change, so the
+        #: sequential schedulers skip these players at a set lookup each.
+        self.quiet: dict[Node, bool] = {}
 
     # ------------------------------------------------------------------
     # Instrumentation (read-through onto the metrics registry children)
@@ -226,34 +232,42 @@ class DynamicsEngine:
                 self._tracer.event(
                     "engine.best_response", player=str(player), memo_hit=True
                 )
-            return memo[2]
-        # Only the tracing-enabled branch opens a span, so the disabled path
-        # pays no span bookkeeping at all on this, the engine's hottest call
-        # site.
-        if self._tracer.enabled:
-            with self._tracer.span(
-                "engine.best_response",
-                player=str(player),
-                memo_hit=False,
-                solver=self.solver,
-            ) as span:
-                response = self._solve(player, view, strategy)
-                span.set(exact=response.exact, improving=response.is_improving)
+            response = memo[2]
         else:
-            response = self._solve(player, view, strategy)
-        self._responses[player] = (token, strategy, response)
-        self._m_responses_computed.inc()
+            # Only the tracing-enabled branch opens a span, so the disabled
+            # path pays no span bookkeeping at all on this, the engine's
+            # hottest call site.
+            if self._tracer.enabled:
+                with self._tracer.span(
+                    "engine.best_response",
+                    player=str(player),
+                    memo_hit=False,
+                    solver=self.solver,
+                ) as span:
+                    response = self._solve(player, view, strategy)
+                    span.set(exact=response.exact, improving=response.is_improving)
+            else:
+                response = self._solve(player, view, strategy)
+            self._responses[player] = (token, strategy, response)
+            self._m_responses_computed.inc()
+        if not response.is_improving:
+            self.quiet[player] = response.exact
         return response
 
     def _solve(self, player: Node, view: View, strategy: frozenset[Node]) -> BestResponse:
-        """Solve one memo miss from the view's distance context.
+        """Solve one memo miss.
 
-        Both games read the reply off one
-        :class:`~repro.core.best_response.MaxCoverContext` built
-        here: MaxNCG's set-cover instances, and every SumNCG candidate's
-        price (see :func:`repro.core.best_response.best_response`).
+        A MaxNCG reply is one ``max_reply`` kernel call over the view's
+        ``H − u`` (the ``milp`` ablation composes the same steps in
+        Python).  A SumNCG reply prices every candidate from a
+        :class:`~repro.core.best_response.MaxCoverContext` built here (see
+        :func:`repro.core.best_response.best_response`).
         """
-        cover_context = max_cover_context(view, backend=self.kernel_backend)
+        cover_context = (
+            None
+            if self.game.usage is UsageKind.MAX
+            else max_cover_context(view, backend=self.kernel_backend)
+        )
         return best_response(
             None,
             player,
@@ -284,6 +298,10 @@ class DynamicsEngine:
         self.state.apply(delta)
         region |= self.views.region_after_apply(delta)
         self.views.invalidate(region)
+        quiet = self.quiet
+        quiet.pop(player, None)
+        for other in region:
+            quiet.pop(other, None)
 
     def restore_profile(self, profile: StrategyProfile) -> int:
         """Warm-replay the engine onto ``profile`` via :meth:`set_strategy`.
@@ -451,11 +469,15 @@ class DynamicsEngine:
                 certified = True
                 # Certificate strength: exact iff every player's certifying
                 # answer came from an exact solver.  The quiet round (or the
-                # certify sweep above) just evaluated every player, so these
-                # are pure memo rides — no additional solver calls.
-                certified_exact = all(
-                    self.peek_response(player).exact for player in self.base_order
-                )
+                # certify sweep above) left every player in ``quiet`` with
+                # her answer's exactness, unless the scheduler read memos
+                # without peeking; then a sweep of pure memo rides decides.
+                if len(self.quiet) == len(self.base_order):
+                    certified_exact = all(self.quiet.values())
+                else:
+                    certified_exact = all(
+                        self.peek_response(player).exact for player in self.base_order
+                    )
                 rounds_run = round_index - 1
                 break
             if self.scheduler.detects_cycles:

@@ -77,10 +77,22 @@ class _SequentialScheduler(Scheduler):
         raise NotImplementedError
 
     def run_round(self, engine: "DynamicsEngine", round_index: int) -> int:
-        changes = 0
+        """Activate the round's players in order, skipping quiet ones.
+
+        A quiet player's memoised answer is non-improving for her current
+        view and strategy (see ``DynamicsEngine.quiet``), so activating her
+        would be a memo hit that declines to move; she is skipped at one
+        set lookup and counted as a memo reuse.  The order is still drawn
+        in full, so random streams are unchanged.
+        """
+        quiet = engine.quiet
+        changes = skipped = 0
         for player in self.round_order(engine, round_index):
-            if engine.activate(player):
+            if player in quiet:
+                skipped += 1
+            elif engine.activate(player):
                 changes += 1
+        engine._m_responses_reused.inc(skipped)
         return changes
 
 

@@ -397,5 +397,5 @@ class IncrementalViewCache:
         buyers = sorted(map(index.__getitem__, state.buyers_of(player)))
         forced = np.searchsorted(nodes, np.array(buyers, dtype=np.int64))
         return ArrayView(
-            player, self._k, state.order, nodes, dist, sub_indptr, sub_indices, forced
+            player, self._k, state.order, index, nodes, dist, sub_indptr, sub_indices, forced
         )

@@ -863,6 +863,7 @@ def generate_robustness_study(
     experiment_name: str = "robustness",
     journal: str | None = None,
     resume: bool = False,
+    telemetry: bool = False,
 ) -> list[dict]:
     """Run the perturbation & recovery sweep; one row per shock.
 
@@ -880,8 +881,10 @@ def generate_robustness_study(
     workers`` warm workers (1 = in the calling process):
     per-operator tasks of the same instance cell share one warm base
     engine instead of each re-converging it, and a ``journal`` directory
-    gives crash-safe ``resume``.  Only the wall-clock ``warm_s`` /
-    ``cold_s`` / ``warm_speedup`` fields differ run to run.
+    gives crash-safe ``resume``.  ``telemetry=True`` traces every task and,
+    with a ``journal``, journals its span summary next to its rows.  Only
+    the wall-clock ``warm_s`` / ``cold_s`` / ``warm_speedup`` fields differ
+    run to run.
     """
     from repro.service.api import ServiceConfig, robustness_sweep
 
@@ -893,6 +896,7 @@ def generate_robustness_study(
             journal_dir=journal,
             experiment=experiment_name,
             resume=resume,
+            telemetry=telemetry,
         ),
     )
     if store is not None:

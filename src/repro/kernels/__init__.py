@@ -11,10 +11,11 @@ without ever materialising a distance row), the one-player view behind
 nodes, their distances and the CSR of her view without her, in one call
 — how the engine settles every view), the branch-and-bound
 recursion behind
-:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, the
-MaxNCG best-response loop behind
-:func:`repro.core.best_response.best_response_max`, which runs that
-search once per eccentricity guess, and the SumNCG reply behind
+:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, the whole
+MaxNCG reply behind :func:`repro.core.best_response.best_response_max`
+(the distances of the player's view without her, the incumbent's price
+and the loop that runs that search once per eccentricity guess), and the
+SumNCG reply behind
 :func:`~repro.core.best_response.best_response_sum_exhaustive` and
 :func:`~repro.core.best_response.best_response_sum_local_search` (the
 pruned exact enumeration, or one hill climb).  This package hosts
@@ -93,25 +94,37 @@ sum_out, unreached_out, view_size_out)``
     matrix, ``order_by_size`` the candidate iteration order, and the
     incumbent to beat; returns the tightened ``(size, selection)``
     (unchanged objects when nothing smaller exists).
-``max_reply(dist, forced, alpha, best_cost, warm_start) -> (best_cost, selection | None)``
-    ``dist`` the ``(n, n)`` int32 distances of a player's view without
-    her (``UNREACHABLE`` marks), ``forced`` the sorted rows of her buyers,
-    ``alpha`` the edge price and ``best_cost`` her incumbent's cost
-    (``inf`` when it disconnects her).  For each eccentricity guess
-    ``h = 1 .. n`` while ``h < best_cost - COST_EPS``: the minimum cover
-    of ``dist <= h - 1`` by the non-forced rows, over the columns no
-    forced row covers, solved exactly as
-    :func:`~repro.solvers.set_cover.branch_and_bound_set_cover` solves
-    it — with ``warm_start``, capped at ``ceil((best_cost - COST_EPS -
-    h) / alpha)`` (in doubles) and seeded with the previous guess's
-    cover; cold, neither.  A cover of size ``s`` replaces the incumbent
-    when ``alpha * s + h < best_cost - COST_EPS``.  Returns the final
-    cost and the last accepted cover's rows in solver order, or the
-    incoming ``best_cost`` and ``None`` when nothing beat it.
+``max_reply(indptr, indices, forced, current, alpha, beta, warm_start, greedy, dist) -> (current_cost, cost, selection | None)``
+    One MaxNCG reply.  ``indptr``/``indices`` (int64) are the CSR of a
+    player's view without her, ``H − u``, over ``n`` nodes; ``forced`` the
+    sorted rows of her buyers, ``current`` the rows of her current
+    strategy, ``alpha`` the edge price, ``beta`` the cost model's
+    unreachable distance (``inf`` under the strict model) and ``dist`` a
+    caller-allocated ``(n, n)`` int32 matrix.  The kernel fills ``dist``
+    with the all-pairs distances of ``H − u`` (``UNREACHABLE`` marks),
+    exactly as ``bfs`` would, and prices the current strategy as
+    :func:`~repro.solvers.set_cover.max_view_cost` does: ``1 +`` the
+    column minima over its rows and the forced ones give her distances,
+    and the cost is ``alpha * len(current)`` plus the eccentricity over
+    the reached columns — ``max(eccentricity, beta)`` when one is
+    unreached.  Starting from that incumbent, for each eccentricity guess
+    ``h = 1 .. n`` while ``h < best_cost - COST_EPS``: a cover of ``dist
+    <= h - 1`` by the non-forced rows, over the columns no forced row
+    covers.  With ``greedy`` it is the greedy cover
+    (:func:`~repro.solvers.set_cover.greedy_set_cover`), never searched;
+    otherwise the minimum cover, solved exactly as
+    :func:`~repro.solvers.set_cover.branch_and_bound_set_cover` solves it
+    — with ``warm_start``, capped at ``ceil((best_cost - COST_EPS - h) /
+    alpha)`` (in doubles) and seeded with the previous guess's cover;
+    cold, neither.  A cover of size ``s`` replaces the incumbent when
+    ``alpha * s + h < best_cost - COST_EPS``.  Returns the current cost,
+    the final cost and the last accepted cover's rows in solver order, or
+    ``None`` when nothing beat the current strategy.
 ``sum_reply(dist, forced, frontier_columns, frontier_limits, alpha, beta,
 candidates, current, start, start_cost, max_iterations) -> (current_cost,
 cost, selection | None)``
-    One SumNCG reply over the same ``dist`` and sorted ``forced`` rows
+    One SumNCG reply over the ``(n, n)`` int32 distances ``dist`` of
+    ``H − u`` and the sorted ``forced`` rows of her buyers
     (:func:`repro.solvers.sum_reply.sum_reply` is the reference).  A
     strategy — a set of rows — reaches column ``v`` at ``1 + m_v``, with
     ``m`` the column minimum over its rows and the forced ones; it costs
@@ -163,7 +176,11 @@ functions above with bit-identical semantics, raise
 missing, and :func:`register_backend` a zero-argument factory for it —
 :mod:`repro.kernels.native_backend` is the worked example.  All six
 kernels are required: ``bfs``, ``bfs_reduce``, ``view``,
-``cover_search``, ``max_reply`` and ``sum_reply``.
+``cover_search``, ``max_reply`` and ``sum_reply``.  ``max_reply`` is a
+whole MaxNCG memo miss of the engine — ``bfs`` over every node of ``H −
+u``, the incumbent's price and the guess loop with ``cover_search``'s
+recursion — so a backend gains most by running it without leaving its
+own language; the numpy backend composes it from its other kernels.
 """
 
 from __future__ import annotations

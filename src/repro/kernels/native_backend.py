@@ -22,11 +22,15 @@ distances, selected covers and every downstream tie-break are
 bit-identical to the numpy reference (pinned by
 ``tests/graphs/test_kernel_backends.py`` and
 ``tests/solvers/test_set_cover.py``).  ``max_reply`` runs a whole MaxNCG
-best response in one call: the eccentricity-guess loop of
-:func:`repro.solvers.set_cover.max_reply` with every branch-and-bound
-step in C, the search reusing ``cover_search``'s recursion (pinned by
-``tests/core/test_max_reply.py``).  The one step it leaves to numpy is
-the search's candidate order, ``np.argsort`` of the negated cover sizes:
+best response in one call from the CSR of the player's view without her:
+the all-pairs queue BFS of ``bfs`` into the caller's distance matrix, the
+incumbent's price of :func:`repro.solvers.set_cover.max_view_cost`, and
+the eccentricity-guess loop of :func:`repro.solvers.set_cover.max_reply`
+with every branch-and-bound step in C, the search reusing
+``cover_search``'s recursion — or, for the greedy ablation, the greedy
+cover of each guess (pinned by ``tests/core/test_max_reply.py``).  The
+one step it leaves to numpy is the search's candidate order,
+``np.argsort`` of the negated cover sizes:
 numpy's default sort orders equal sizes its own way (by SIMD sorting
 networks on CPUs that have them), which C cannot reproduce, so the loop
 calls back into its wrapper for that order once per search it runs —
@@ -88,38 +92,41 @@ _SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* Per-source queue BFS over a CSR adjacency layout.
- *
- * dist is a (num_sources, n) row-major int32 matrix pre-filled with the
- * unreachable sentinel; queue is an n-entry int32 scratch buffer.
- * radius < 0 means unbounded.  BFS distances are unique, so the matrix
- * is bit-identical to the numpy level expansion.
+/* Queue BFS from src over a CSR adjacency layout into row, an n-entry
+ * int32 row pre-filled with the unreachable sentinel; queue is an n-entry
+ * int32 scratch buffer.  radius < 0 means unbounded. */
+static void bfs_row(const int64_t *indptr, const int64_t *indices, int64_t src,
+                    int64_t radius, int32_t unreachable, int32_t *row,
+                    int32_t *queue) {
+    int64_t head = 0, tail = 0;
+    row[src] = 0;
+    queue[tail++] = (int32_t)src;
+    while (head < tail) {
+        int32_t node = queue[head++];
+        int32_t d = row[node];
+        if (radius >= 0 && (int64_t)d >= radius)
+            continue;
+        int64_t estop = indptr[node + 1];
+        for (int64_t e = indptr[node]; e < estop; ++e) {
+            int32_t nb = (int32_t)indices[e];
+            if (row[nb] == unreachable) {
+                row[nb] = d + 1;
+                queue[tail++] = nb;
+            }
+        }
+    }
+}
+
+/* Per-source queue BFS: dist is a (num_sources, n) row-major int32 matrix
+ * pre-filled with the unreachable sentinel.  BFS distances are unique, so
+ * the matrix is bit-identical to the numpy level expansion.
  */
 void repro_bfs_batch(const int64_t *indptr, const int64_t *indices,
                      int64_t n, const int64_t *sources, int64_t num_sources,
                      int64_t radius, int32_t unreachable,
                      int32_t *dist, int32_t *queue) {
-    for (int64_t s = 0; s < num_sources; ++s) {
-        int32_t *row = dist + s * n;
-        int64_t head = 0, tail = 0;
-        int64_t src = sources[s];
-        row[src] = 0;
-        queue[tail++] = (int32_t)src;
-        while (head < tail) {
-            int32_t node = queue[head++];
-            int32_t d = row[node];
-            if (radius >= 0 && (int64_t)d >= radius)
-                continue;
-            int64_t estop = indptr[node + 1];
-            for (int64_t e = indptr[node]; e < estop; ++e) {
-                int32_t nb = (int32_t)indices[e];
-                if (row[nb] == unreachable) {
-                    row[nb] = d + 1;
-                    queue[tail++] = nb;
-                }
-            }
-        }
-    }
+    for (int64_t s = 0; s < num_sources; ++s)
+        bfs_row(indptr, indices, sources[s], radius, unreachable, dist + s * n, queue);
 }
 
 /* A level whose expansion work (the summed degrees of its frontier) times
@@ -531,33 +538,39 @@ static int compare_int32(const void *a, const void *b) {
  * count cover sizes into the order block of the shared buffer. */
 typedef void (*order_callback)(int64_t count);
 
-/* The whole MaxNCG reply loop over eccentricity guesses h, mirroring
- * repro.solvers.set_cover.max_reply with the branch-and-bound solver step
- * for step: residual after the forced rows, uncoverable check, root lower
- * bound, warm-start positions, greedy incumbent, size cap, capped search
- * (cover_recurse), strictly-better-by-eps acceptance.
+/* One MaxNCG reply from the CSR of H - u, mirroring the numpy reference
+ * step for step: the all-pairs BFS into dist, the incumbent's price
+ * (repro.solvers.set_cover.max_view_cost) and the loop over eccentricity
+ * guesses h of repro.solvers.set_cover.max_reply.  With branch and bound
+ * each guess takes the residual after the forced rows, the uncoverable
+ * check, the root lower bound, the warm-start positions, the greedy
+ * incumbent, the size cap, the capped search (cover_recurse) and the
+ * strictly-better-by-eps acceptance; in greedy mode it takes the greedy
+ * cover of the residual and never searches.
  *
- * dist is the (n, n) row-major int32 distance matrix.  buffer holds the
- * num_forced sorted buyer rows, then three n-entry blocks: the cover
- * sizes, the search order and the selection.  *best_cost is the
- * incumbent's cost in, the reply's cost out.  Returns the length of the
+ * dist is a caller-allocated (n, n) row-major int32 matrix, filled here.
+ * buffer holds the num_forced sorted buyer rows, the num_current rows of
+ * the current strategy, then three n-entry blocks: the cover sizes, the
+ * search order and the selection.  costs[0] receives the current
+ * strategy's cost, costs[1] the reply's.  Returns the length of the
  * accepted cover (its rows in the selection block, in the solver's
  * order), -1 when nothing beat the incumbent, -2 when scratch memory
- * cannot be allocated.  The search's candidate order is
- * numpy's unstable argsort of the negated cover sizes, whose tie order is
- * numpy's own (SIMD sorting networks on some hosts), so the loop asks the
- * wrapper for it through sort_sizes, once per search it runs.
+ * cannot be allocated.  The search's candidate order is numpy's unstable
+ * argsort of the negated cover sizes, whose tie order is numpy's own
+ * (SIMD sorting networks on some hosts), so the loop asks the wrapper for
+ * it through sort_sizes, once per search it runs.
  */
-int64_t repro_max_reply(const int32_t *dist, int64_t n, int64_t *buffer,
-                        int64_t num_forced, double alpha, double eps,
-                        double *best_cost, int64_t warm_start,
+int64_t repro_max_reply(const int64_t *indptr, const int64_t *indices, int64_t n,
+                        int64_t *buffer, int64_t num_forced, int64_t num_current,
+                        double alpha, double beta, double eps, double *costs,
+                        int64_t warm_start, int64_t greedy_only, int32_t *dist,
                         order_callback sort_sizes) {
-    const int64_t *forced = buffer;
-    int64_t *sizes = buffer + num_forced, *selection = sizes + 2 * n;
+    const int64_t *forced = buffer, *current = buffer + num_forced;
+    int64_t *sizes = buffer + num_forced + num_current, *selection = sizes + 2 * n;
     const int64_t *order = sizes + n;
     size_t words = (size_t)(n + 1);
     int64_t *free_rows = malloc(2 * words * sizeof(int64_t));
-    int32_t *buffers = malloc(5 * words * sizeof(int32_t));
+    int32_t *buffers = malloc(6 * words * sizeof(int32_t));
     uint8_t *bytes = malloc(words + (size_t)n * (size_t)n + (words + 1) * (size_t)n
                             + words);
     if (!free_rows || !buffers || !bytes) {
@@ -569,10 +582,45 @@ int64_t repro_max_reply(const int32_t *dist, int64_t n, int64_t *buffer,
     int64_t *elements = free_rows + words;
     int32_t *greedy = buffers, *warm = buffers + words;
     int32_t *previous = buffers + 2 * words, *chosen = buffers + 3 * words;
-    int32_t *found = buffers + 4 * words;
+    int32_t *found = buffers + 4 * words, *queue = buffers + 5 * words;
     uint8_t *is_forced = bytes, *cov = bytes + words;
     uint8_t *remaining_stack = cov + (size_t)n * (size_t)n;
     uint8_t *remaining = remaining_stack + (words + 1) * (size_t)n;
+
+    for (int64_t i = 0; i < n * n; ++i)
+        dist[i] = INT32_MAX;
+    for (int64_t v = 0; v < n; ++v)
+        bfs_row(indptr, indices, v, -1, INT32_MAX, dist + v * n, queue);
+
+    /* The incumbent: her distances are 1 + the column minima over her
+     * current rows and the forced ones (INT32_MAX is UNREACHABLE). */
+    int64_t eccentricity = 0, unreached = n;
+    if (num_current + num_forced > 0 && n > 0) {
+        int32_t *minima = found;
+        for (int64_t j = 0; j < n; ++j)
+            minima[j] = INT32_MAX;
+        for (int64_t i = 0; i < num_current + num_forced; ++i) {
+            const int32_t *row = dist + buffer[i] * n;
+            for (int64_t j = 0; j < n; ++j)
+                if (row[j] < minima[j])
+                    minima[j] = row[j];
+        }
+        int64_t farthest = -1;
+        for (int64_t j = 0; j < n; ++j) {
+            if (minima[j] == INT32_MAX)
+                continue;
+            --unreached;
+            if (minima[j] > farthest)
+                farthest = minima[j];
+        }
+        if (farthest >= 0)
+            eccentricity = farthest + 1;
+    }
+    double usage = (double)eccentricity;
+    if (unreached > 0 && beta > usage)
+        usage = beta;
+    double best_cost = alpha * (double)num_current + usage;
+    costs[0] = best_cost;
 
     memset(is_forced, 0, words);
     for (int64_t i = 0; i < num_forced; ++i)
@@ -584,7 +632,7 @@ int64_t repro_max_reply(const int32_t *dist, int64_t n, int64_t *buffer,
 
     int64_t accepted = -1, previous_len = -1;
     for (int64_t h = 1; h <= n; ++h) {
-        if ((double)h >= *best_cost - eps)
+        if ((double)h >= best_cost - eps)
             break;
         const int32_t limit = (int32_t)(h - 1);
         /* Residual elements: within h - 1 of no forced row. */
@@ -621,86 +669,91 @@ int64_t repro_max_reply(const int32_t *dist, int64_t n, int64_t *buffer,
             }
             if (!coverable)
                 continue;
-            int64_t lower = (num_elements + max_size - 1) / max_size;
-            int has_cap = warm_start && isfinite(*best_cost);
-            int64_t cap = 0;
-            if (has_cap) {
-                /* Clamped where it can no longer bind: every cover has at
-                 * most num_free <= n rows. */
-                double bound = ceil((*best_cost - eps - (double)h) / alpha);
-                cap = bound > (double)n ? n + 1 : bound < -1.0 ? -1 : (int64_t)bound;
-                if (lower > cap)
-                    continue;
-            }
-            /* The previous cover, as sorted positions, if it still covers. */
-            int64_t warm_len = -1;
-            if (warm_start && previous_len > 0) {
-                memcpy(warm, previous, (size_t)previous_len * sizeof(int32_t));
-                qsort(warm, (size_t)previous_len, sizeof(int32_t), compare_int32);
-                memset(remaining, 1, (size_t)num_elements);
-                int64_t left = num_elements;
-                for (int64_t i = 0; i < previous_len; ++i) {
-                    const uint8_t *row = cov + (int64_t)warm[i] * num_elements;
-                    for (int64_t j = 0; j < num_elements; ++j) {
-                        if (row[j] && remaining[j]) {
-                            remaining[j] = 0;
-                            --left;
+            if (greedy_only) {
+                size = greedy_cover(cov, num_free, num_elements, remaining, greedy);
+            } else {
+                int64_t lower = (num_elements + max_size - 1) / max_size;
+                int has_cap = warm_start && isfinite(best_cost);
+                int64_t cap = 0;
+                if (has_cap) {
+                    /* Clamped where it can no longer bind: every cover has
+                     * at most num_free <= n rows. */
+                    double bound = ceil((best_cost - eps - (double)h) / alpha);
+                    cap = bound > (double)n ? n + 1 : bound < -1.0 ? -1 : (int64_t)bound;
+                    if (lower > cap)
+                        continue;
+                }
+                /* The previous cover, as sorted positions, if it still covers. */
+                int64_t warm_len = -1;
+                if (warm_start && previous_len > 0) {
+                    memcpy(warm, previous, (size_t)previous_len * sizeof(int32_t));
+                    qsort(warm, (size_t)previous_len, sizeof(int32_t), compare_int32);
+                    memset(remaining, 1, (size_t)num_elements);
+                    int64_t left = num_elements;
+                    for (int64_t i = 0; i < previous_len; ++i) {
+                        const uint8_t *row = cov + (int64_t)warm[i] * num_elements;
+                        for (int64_t j = 0; j < num_elements; ++j) {
+                            if (row[j] && remaining[j]) {
+                                remaining[j] = 0;
+                                --left;
+                            }
                         }
                     }
+                    if (left == 0)
+                        warm_len = previous_len;
                 }
-                if (left == 0)
-                    warm_len = previous_len;
-            }
-            if (warm_len >= 0 && warm_len == lower) {
-                cover = warm;
-                size = warm_len;
-            } else {
-                int64_t greedy_len = greedy_cover(cov, num_free, num_elements,
-                                                  remaining, greedy);
-                int64_t best_size = greedy_len;
-                if (has_cap && cap < best_size)
-                    best_size = cap;
-                cover = greedy_len <= best_size ? greedy : NULL;
-                size = greedy_len;
-                if (warm_len >= 0 && warm_len <= best_size) {
-                    best_size = warm_len;
+                if (warm_len >= 0 && warm_len == lower) {
                     cover = warm;
                     size = warm_len;
-                }
-                if (lower < best_size) {
-                    sort_sizes(num_free);
-                    cover_ctx ctx;
-                    ctx.coverage = cov;
-                    ctx.num_free = num_free;
-                    ctx.num_elements = num_elements;
-                    ctx.order_by_size = order;
-                    ctx.best_size = best_size;
-                    ctx.best_len = -1;
-                    ctx.best_selection = found;
-                    ctx.chosen = chosen;
-                    ctx.remaining_stack = remaining_stack;
-                    memset(remaining_stack, 1, (size_t)num_elements);
-                    cover_recurse(&ctx, 0);
-                    if (ctx.best_len >= 0) {
-                        cover = found;
-                        size = ctx.best_len;
+                } else {
+                    int64_t greedy_len = greedy_cover(cov, num_free, num_elements,
+                                                      remaining, greedy);
+                    int64_t best_size = greedy_len;
+                    if (has_cap && cap < best_size)
+                        best_size = cap;
+                    cover = greedy_len <= best_size ? greedy : NULL;
+                    size = greedy_len;
+                    if (warm_len >= 0 && warm_len <= best_size) {
+                        best_size = warm_len;
+                        cover = warm;
+                        size = warm_len;
                     }
+                    if (lower < best_size) {
+                        sort_sizes(num_free);
+                        cover_ctx ctx;
+                        ctx.coverage = cov;
+                        ctx.num_free = num_free;
+                        ctx.num_elements = num_elements;
+                        ctx.order_by_size = order;
+                        ctx.best_size = best_size;
+                        ctx.best_len = -1;
+                        ctx.best_selection = found;
+                        ctx.chosen = chosen;
+                        ctx.remaining_stack = remaining_stack;
+                        memset(remaining_stack, 1, (size_t)num_elements);
+                        cover_recurse(&ctx, 0);
+                        if (ctx.best_len >= 0) {
+                            cover = found;
+                            size = ctx.best_len;
+                        }
+                    }
+                    if (cover == NULL)
+                        continue;
                 }
-                if (cover == NULL)
-                    continue;
             }
         }
         /* A feasible cover of size `size` at this h. */
         memcpy(previous, cover, (size_t)size * sizeof(int32_t));
         previous_len = size;
         double cost = alpha * (double)size + (double)h;
-        if (cost < *best_cost - eps) {
-            *best_cost = cost;
+        if (cost < best_cost - eps) {
+            best_cost = cost;
             accepted = size;
             for (int64_t i = 0; i < size; ++i)
                 selection[i] = free_rows[previous[i]];
         }
     }
+    costs[1] = best_cost;
     free(free_rows);
     free(buffers);
     free(bytes);
@@ -1169,8 +1222,8 @@ def load_library() -> ctypes.CDLL:
     ]
     library.repro_cover_search.restype = _I64
     library.repro_max_reply.argtypes = [
-        _PTR, _I64, _PTR, _I64, ctypes.c_double, ctypes.c_double,
-        ctypes.POINTER(ctypes.c_double), _I64, _ORDER_CALLBACK,
+        _PTR, _PTR, _I64, _PTR, _I64, _I64, ctypes.c_double, ctypes.c_double,
+        ctypes.c_double, _PTR, _I64, _I64, _PTR, _ORDER_CALLBACK,
     ]
     library.repro_max_reply.restype = _I64
     library.repro_sum_reply.argtypes = [
@@ -1314,27 +1367,34 @@ def cover_search(
 
 
 def max_reply(
-    dist: np.ndarray,
-    forced: tuple[int, ...],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    forced,
+    current,
     alpha: float,
-    best_cost: float,
+    beta: float,
     warm_start: bool,
-) -> tuple[float, tuple[int, ...] | None]:
-    """The whole eccentricity-guess loop in one C call; same contract as the
-    numpy backend."""
+    greedy: bool,
+    dist: np.ndarray,
+) -> tuple[float, float, tuple[int, ...] | None]:
+    """One MaxNCG reply — BFS, incumbent price and guess loop — in one C
+    call; same contract as the numpy backend."""
     from repro.kernels.common import COST_EPS
 
     library = load_library()
-    n = dist.shape[0]
-    dist = np.ascontiguousarray(dist, dtype=np.int32)
-    # One buffer, one pointer: the forced rows, then the cover sizes, the
-    # search order and the selection, n entries each.  Zeroed, so the order
-    # block holds valid rows even if a callback fails before writing it.
-    num_forced = len(forced)
-    buffer = np.zeros(num_forced + 3 * n, dtype=np.int64)
-    buffer[:num_forced] = forced
-    sizes = buffer[num_forced:num_forced + n]
-    order = buffer[num_forced + n:num_forced + 2 * n]
+    n = len(indptr) - 1
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    # One buffer, one pointer: the forced and current rows, then the cover
+    # sizes, the search order and the selection, n entries each.  Zeroed,
+    # so the order block holds valid rows even if a callback fails before
+    # writing it.
+    head = len(forced) + len(current)
+    buffer = np.zeros(head + 3 * n, dtype=np.int64)
+    buffer[:len(forced)] = forced
+    buffer[len(forced):head] = current
+    sizes = buffer[head:head + n]
+    order = buffer[head + n:head + 2 * n]
     errors: list[BaseException] = []
 
     def sort_sizes(count: int) -> None:
@@ -1344,20 +1404,21 @@ def max_reply(
         except BaseException as exc:
             errors.append(exc)
 
-    callback = _ORDER_CALLBACK(sort_sizes)
-    cost = ctypes.c_double(best_cost)
+    costs = np.empty(2)
     found = library.repro_max_reply(
-        _address(dist), n, _address(buffer), num_forced, alpha, COST_EPS,
-        ctypes.byref(cost), bool(warm_start), callback,
+        _address(indptr), _address(indices), n, _address(buffer), len(forced),
+        len(current), alpha, beta, COST_EPS, _address(costs), bool(warm_start),
+        bool(greedy), _address(dist), _ORDER_CALLBACK(sort_sizes),
     )
     if errors:
         raise errors[0]
     if found == -2:
         raise MemoryError("native max_reply: cannot allocate its scratch")
+    current_cost, cost = costs.tolist()
     if found < 0:
-        return best_cost, None
-    start = num_forced + 2 * n
-    return cost.value, tuple(buffer[start:start + found].tolist())
+        return current_cost, cost, None
+    start = head + 2 * n
+    return current_cost, cost, tuple(buffer[start:start + found].tolist())
 
 
 def sum_reply(

@@ -6,8 +6,9 @@ code base was built on: the chunked multi-source frontier expansion behind
 row, sliced, is the ``view`` kernel), the
 branch-and-bound recursion behind
 :func:`repro.solvers.set_cover.branch_and_bound_set_cover`, the
-MaxNCG reply loop :func:`repro.solvers.set_cover.max_reply` that drives
-it once per eccentricity guess, and the SumNCG reply
+MaxNCG reply :func:`repro.solvers.set_cover.csr_max_reply` (that BFS
+over H − u, the incumbent's price and the loop that drives the search
+once per eccentricity guess), and the SumNCG reply
 :func:`repro.solvers.sum_reply.sum_reply`.  Every other
 backend is measured against this module: *bit-identical outputs, faster
 machinery*.  The wrappers in the graph/solver layers own all argument
@@ -338,12 +339,19 @@ def cover_search(
 
 
 def max_reply(
-    dist: np.ndarray,
-    forced: tuple[int, ...],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    forced,
+    current,
     alpha: float,
-    best_cost: float,
+    beta: float,
     warm_start: bool,
-) -> tuple[float, tuple[int, ...] | None]:
-    """The one Python implementation of the eccentricity-guess loop,
-    :func:`repro.solvers.set_cover.max_reply`, searching on this backend."""
-    return set_cover.max_reply(dist, forced, alpha, best_cost, warm_start, backend="numpy")
+    greedy: bool,
+    dist: np.ndarray,
+) -> tuple[float, float, tuple[int, ...] | None]:
+    """One MaxNCG reply, the Python composed on this backend
+    (:func:`repro.solvers.set_cover.csr_max_reply`)."""
+    return set_cover.csr_max_reply(
+        indptr, indices, forced, current, alpha, beta, warm_start, dist,
+        method="greedy" if greedy else "branch_and_bound", backend="numpy",
+    )

@@ -12,7 +12,9 @@ remove it but also does not pay for it).
 
 Three solvers with a common interface are provided; see the package
 docstring for the rationale.  :func:`max_reply` runs them over every
-eccentricity guess of a MaxNCG best response.
+eccentricity guess of a MaxNCG best response, :func:`max_view_cost`
+prices the incumbent it has to beat and :func:`csr_max_reply` composes a
+whole reply from the CSR of the player's view without her.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.kernels import KernelBackend, resolve_backend
-from repro.kernels.common import COST_EPS
+from repro.kernels.common import COST_EPS, UNREACHABLE
 
 __all__ = [
     "SetCoverInstance",
@@ -35,6 +37,8 @@ __all__ = [
     "milp_set_cover",
     "solve_set_cover",
     "max_reply",
+    "max_view_cost",
+    "csr_max_reply",
     "SOLVERS",
     "WARM_START_SOLVERS",
 ]
@@ -480,3 +484,65 @@ def max_reply(
             best_cost = cost
             best_selection = result.selected
     return best_cost, best_selection
+
+
+def max_view_cost(
+    dist: np.ndarray,
+    forced: Sequence[int],
+    current: Sequence[int],
+    alpha: float,
+    beta: float,
+) -> float:
+    """The MaxNCG view cost of the strategy whose targets are rows ``current``.
+
+    Her distances are ``1 + min`` over the rows of ``dist`` (H − u) of her
+    targets and her buyers ``forced``; the cost is ``alpha * len(current)``
+    plus :meth:`~repro.core.cost_models.CostModel.usage_max` of them, with
+    ``beta`` the unreachable distance (``inf`` under the strict model).
+    """
+    rows = [*current, *forced]
+    eccentricity, unreached = 0, dist.shape[0]
+    if rows and unreached:
+        minima = dist[rows].min(axis=0)
+        farthest = int(minima.max())
+        if farthest != UNREACHABLE:
+            eccentricity, unreached = farthest + 1, 0
+        else:
+            reached = minima[minima != UNREACHABLE]
+            if reached.size:
+                eccentricity = int(reached.max()) + 1
+            unreached -= reached.size
+    usage = float(eccentricity) if unreached <= 0 else float(max(float(eccentricity), beta))
+    return alpha * len(current) + usage
+
+
+def csr_max_reply(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    forced: Sequence[int],
+    current: Sequence[int],
+    alpha: float,
+    beta: float,
+    warm_start: bool,
+    dist: np.ndarray,
+    method: str = "branch_and_bound",
+    backend: str | KernelBackend | None = None,
+) -> tuple[float, float, tuple[int, ...] | None]:
+    """One MaxNCG reply from the CSR of H − u, composed in Python.
+
+    The all-pairs ``bfs`` of H − u into ``dist``, the current strategy's
+    price (:func:`max_view_cost`) and :func:`max_reply` with ``method``:
+    the numpy backend's ``max_reply`` kernel, and the ``milp`` ablation's
+    reply.  Returns ``(current_cost, cost, selection | None)``.
+    """
+    kernel = resolve_backend(backend)
+    m = len(indptr) - 1
+    dist.fill(UNREACHABLE)
+    if m:
+        kernel.bfs(indptr, indices, np.arange(m, dtype=np.int64), None, dist)
+    forced = tuple(int(i) for i in forced)
+    current_cost = max_view_cost(dist, forced, current, alpha, beta)
+    cost, selection = max_reply(
+        dist, forced, alpha, current_cost, warm_start, method=method, backend=kernel
+    )
+    return current_cost, cost, selection

@@ -122,6 +122,30 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--smoke", "--resume", "--quiet"])
 
+    @pytest.mark.parametrize("command", ["sweep", "robustness"])
+    def test_telemetry_requires_journal(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--smoke", "--telemetry", "--quiet"])
+        assert exit_info.value.code == 2
+        assert "--telemetry requires --journal" in capsys.readouterr().err
+
+    def test_robustness_telemetry_journals_one_record_per_task(self, tmp_path):
+        from repro.service.journal import iter_telemetry_records, load_jsonl_records
+        from repro.service.tasks import strip_timing_fields
+
+        journal = tmp_path / "store"
+        traced, plain = tmp_path / "traced.json", tmp_path / "plain.json"
+        base = ["robustness", "--smoke", "--quiet"]
+        argv = base + ["--journal", str(journal), "--telemetry", "--json", str(traced)]
+        assert main(argv) == 0
+        assert main(base + ["--json", str(plain)]) == 0
+        records = load_jsonl_records(journal / "robustness" / "journal.jsonl")
+        results = {r["spec_hash"] for r in records if r["kind"] == "robustness"}
+        telemetry = [r["spec_hash"] for r in iter_telemetry_records(records)]
+        assert results and sorted(telemetry) == sorted(results)
+        rows = json.loads(traced.read_text())
+        assert strip_timing_fields(rows) == strip_timing_fields(json.loads(plain.read_text()))
+
     def test_gnp_requires_p(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--families", "gnp", "--quiet"])

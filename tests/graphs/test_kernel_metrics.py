@@ -22,7 +22,12 @@ from repro.graphs.generators.trees import random_owned_tree
 from repro.kernels import get_backend, register_backend
 from repro.obs.metrics import default_registry
 
-COUNTED = ("bfs", "bfs_reduce")
+COUNTED = ("bfs", "bfs_reduce", "max_reply")
+
+
+def source_rows(name: str, args: tuple) -> int:
+    """The source rows of one call: every node of H − u for ``max_reply``."""
+    return len(args[0]) - 1 if name == "max_reply" else len(args[2])
 
 
 @pytest.fixture
@@ -37,7 +42,7 @@ def counting_backend():
     def tally(name, kernel):
         def counted(*args):
             calls[name] += 1
-            sources[name] += len(args[2])
+            sources[name] += source_rows(name, args)
             return kernel(*args)
 
         return counted
