@@ -10,9 +10,10 @@ every other visible vertex lies within distance ``h - 1`` (inside
 ``H \\ {u}``) of a new target or of a vertex that already bought an edge
 towards ``u``.  Step (iii) is a constrained minimum dominating set on the
 ``(h-1)``-th power of ``H \\ {u}`` and is solved exactly (MILP or
-branch-and-bound) or greedily (ablation).  With branch and bound or greedy
-the whole reply — the distances inside ``H \\ {u}``, the incumbent's price
-and the loop over ``h`` — is one call of the kernel backend's ``max_reply``.
+branch-and-bound) or greedily (ablation).  The distances inside
+``H \\ {u}`` are one all-pairs ``bfs`` kernel call; with branch and bound
+or greedy the rest of the reply — the incumbent's price and the loop over
+``h`` — is one call of the kernel backend's ``max_reply``.
 
 SumNCG
 ------
@@ -76,8 +77,8 @@ from repro.obs import get_telemetry
 from repro.solvers import sum_reply as sum_search
 from repro.solvers.set_cover import (
     WARM_START_SOLVERS,
-    csr_max_reply,
     max_reply,
+    priced_max_reply,
     solve_set_cover,  # noqa: F401 -- sweepbench's tracer wraps this binding
 )
 
@@ -172,8 +173,8 @@ class MaxCoverContext:
     player's own current strategy: the SumNCG routines price every
     candidate strategy from its rows (the SumNCG strategy space is exactly
     its node set).  The engine builds one per SumNCG memo miss through
-    :func:`max_cover_context` and injects it; MaxNCG replies compute their
-    distances inside the ``max_reply`` kernel instead.
+    :func:`max_cover_context` and injects it; MaxNCG replies run the same
+    ``bfs`` call on their own and build no context.
     """
 
     order: list[Node]
@@ -250,8 +251,8 @@ def _reduced_view(view: View, player: Node, strategy: frozenset[Node]):
 
 
 def _max_reply_call(
-    kernel: KernelBackend, indptr, indices, forced, current, game: GameSpec,
-    warm_start: bool, greedy: bool, dist: np.ndarray,
+    kernel: KernelBackend, dist: np.ndarray, forced, current, game: GameSpec,
+    warm_start: bool, greedy: bool,
 ) -> tuple[float, float, tuple[int, ...] | None]:
     """One ``max_reply`` kernel dispatch, counted (one call, ``m`` sources)
     and, when tracing, inside a ``kernels.max_reply`` span."""
@@ -260,8 +261,8 @@ def _max_reply_call(
     calls.inc()
     sources.inc(m)
     args = (
-        indptr, indices, forced, current, game.alpha,
-        game.cost_model.unreachable_distance, warm_start, greedy, dist,
+        dist, forced, current, game.alpha, game.cost_model.unreachable_distance,
+        warm_start, greedy,
     )
     tracer = get_telemetry().tracer
     if tracer.enabled:
@@ -369,12 +370,13 @@ def best_response_max(
     (``greedy`` stays quiet — it has no exact search to prune, so warm
     starts are meaningless there).
 
-    With ``branch_and_bound`` or ``greedy`` the whole reply is one call of
-    the kernel backend's ``max_reply`` over the CSR of ``H \\ {u}``: the
-    all-pairs distances, the incumbent's price and the eccentricity-guess
-    loop.  The ``milp`` ablation composes the same steps in Python
-    (:func:`~repro.solvers.set_cover.csr_max_reply`).  ``backend`` selects the
-    kernel backend (see :mod:`repro.kernels`); all backends are
+    The distances of ``H \\ {u}`` come from one all-pairs ``bfs`` kernel
+    call over its CSR.  With ``branch_and_bound`` or ``greedy`` the rest of
+    the reply — the incumbent's price and the eccentricity-guess loop — is
+    one call of the kernel backend's ``max_reply``; the ``milp`` ablation
+    composes the same steps in Python
+    (:func:`~repro.solvers.set_cover.priced_max_reply`).  ``backend``
+    selects the kernel backend (see :mod:`repro.kernels`); all backends are
     bit-identical, so it never changes the returned strategy.
     """
     if game.usage is not UsageKind.MAX:
@@ -397,17 +399,16 @@ def best_response_max(
     )
     indptr, indices, forced, current_rows, labels = _reduced_view(view, player, current)
     beta = game.cost_model.unreachable_distance
-    m = len(indptr) - 1
-    dist = np.empty((m, m), dtype=np.int32)
+    kernel = resolve_backend(backend)
+    dist = batched_bfs_distances(indptr, indices, None, backend=kernel)
     if solver in ("branch_and_bound", "greedy"):
         current_cost, best_cost, selection = _max_reply_call(
-            resolve_backend(backend), indptr, indices, forced, current_rows, game,
-            warm_start, solver == "greedy", dist,
+            kernel, dist, forced, current_rows, game, warm_start, solver == "greedy"
         )
     else:
-        current_cost, best_cost, selection = csr_max_reply(
-            indptr, indices, forced, current_rows, game.alpha, beta, warm_start,
-            dist, method=solver, backend=backend,
+        current_cost, best_cost, selection = priced_max_reply(
+            dist, forced, current_rows, game.alpha, beta, warm_start,
+            method=solver, backend=kernel,
         )
     if game.cost_model.is_finite:
         # Disconnection-tolerant models admit a second regime: abandon the
@@ -417,7 +418,7 @@ def best_response_max(
         # intact — under the strict model this regime costs inf and the
         # call is skipped entirely.
         cost, partial = _tolerant_partial_max(
-            dist, forced, game.alpha, beta, solver, warm_start, best_cost, backend
+            dist, forced, game.alpha, beta, solver, warm_start, best_cost, kernel
         )
         if partial is not None:
             best_cost, selection = cost, partial

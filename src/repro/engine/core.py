@@ -205,6 +205,8 @@ class DynamicsEngine:
         strategy = self.state.strategy(player)
         memo = self._responses.get(player)
         if memo is not None and memo[0] == token and memo[1] == strategy:
+            if not memo[2].is_improving:
+                self.quiet[player] = memo[2].exact
             return memo[2]
         return None
 
@@ -469,15 +471,9 @@ class DynamicsEngine:
                 certified = True
                 # Certificate strength: exact iff every player's certifying
                 # answer came from an exact solver.  The quiet round (or the
-                # certify sweep above) left every player in ``quiet`` with
-                # her answer's exactness, unless the scheduler read memos
-                # without peeking; then a sweep of pure memo rides decides.
-                if len(self.quiet) == len(self.base_order):
-                    certified_exact = all(self.quiet.values())
-                else:
-                    certified_exact = all(
-                        self.peek_response(player).exact for player in self.base_order
-                    )
+                # certify sweep above) read every player's non-improving
+                # answer, so each is in ``quiet`` with its exactness.
+                certified_exact = all(self.quiet.values())
                 rounds_run = round_index - 1
                 break
             if self.scheduler.detects_cycles:

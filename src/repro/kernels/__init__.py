@@ -11,10 +11,10 @@ without ever materialising a distance row), the one-player view behind
 nodes, their distances and the CSR of her view without her, in one call
 — how the engine settles every view), the branch-and-bound
 recursion behind
-:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, the whole
-MaxNCG reply behind :func:`repro.core.best_response.best_response_max`
-(the distances of the player's view without her, the incumbent's price
-and the loop that runs that search once per eccentricity guess), and the
+:func:`repro.solvers.set_cover.branch_and_bound_set_cover`, the MaxNCG
+reply behind :func:`repro.core.best_response.best_response_max` (the
+incumbent's price and the loop that runs that search once per
+eccentricity guess, over ``bfs``'s distances), and the
 SumNCG reply behind
 :func:`~repro.core.best_response.best_response_sum_exhaustive` and
 :func:`~repro.core.best_response.best_response_sum_local_search` (the
@@ -94,15 +94,14 @@ sum_out, unreached_out, view_size_out)``
     matrix, ``order_by_size`` the candidate iteration order, and the
     incumbent to beat; returns the tightened ``(size, selection)``
     (unchanged objects when nothing smaller exists).
-``max_reply(indptr, indices, forced, current, alpha, beta, warm_start, greedy, dist) -> (current_cost, cost, selection | None)``
-    One MaxNCG reply.  ``indptr``/``indices`` (int64) are the CSR of a
-    player's view without her, ``H − u``, over ``n`` nodes; ``forced`` the
-    sorted rows of her buyers, ``current`` the rows of her current
-    strategy, ``alpha`` the edge price, ``beta`` the cost model's
-    unreachable distance (``inf`` under the strict model) and ``dist`` a
-    caller-allocated ``(n, n)`` int32 matrix.  The kernel fills ``dist``
-    with the all-pairs distances of ``H − u`` (``UNREACHABLE`` marks),
-    exactly as ``bfs`` would, and prices the current strategy as
+``max_reply(dist, forced, current, alpha, beta, warm_start, greedy) -> (current_cost, cost, selection | None)``
+    One MaxNCG reply.  ``dist`` is the ``(n, n)`` int32 all-pairs
+    distance matrix of a player's view without her, ``H − u``
+    (``UNREACHABLE`` marks, as ``bfs`` fills it); ``forced`` the sorted
+    rows of her buyers, ``current`` the rows of her current strategy,
+    ``alpha`` the edge price and ``beta`` the cost model's unreachable
+    distance (``inf`` under the strict model).  The kernel prices the
+    current strategy as
     :func:`~repro.solvers.set_cover.max_view_cost` does: ``1 +`` the
     column minima over its rows and the forced ones give her distances,
     and the cost is ``alpha * len(current)`` plus the eccentricity over
@@ -123,8 +122,7 @@ sum_out, unreached_out, view_size_out)``
 ``sum_reply(dist, forced, frontier_columns, frontier_limits, alpha, beta,
 candidates, current, start, start_cost, max_iterations) -> (current_cost,
 cost, selection | None)``
-    One SumNCG reply over the ``(n, n)`` int32 distances ``dist`` of
-    ``H − u`` and the sorted ``forced`` rows of her buyers
+    One SumNCG reply over the same ``dist`` and sorted ``forced`` rows
     (:func:`repro.solvers.sum_reply.sum_reply` is the reference).  A
     strategy — a set of rows — reaches column ``v`` at ``1 + m_v``, with
     ``m`` the column minimum over its rows and the forced ones; it costs
@@ -176,11 +174,12 @@ functions above with bit-identical semantics, raise
 missing, and :func:`register_backend` a zero-argument factory for it —
 :mod:`repro.kernels.native_backend` is the worked example.  All six
 kernels are required: ``bfs``, ``bfs_reduce``, ``view``,
-``cover_search``, ``max_reply`` and ``sum_reply``.  ``max_reply`` is a
-whole MaxNCG memo miss of the engine — ``bfs`` over every node of ``H −
-u``, the incumbent's price and the guess loop with ``cover_search``'s
-recursion — so a backend gains most by running it without leaving its
-own language; the numpy backend composes it from its other kernels.
+``cover_search``, ``max_reply`` and ``sum_reply``.  After one all-pairs
+``bfs`` of ``H − u``, ``max_reply`` is the rest of a MaxNCG memo miss of
+the engine — the incumbent's price and the guess loop with
+``cover_search``'s recursion — so a backend gains most by running it
+without leaving its own language; the numpy backend composes it from its
+other kernels.
 """
 
 from __future__ import annotations

@@ -21,11 +21,11 @@ same branching element, same candidate order, same incumbent updates — so
 distances, selected covers and every downstream tie-break are
 bit-identical to the numpy reference (pinned by
 ``tests/graphs/test_kernel_backends.py`` and
-``tests/solvers/test_set_cover.py``).  ``max_reply`` runs a whole MaxNCG
-best response in one call from the CSR of the player's view without her:
-the all-pairs queue BFS of ``bfs`` into the caller's distance matrix, the
-incumbent's price of :func:`repro.solvers.set_cover.max_view_cost`, and
-the eccentricity-guess loop of :func:`repro.solvers.set_cover.max_reply`
+``tests/solvers/test_set_cover.py``).  ``max_reply`` runs a MaxNCG best
+response over the distances of the player's view without her in one
+call: the incumbent's price of
+:func:`repro.solvers.set_cover.max_view_cost`, and the eccentricity-guess
+loop of :func:`repro.solvers.set_cover.max_reply`
 with every branch-and-bound step in C, the search reusing
 ``cover_search``'s recursion — or, for the greedy ablation, the greedy
 cover of each guess (pinned by ``tests/core/test_max_reply.py``).  The
@@ -92,41 +92,38 @@ _SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* Queue BFS from src over a CSR adjacency layout into row, an n-entry
- * int32 row pre-filled with the unreachable sentinel; queue is an n-entry
- * int32 scratch buffer.  radius < 0 means unbounded. */
-static void bfs_row(const int64_t *indptr, const int64_t *indices, int64_t src,
-                    int64_t radius, int32_t unreachable, int32_t *row,
-                    int32_t *queue) {
-    int64_t head = 0, tail = 0;
-    row[src] = 0;
-    queue[tail++] = (int32_t)src;
-    while (head < tail) {
-        int32_t node = queue[head++];
-        int32_t d = row[node];
-        if (radius >= 0 && (int64_t)d >= radius)
-            continue;
-        int64_t estop = indptr[node + 1];
-        for (int64_t e = indptr[node]; e < estop; ++e) {
-            int32_t nb = (int32_t)indices[e];
-            if (row[nb] == unreachable) {
-                row[nb] = d + 1;
-                queue[tail++] = nb;
-            }
-        }
-    }
-}
-
-/* Per-source queue BFS: dist is a (num_sources, n) row-major int32 matrix
- * pre-filled with the unreachable sentinel.  BFS distances are unique, so
- * the matrix is bit-identical to the numpy level expansion.
+/* Per-source queue BFS over a CSR adjacency layout.
+ *
+ * dist is a (num_sources, n) row-major int32 matrix pre-filled with the
+ * unreachable sentinel; queue is an n-entry int32 scratch buffer.
+ * radius < 0 means unbounded.  BFS distances are unique, so the matrix
+ * is bit-identical to the numpy level expansion.
  */
 void repro_bfs_batch(const int64_t *indptr, const int64_t *indices,
                      int64_t n, const int64_t *sources, int64_t num_sources,
                      int64_t radius, int32_t unreachable,
                      int32_t *dist, int32_t *queue) {
-    for (int64_t s = 0; s < num_sources; ++s)
-        bfs_row(indptr, indices, sources[s], radius, unreachable, dist + s * n, queue);
+    for (int64_t s = 0; s < num_sources; ++s) {
+        int32_t *row = dist + s * n;
+        int64_t head = 0, tail = 0;
+        int64_t src = sources[s];
+        row[src] = 0;
+        queue[tail++] = (int32_t)src;
+        while (head < tail) {
+            int32_t node = queue[head++];
+            int32_t d = row[node];
+            if (radius >= 0 && (int64_t)d >= radius)
+                continue;
+            int64_t estop = indptr[node + 1];
+            for (int64_t e = indptr[node]; e < estop; ++e) {
+                int32_t nb = (int32_t)indices[e];
+                if (row[nb] == unreachable) {
+                    row[nb] = d + 1;
+                    queue[tail++] = nb;
+                }
+            }
+        }
+    }
 }
 
 /* A level whose expansion work (the summed degrees of its frontier) times
@@ -538,8 +535,8 @@ static int compare_int32(const void *a, const void *b) {
  * count cover sizes into the order block of the shared buffer. */
 typedef void (*order_callback)(int64_t count);
 
-/* One MaxNCG reply from the CSR of H - u, mirroring the numpy reference
- * step for step: the all-pairs BFS into dist, the incumbent's price
+/* One MaxNCG reply from the distances of H - u, mirroring the numpy
+ * reference step for step: the incumbent's price
  * (repro.solvers.set_cover.max_view_cost) and the loop over eccentricity
  * guesses h of repro.solvers.set_cover.max_reply.  With branch and bound
  * each guess takes the residual after the forced rows, the uncoverable
@@ -548,10 +545,10 @@ typedef void (*order_callback)(int64_t count);
  * strictly-better-by-eps acceptance; in greedy mode it takes the greedy
  * cover of the residual and never searches.
  *
- * dist is a caller-allocated (n, n) row-major int32 matrix, filled here.
- * buffer holds the num_forced sorted buyer rows, the num_current rows of
- * the current strategy, then three n-entry blocks: the cover sizes, the
- * search order and the selection.  costs[0] receives the current
+ * dist is the (n, n) row-major int32 distance matrix.  buffer holds the
+ * num_forced sorted buyer rows, the num_current rows of the current
+ * strategy, then three n-entry blocks: the cover sizes, the search order
+ * and the selection.  costs[0] receives the current
  * strategy's cost, costs[1] the reply's.  Returns the length of the
  * accepted cover (its rows in the selection block, in the solver's
  * order), -1 when nothing beat the incumbent, -2 when scratch memory
@@ -560,17 +557,16 @@ typedef void (*order_callback)(int64_t count);
  * (SIMD sorting networks on some hosts), so the loop asks the wrapper for
  * it through sort_sizes, once per search it runs.
  */
-int64_t repro_max_reply(const int64_t *indptr, const int64_t *indices, int64_t n,
-                        int64_t *buffer, int64_t num_forced, int64_t num_current,
-                        double alpha, double beta, double eps, double *costs,
-                        int64_t warm_start, int64_t greedy_only, int32_t *dist,
-                        order_callback sort_sizes) {
-    const int64_t *forced = buffer, *current = buffer + num_forced;
+int64_t repro_max_reply(const int32_t *dist, int64_t n, int64_t *buffer,
+                        int64_t num_forced, int64_t num_current, double alpha,
+                        double beta, double eps, double *costs, int64_t warm_start,
+                        int64_t greedy_only, order_callback sort_sizes) {
+    const int64_t *forced = buffer;
     int64_t *sizes = buffer + num_forced + num_current, *selection = sizes + 2 * n;
     const int64_t *order = sizes + n;
     size_t words = (size_t)(n + 1);
     int64_t *free_rows = malloc(2 * words * sizeof(int64_t));
-    int32_t *buffers = malloc(6 * words * sizeof(int32_t));
+    int32_t *buffers = malloc(5 * words * sizeof(int32_t));
     uint8_t *bytes = malloc(words + (size_t)n * (size_t)n + (words + 1) * (size_t)n
                             + words);
     if (!free_rows || !buffers || !bytes) {
@@ -582,15 +578,10 @@ int64_t repro_max_reply(const int64_t *indptr, const int64_t *indices, int64_t n
     int64_t *elements = free_rows + words;
     int32_t *greedy = buffers, *warm = buffers + words;
     int32_t *previous = buffers + 2 * words, *chosen = buffers + 3 * words;
-    int32_t *found = buffers + 4 * words, *queue = buffers + 5 * words;
+    int32_t *found = buffers + 4 * words;
     uint8_t *is_forced = bytes, *cov = bytes + words;
     uint8_t *remaining_stack = cov + (size_t)n * (size_t)n;
     uint8_t *remaining = remaining_stack + (words + 1) * (size_t)n;
-
-    for (int64_t i = 0; i < n * n; ++i)
-        dist[i] = INT32_MAX;
-    for (int64_t v = 0; v < n; ++v)
-        bfs_row(indptr, indices, v, -1, INT32_MAX, dist + v * n, queue);
 
     /* The incumbent: her distances are 1 + the column minima over her
      * current rows and the forced ones (INT32_MAX is UNREACHABLE). */
@@ -599,7 +590,7 @@ int64_t repro_max_reply(const int64_t *indptr, const int64_t *indices, int64_t n
         int32_t *minima = found;
         for (int64_t j = 0; j < n; ++j)
             minima[j] = INT32_MAX;
-        for (int64_t i = 0; i < num_current + num_forced; ++i) {
+        for (int64_t i = 0; i < num_forced + num_current; ++i) {
             const int32_t *row = dist + buffer[i] * n;
             for (int64_t j = 0; j < n; ++j)
                 if (row[j] < minima[j])
@@ -1222,8 +1213,8 @@ def load_library() -> ctypes.CDLL:
     ]
     library.repro_cover_search.restype = _I64
     library.repro_max_reply.argtypes = [
-        _PTR, _PTR, _I64, _PTR, _I64, _I64, ctypes.c_double, ctypes.c_double,
-        ctypes.c_double, _PTR, _I64, _I64, _PTR, _ORDER_CALLBACK,
+        _PTR, _I64, _PTR, _I64, _I64, ctypes.c_double, ctypes.c_double,
+        ctypes.c_double, _PTR, _I64, _I64, _ORDER_CALLBACK,
     ]
     library.repro_max_reply.restype = _I64
     library.repro_sum_reply.argtypes = [
@@ -1367,24 +1358,21 @@ def cover_search(
 
 
 def max_reply(
-    indptr: np.ndarray,
-    indices: np.ndarray,
+    dist: np.ndarray,
     forced,
     current,
     alpha: float,
     beta: float,
     warm_start: bool,
     greedy: bool,
-    dist: np.ndarray,
 ) -> tuple[float, float, tuple[int, ...] | None]:
-    """One MaxNCG reply — BFS, incumbent price and guess loop — in one C
-    call; same contract as the numpy backend."""
+    """One MaxNCG reply — incumbent price and guess loop — in one C call;
+    same contract as the numpy backend."""
     from repro.kernels.common import COST_EPS
 
     library = load_library()
-    n = len(indptr) - 1
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    n = dist.shape[0]
+    dist = np.ascontiguousarray(dist, dtype=np.int32)
     # One buffer, one pointer: the forced and current rows, then the cover
     # sizes, the search order and the selection, n entries each.  Zeroed,
     # so the order block holds valid rows even if a callback fails before
@@ -1406,9 +1394,9 @@ def max_reply(
 
     costs = np.empty(2)
     found = library.repro_max_reply(
-        _address(indptr), _address(indices), n, _address(buffer), len(forced),
-        len(current), alpha, beta, COST_EPS, _address(costs), bool(warm_start),
-        bool(greedy), _address(dist), _ORDER_CALLBACK(sort_sizes),
+        _address(dist), n, _address(buffer), len(forced), len(current), alpha,
+        beta, COST_EPS, _address(costs), bool(warm_start), bool(greedy),
+        _ORDER_CALLBACK(sort_sizes),
     )
     if errors:
         raise errors[0]

@@ -6,9 +6,9 @@ code base was built on: the chunked multi-source frontier expansion behind
 row, sliced, is the ``view`` kernel), the
 branch-and-bound recursion behind
 :func:`repro.solvers.set_cover.branch_and_bound_set_cover`, the
-MaxNCG reply :func:`repro.solvers.set_cover.csr_max_reply` (that BFS
-over H − u, the incumbent's price and the loop that drives the search
-once per eccentricity guess), and the SumNCG reply
+MaxNCG reply :func:`repro.solvers.set_cover.priced_max_reply` (the
+incumbent's price and the loop that drives the search once per
+eccentricity guess), and the SumNCG reply
 :func:`repro.solvers.sum_reply.sum_reply`.  Every other
 backend is measured against this module: *bit-identical outputs, faster
 machinery*.  The wrappers in the graph/solver layers own all argument
@@ -339,19 +339,17 @@ def cover_search(
 
 
 def max_reply(
-    indptr: np.ndarray,
-    indices: np.ndarray,
+    dist: np.ndarray,
     forced,
     current,
     alpha: float,
     beta: float,
     warm_start: bool,
     greedy: bool,
-    dist: np.ndarray,
 ) -> tuple[float, float, tuple[int, ...] | None]:
     """One MaxNCG reply, the Python composed on this backend
-    (:func:`repro.solvers.set_cover.csr_max_reply`)."""
-    return set_cover.csr_max_reply(
-        indptr, indices, forced, current, alpha, beta, warm_start, dist,
+    (:func:`repro.solvers.set_cover.priced_max_reply`)."""
+    return set_cover.priced_max_reply(
+        dist, forced, current, alpha, beta, warm_start,
         method="greedy" if greedy else "branch_and_bound", backend="numpy",
     )

@@ -13,8 +13,8 @@ remove it but also does not pay for it).
 Three solvers with a common interface are provided; see the package
 docstring for the rationale.  :func:`max_reply` runs them over every
 eccentricity guess of a MaxNCG best response, :func:`max_view_cost`
-prices the incumbent it has to beat and :func:`csr_max_reply` composes a
-whole reply from the CSR of the player's view without her.
+prices the incumbent it has to beat and :func:`priced_max_reply` composes
+the two into a whole reply.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
     "solve_set_cover",
     "max_reply",
     "max_view_cost",
-    "csr_max_reply",
+    "priced_max_reply",
     "SOLVERS",
     "WARM_START_SOLVERS",
 ]
@@ -516,33 +516,26 @@ def max_view_cost(
     return alpha * len(current) + usage
 
 
-def csr_max_reply(
-    indptr: np.ndarray,
-    indices: np.ndarray,
+def priced_max_reply(
+    dist: np.ndarray,
     forced: Sequence[int],
     current: Sequence[int],
     alpha: float,
     beta: float,
     warm_start: bool,
-    dist: np.ndarray,
     method: str = "branch_and_bound",
     backend: str | KernelBackend | None = None,
 ) -> tuple[float, float, tuple[int, ...] | None]:
-    """One MaxNCG reply from the CSR of H − u, composed in Python.
+    """One MaxNCG reply from the distances of H − u, composed in Python.
 
-    The all-pairs ``bfs`` of H − u into ``dist``, the current strategy's
-    price (:func:`max_view_cost`) and :func:`max_reply` with ``method``:
-    the numpy backend's ``max_reply`` kernel, and the ``milp`` ablation's
-    reply.  Returns ``(current_cost, cost, selection | None)``.
+    The current strategy's price (:func:`max_view_cost`), then
+    :func:`max_reply` with ``method`` from that incumbent: the numpy
+    backend's ``max_reply`` kernel, and the ``milp`` ablation's reply.
+    Returns ``(current_cost, cost, selection | None)``.
     """
-    kernel = resolve_backend(backend)
-    m = len(indptr) - 1
-    dist.fill(UNREACHABLE)
-    if m:
-        kernel.bfs(indptr, indices, np.arange(m, dtype=np.int64), None, dist)
     forced = tuple(int(i) for i in forced)
     current_cost = max_view_cost(dist, forced, current, alpha, beta)
     cost, selection = max_reply(
-        dist, forced, alpha, current_cost, warm_start, method=method, backend=kernel
+        dist, forced, alpha, current_cost, warm_start, method=method, backend=backend
     )
     return current_cost, cost, selection

@@ -1,27 +1,29 @@
 """The ``max_reply`` kernel equals the composed path it replaced.
 
-:func:`repro.core.best_response.best_response_max` hands a whole MaxNCG
-reply to the kernel backend's ``max_reply``: the all-pairs distances of
-``H − u`` from its CSR, the incumbent's price and the eccentricity-guess
-loop (one C call on the native backend; the Python composed on numpy).
-Both must agree bit for bit with a frozen copy of the path as it stood
-before — context (:func:`max_cover_context`), incumbent price
-(``_max_view_cost``), then the loop as it stood inside
+:func:`repro.core.best_response.best_response_max` takes the all-pairs
+distances of ``H − u`` from one ``bfs`` call and hands the rest of a
+MaxNCG reply to the kernel backend's ``max_reply``: the incumbent's price
+and the eccentricity-guess loop (one C call on the native backend; the
+Python composed on numpy).  Both must agree bit for bit with a frozen
+copy of the path as it stood before — context (:func:`max_cover_context`),
+incumbent price (``_max_view_cost``), then the loop as it stood inside
 ``best_response_max`` — tie-breaks included:
 
-* kernel level — the filled distances, the incumbent cost, the reply cost
-  and the cover rows (in solver order) on every available backend, warm
-  and cold, branch and bound and greedy, over random (often disconnected)
-  graphs, random buyers and current rows, fractional ``α`` and ``β`` from
-  strict (``inf``) to tolerant ``{1, 2.5, 40}``;
+* kernel level — the incumbent cost, the reply cost and the cover rows
+  (in solver order) on every available backend, warm and cold, branch and
+  bound and greedy, over random (often disconnected) graphs, random
+  buyers and current rows, fractional ``α`` and ``β`` from strict
+  (``inf``) to tolerant ``{1, 2.5, 40}``, with ``dist`` left untouched;
 * reply level — strategy, view cost, incumbent cost and ``exact`` of
   ``best_response_max`` on ``extract_view`` views and on the engine's
   array views, on random profiles with random current strategies (so
   disconnected incumbents occur), buyers, every knowledge radius, both
   solvers, warm and cold, the strict model and tolerant ``β``, and the
-  views with ``m ∈ {0, 1}`` other nodes;
-* engine level — each MaxNCG memo miss is exactly one ``max_reply`` call
-  and no ``bfs`` call, with unchanged trajectories.
+  views with ``m ∈ {0, 1}`` other nodes; the incumbent cost also equals
+  :func:`~repro.core.deviations.view_cost`, the definition priced by a
+  BFS on the modified view;
+* engine level — each MaxNCG memo miss is exactly one ``bfs`` and one
+  ``max_reply`` call, with unchanged trajectories.
 """
 
 import dataclasses
@@ -36,7 +38,7 @@ from hypothesis import strategies as st
 import repro.kernels as kernels
 from repro.core.best_response import BestResponse, best_response_max
 from repro.core.cost_models import TolerantCosts
-from repro.core.deviations import COST_EPS
+from repro.core.deviations import COST_EPS, view_cost
 from repro.core.games import FULL_KNOWLEDGE, MaxNCG
 from repro.core.strategies import StrategyProfile
 from repro.core.views import ArrayView, extract_view
@@ -186,16 +188,12 @@ def reply_inputs(draw):
     return indptr, indices, forced, current, alpha, beta
 
 
-def _expected_kernel_reply(indptr, indices, forced, current, alpha, beta, warm_start, solver):
+def _all_pairs(indptr, indices):
+    """The numpy backend's all-pairs distances of a CSR graph."""
     n = len(indptr) - 1
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    if n:
-        dist = batched_bfs_distances(indptr, indices, None, backend="numpy")
-    current_cost = _frozen_price(dist, forced, current, len(current), alpha, beta)
-    cost, selection = _frozen_loop(
-        dist, forced, alpha, current_cost, warm_start and solver != "greedy", solver
-    )
-    return dist, current_cost, cost, selection
+    if not n:
+        return np.full((0, 0), UNREACHABLE, dtype=np.int32)
+    return batched_bfs_distances(indptr, indices, None, backend="numpy")
 
 
 class TestMaxReplyKernel:
@@ -203,38 +201,39 @@ class TestMaxReplyKernel:
     @settings(max_examples=250, deadline=None)
     def test_every_backend_matches_the_frozen_loop(self, case, warm_start, solver):
         indptr, indices, forced, current, alpha, beta = case
-        want_dist, *expected = _expected_kernel_reply(
-            indptr, indices, forced, current, alpha, beta, warm_start, solver
-        )
-        n = len(indptr) - 1
+        dist = _all_pairs(indptr, indices)
+        current_cost = _frozen_price(dist, forced, current, len(current), alpha, beta)
+        expected = [
+            current_cost,
+            *_frozen_loop(
+                dist, forced, alpha, current_cost, warm_start and solver != "greedy", solver
+            ),
+        ]
         for name in available_backends():
-            dist = np.empty((n, n), dtype=np.int32)
+            given_dist = dist.copy()
             actual = get_backend(name).max_reply(
-                indptr, indices, forced, current, alpha, beta, warm_start,
-                solver == "greedy", dist,
+                given_dist, forced, current, alpha, beta, warm_start, solver == "greedy"
             )
             assert list(actual) == expected, name
-            assert np.array_equal(dist, want_dist), name
+            assert np.array_equal(given_dist, dist), name
 
     def test_trivial_view_keeps_the_incumbent(self):
-        empty = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         for name in available_backends():
             for warm_start in (True, False):
                 for greedy in (True, False):
                     reply = get_backend(name).max_reply(
-                        *empty, (), [], 1.0, math.inf, warm_start, greedy,
-                        np.empty((0, 0), dtype=np.int32),
+                        np.empty((0, 0), dtype=np.int32), (), [], 1.0, math.inf,
+                        warm_start, greedy,
                     )
                     assert reply == (0.0, 0.0, None)
 
     def test_disconnected_incumbent_gets_a_finite_reply(self):
         # Six isolated nodes, no buyers: only buying into all reconnects her.
-        indptr, indices = np.zeros(7, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        dist = _all_pairs(np.zeros(7, dtype=np.int64), np.zeros(0, dtype=np.int64))
         for name in available_backends():
             for greedy in (True, False):
                 current_cost, cost, selection = get_backend(name).max_reply(
-                    indptr, indices, (), [0], 0.5, math.inf, True, greedy,
-                    np.empty((6, 6), dtype=np.int32),
+                    dist, (), [0], 0.5, math.inf, True, greedy
                 )
                 assert current_cost == math.inf
                 assert math.isfinite(cost) and len(selection) == 6
@@ -242,13 +241,13 @@ class TestMaxReplyKernel:
     def test_tolerant_incumbent_is_priced_at_beta(self):
         # A path 0-1-2 and an isolated 3: playing {0} reaches three nodes
         # at eccentricity 3, and the abandoned one costs max(3, beta).
-        indptr = np.array([0, 1, 3, 4, 4], dtype=np.int64)
-        indices = np.array([1, 0, 2, 1], dtype=np.int64)
+        dist = _all_pairs(
+            np.array([0, 1, 3, 4, 4], dtype=np.int64), np.array([1, 0, 2, 1], dtype=np.int64)
+        )
         for name in available_backends():
             for beta, usage in ((1.0, 3.0), (2.5, 3.0), (40.0, 40.0)):
                 current_cost, _, _ = get_backend(name).max_reply(
-                    indptr, indices, (), [0], 0.5, beta, True, False,
-                    np.empty((4, 4), dtype=np.int32),
+                    dist, (), [0], 0.5, beta, True, False
                 )
                 assert current_cost == 0.5 + usage
 
@@ -294,7 +293,8 @@ def _views(profile, player, game):
     return extract_view(profile, player, game.k), engine.views.get(player)
 
 
-def _assert_same_reply(actual, expected):
+def _assert_same_reply(actual, expected, view, current, game):
+    assert actual.current_view_cost == view_cost(view, current, game)
     assert actual.strategy == expected.strategy
     assert actual.view_cost == expected.view_cost
     assert actual.current_view_cost == expected.current_view_cost
@@ -316,7 +316,7 @@ class TestBestResponseMaxParity:
                     None, player, game, view=view, current_strategy=current,
                     warm_start=warm_start, backend=name,
                 )
-                _assert_same_reply(actual, expected)
+                _assert_same_reply(actual, expected, view, current, game)
 
     @given(reply_cases())
     @settings(max_examples=80, deadline=None)
@@ -329,7 +329,7 @@ class TestBestResponseMaxParity:
                     None, player, game, solver="greedy", view=view,
                     current_strategy=current, backend=name,
                 )
-                _assert_same_reply(actual, expected)
+                _assert_same_reply(actual, expected, view, current, game)
 
     @pytest.mark.parametrize("solver", ["branch_and_bound", "greedy", "milp"])
     def test_trivial_view(self, solver):
@@ -342,7 +342,7 @@ class TestBestResponseMaxParity:
                     None, 0, game, solver=solver, view=view,
                     current_strategy=frozenset(), backend=name,
                 )
-                _assert_same_reply(actual, expected)
+                _assert_same_reply(actual, expected, view, frozenset(), game)
                 assert actual.strategy == frozenset() and actual.view_cost == 0.0
 
     @pytest.mark.parametrize("solver", ["branch_and_bound", "greedy", "milp"])
@@ -366,7 +366,7 @@ class TestBestResponseMaxParity:
                             None, 0, game, solver=solver, view=view,
                             current_strategy=current, backend=name,
                         )
-                        _assert_same_reply(actual, expected)
+                        _assert_same_reply(actual, expected, view, current, game)
 
     def test_array_view_refuses_what_the_context_refuses(self):
         profile = StrategyProfile({0: {1}, 1: {2}, 2: {3}, 3: set()})
@@ -420,7 +420,7 @@ class TestEngineCalls:
             MaxNCG(1.0, k=FULL_KNOWLEDGE),
         ],
     )
-    def test_each_memo_miss_is_one_kernel_call(self, counting_backend, game, solver):
+    def test_each_memo_miss_is_one_bfs_and_one_max_reply(self, counting_backend, game, solver):
         owned = random_owned_tree(18, seed=7)
         engine = DynamicsEngine(
             owned, game, solver=solver, max_rounds=20, kernel_backend="counting"
@@ -428,7 +428,7 @@ class TestEngineCalls:
         result = engine.run()
         assert result.total_changes > 0
         assert counting_backend["max_reply"] == engine.responses_computed > 0
-        assert counting_backend["bfs"] == 0
+        assert counting_backend["bfs"] == engine.responses_computed
         reference = DynamicsEngine(owned, game, solver=solver, max_rounds=20).run()
         assert (result.rounds, result.converged) == (reference.rounds, reference.converged)
         assert result.final_profile.canonical_key() == reference.final_profile.canonical_key()

@@ -2,8 +2,9 @@
 
 The sequential schedulers skip every player in ``DynamicsEngine.quiet``
 (her memoised answer for her current view and strategy is non-improving),
-and ``run`` reads ``certified_exact`` off ``quiet`` once every player is in
-it.  A frozen copy of the former round loop — every drawn player
+and ``run`` reads ``certified_exact`` off ``quiet``, which holds every
+player once a run converges (memo hits read through ``cached_response``
+included, as ``parallel_batch`` reads them).  A frozen copy of the former round loop — every drawn player
 activated, ``certified_exact`` from a peek sweep over all players — must
 give the same trajectory (the profile after every round), ``rounds``,
 ``converged``, ``cycled``, ``certified``, ``certified_exact`` and
@@ -122,7 +123,10 @@ def test_skipping_quiet_players_matches_the_frozen_loop(case):
     ]
     actual, frozen = engines
     for replay in range(3):
-        assert _run(actual) == _frozen_run(frozen)
+        run = _run(actual)
+        assert run == _frozen_run(frozen)
+        if run[1][1]:  # converged
+            assert set(actual.quiet) == set(actual.base_order)
         assert actual.state.canonical_key() == frozen.state.canonical_key()
         for engine in engines:
             _shortcut(engine, random.Random(f"{seed}:{replay}"))

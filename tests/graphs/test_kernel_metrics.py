@@ -27,7 +27,7 @@ COUNTED = ("bfs", "bfs_reduce", "max_reply")
 
 def source_rows(name: str, args: tuple) -> int:
     """The source rows of one call: every node of H − u for ``max_reply``."""
-    return len(args[0]) - 1 if name == "max_reply" else len(args[2])
+    return len(args[0]) if name == "max_reply" else len(args[2])
 
 
 @pytest.fixture

@@ -66,6 +66,7 @@ def test_kernel_dispatch_reads_the_handle_on_every_call(owned):
     handle = Telemetry(tracing=True)
     _installed(handle, engine.run)
     names = _span_names(handle)
+    assert names["kernels.bfs"] >= 1
     assert names["kernels.max_reply"] >= 1
 
 

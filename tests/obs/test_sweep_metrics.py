@@ -49,11 +49,8 @@ def deltas() -> dict:
     before = registry.snapshot()
     config = ServiceConfig(in_process=True)
     # An α-grid over one instance: the second session adopts stored views.
-    # MaxNCG replies run no ``bfs`` call, so one SumNCG cell keeps the
-    # sweeps' remaining ``bfs`` caller in the grid.
     run_spec_sweep(
-        [RunSpec(family="tree", n=12, alpha=alpha, k=2, seed=0) for alpha in (0.5, 2.0)]
-        + [RunSpec(family="tree", n=12, alpha=0.5, k=2, seed=0, usage="sum")],
+        [RunSpec(family="tree", n=12, alpha=alpha, k=2, seed=0) for alpha in (0.5, 2.0)],
         config,
     )
     # Two operator chains per cell: the second reuses the warm session.
